@@ -11,7 +11,6 @@ approximations with both exchange sequences validated.
 
 import itertools
 import random
-import threading
 from fractions import Fraction
 
 from .linalg import inverse, nullspace, rank, rref
@@ -274,15 +273,11 @@ def hom_basis(src, dst):
     return out
 
 
-def cartan_pairing(datum, v, w):
-    return datum.bilinear(v, w)
-
-
 def ext1_dim(src, dst):
     """dim Ext^1 via the homological formula; symmetric in its
     arguments."""
     val = (hom_dim(src, dst) + hom_dim(dst, src)
-           - cartan_pairing(src.datum, src.dim, dst.dim))
+           - src.datum.bilinear(src.dim, dst.dim))
     if val < 0:
         raise AssertionError(
             f"negative Ext^1 = {val}: input is not a preprojective module")
@@ -310,26 +305,90 @@ def is_open_orbit(module):
                                             module.orientation, module.dim)
 
 
+def _rank_signature(module):
+    return tuple(rank(m) for _, m in sorted(module.arrows.items()))
+
+
 def is_isomorphic(left, right):
-    """Invertible intertwiner search over a fixed deterministic
-    coefficient schedule."""
+    """Isomorphism test whose every verdict is certified.
+
+    False only on an exact witness: the dimension vectors differ, the
+    rank of some arrow matrix differs (ranks are invariant under the
+    vertexwise GL action), dim Hom(left, right) != dim Hom(right, left),
+    or every map left -> right is singular at some vertex.  True only on
+    a verified invertible intertwiner.  Raises ValueError when an
+    isomorphism exists but the coefficient schedule finds none, which
+    cannot happen for n <= 4 Hom basis maps and total_dim <= 4 (see
+    _intertwiner_search).
+    """
     if left.dim != right.dim:
         return False
     if left.arrows == right.arrows:
         return True
+    if _rank_signature(left) != _rank_signature(right):
+        return False
     if hom_dim(left, right) != hom_dim(right, left):
         return False
+    return _intertwiner_search(left, right)
+
+
+def _coefficient_schedule(n):
+    """Coefficient vectors tried on n Hom basis maps: the grid
+    {-2..2}^n for n <= 4, else 64 seeded random vectors."""
+    if n <= 4:
+        return itertools.product((-2, -1, 0, 1, 2), repeat=n)
+    rng = random.Random(1729)
+    return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(64)]
+
+
+def _det_vanishes(mats, d):
+    """Is det(sum_k c_k mats[k]) the zero polynomial in the c_k?
+
+    Laplace expansion along rows over sparse polynomials whose monomials
+    are sorted tuples of variable indices.
+    """
+    forms = [[{(k,): m[r][s] for k, m in enumerate(mats) if m[r][s]}
+              for s in range(d)] for r in range(d)]
+
+    def minor(row, cols):
+        if row == d:
+            return {(): _F1}
+        acc = {}
+        for j, col in enumerate(cols):
+            if not forms[row][col]:
+                continue
+            sub = minor(row + 1, cols[:j] + cols[j + 1:])
+            for m1, x in forms[row][col].items():
+                for m2, y in sub.items():
+                    mono = tuple(sorted(m1 + m2))
+                    acc[mono] = acc.get(mono, _F0) + (-1) ** j * x * y
+        return {m: v for m, v in acc.items() if v}
+
+    return not minor(0, tuple(range(d)))
+
+
+def _intertwiner_search(left, right):
+    """Decide isomorphism of two modules with one dimension vector from
+    hom_basis(left, right) = (phi_1, ..., phi_n).
+
+    False when the determinant of sum_k c_k phi_k at some vertex
+    vanishes identically in the c_k: then every map is singular there.
+    Otherwise an isomorphism exists, and the fixed schedule looks for
+    one; True on a combination verified invertible at every vertex.
+    The grid cannot miss when n <= 4 and total_dim <= 4: the product of
+    the vertex determinants is a nonzero polynomial of degree at most
+    total_dim < 5 in each c_k, so it is nonzero somewhere on
+    {-2..2}^n (Combinatorial Nullstellensatz).  A miss elsewhere raises
+    ValueError.
+    """
     basis = hom_basis(left, right)
     if not basis:
         return left.total_dim() == 0
-    schedules = []
-    if len(basis) <= 4:
-        schedules = list(itertools.product((-2, -1, 0, 1, 2),
-                                           repeat=len(basis)))
-    else:
-        rng = random.Random(1729)
-        schedules = [[rng.randint(-5, 5) for _ in basis] for _ in range(64)]
-    for coeffs in schedules:
+    for i in range(1, left.datum.rank + 1):
+        d = left.dim[i - 1]
+        if d and _det_vanishes([b[i] for b in basis], d):
+            return False
+    for coeffs in _coefficient_schedule(len(basis)):
         if not any(coeffs):
             continue
         good = True
@@ -343,11 +402,13 @@ def is_isomorphic(left, right):
                 break
         if good:
             return True
-    return False
+    raise ValueError(
+        f"isomorphism undecided between dimension vectors {left.dim} and "
+        f"{right.dim}: an isomorphism exists, but the schedule on n = "
+        f"{len(basis)} Hom basis maps found no invertible combination")
 
 
 _ENUM_CACHE = {}
-_ENUM_LOCK = threading.Lock()
 
 
 def enumerate_modules(datum, orientation, dim, workers=1):
@@ -357,13 +418,13 @@ def enumerate_modules(datum, orientation, dim, workers=1):
     Candidates run over 0/1 matrix entries; at the configured bounds
     every isomorphism class has such a representative (each class is a
     sum of indecomposables that admit 0/1 normal forms there).
+    ``workers`` is accepted for API compatibility; the search is serial.
     """
     dim = tuple(int(d) for d in dim)
     key = (datum.cartan, tuple(tuple(h) for h in orientation), dim)
-    with _ENUM_LOCK:
-        hit = _ENUM_CACHE.get(key)
-        if hit is not None:
-            return hit
+    hit = _ENUM_CACHE.get(key)
+    if hit is not None:
+        return hit
     bound = ENUM_BOUNDS.get(datum.name)
     if bound is None:
         raise ValueError(
@@ -373,8 +434,7 @@ def enumerate_modules(datum, orientation, dim, workers=1):
             f"dimension {dim} exceeds preset enumeration bound {bound}")
     arrows = double_arrows(orientation)
     shapes = [(dim[b - 1], dim[a - 1]) for a, b in arrows]
-    sizes = [r * c for r, c in shapes]
-    candidates = list(itertools.product((0, 1), repeat=sum(sizes)))
+    entries = sum(r * c for r, c in shapes)
 
     def build(bits):
         mats = {}
@@ -386,24 +446,14 @@ def enumerate_modules(datum, orientation, dim, workers=1):
                                   for cc in range(c)) for rr in range(r))
         return PreprojModule(datum, orientation, dim, mats)
 
-    def keep(bits):
-        m = build(bits)
-        return m if is_module(m) else None
-
-    if workers > 1 and len(candidates) > 8:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            passed = [m for m in pool.map(keep, candidates) if m is not None]
-    else:
-        passed = [m for m in map(keep, candidates) if m is not None]
     classes = []
-    for m in passed:
-        if not any(is_isomorphic(m, seen) for seen in classes):
+    for bits in itertools.product((0, 1), repeat=entries):
+        m = build(bits)
+        if is_module(m) and not any(is_isomorphic(m, seen)
+                                    for seen in classes):
             classes.append(m)
-    result = tuple(classes)
-    with _ENUM_LOCK:
-        _ENUM_CACHE[key] = result
-    return result
+    _ENUM_CACHE[key] = tuple(classes)
+    return _ENUM_CACHE[key]
 
 
 def all_dims_up_to(bound):
@@ -423,8 +473,7 @@ def indecomposables(datum, orientation, workers=1):
     if bound is None:
         raise ValueError(f"enumeration unsupported for type {datum.name!r}")
     key = (datum.cartan, tuple(tuple(h) for h in orientation))
-    with _ENUM_LOCK:
-        hit = _INDEC_CACHE.get(key)
+    hit = _INDEC_CACHE.get(key)
     if hit is not None:
         return hit
     by_dim = {}
@@ -451,10 +500,8 @@ def indecomposables(datum, orientation, workers=1):
                     break
             if not split:
                 indec.append(m)
-    result = tuple(indec)
-    with _ENUM_LOCK:
-        _INDEC_CACHE[key] = result
-    return result
+    _INDEC_CACHE[key] = tuple(indec)
+    return _INDEC_CACHE[key]
 
 
 class RigidCollection:

@@ -1,19 +1,25 @@
 """Preprojective-algebra desk suite: moment map, Hom/Ext, rigidity,
-enumeration, mutation, and the component-containment lemma check."""
+enumeration, isomorphism certificates, mutation, the component-containment
+lemma check, and components against crystal labels."""
 
 from fractions import Fraction
 
 import pytest
 
+from qbases import preproj
+from qbases.canonical import get_canonical
+from qbases.linalg import inverse, mat_mul
 from qbases.quiver import load_preset
 from qbases.preproj import (ENUM_BOUNDS, PreprojModule, RigidCollection,
                             all_dims_up_to, ambient_dim, components,
                             components_containing, direct_sum,
-                            enumerate_modules, ext1_dim, hom_dim, hom_leq,
-                            indecomposables, is_isomorphic, is_module,
-                            is_open_orbit, is_rigid, maximal_rigid_check,
+                            enumerate_modules, ext1_dim, hom_basis, hom_dim,
+                            hom_leq, indecomposables, is_isomorphic,
+                            is_module, is_open_orbit, is_rigid,
+                            maximal_rigid_check, module_label,
                             moment_residual, mutate_rigid, orbit_dim,
                             preproj_preset, simple_module, zero_module)
+from qbases.wordalg import kostant_dimension
 
 ONE = [[Fraction(1)]]
 
@@ -98,15 +104,90 @@ def test_enumerate_bound_and_type_errors(a2):
 
 def test_enumeration_deterministic_across_workers(a2):
     d, om = a2["datum"], a2["orientation"]
-    from qbases import preproj
     key = (d.cartan, tuple(tuple(h) for h in om), (2, 1))
-    with preproj._ENUM_LOCK:
-        preproj._ENUM_CACHE.pop(key, None)
+    preproj._ENUM_CACHE.pop(key, None)
     seq = enumerate_modules(d, om, (2, 1), workers=1)
-    with preproj._ENUM_LOCK:
-        preproj._ENUM_CACHE.pop(key, None)
+    preproj._ENUM_CACHE.pop(key, None)
     par = enumerate_modules(d, om, (2, 1), workers=4)
     assert [m.to_json() for m in seq] == [m.to_json() for m in par]
+
+
+def _conjugate(module):
+    """The module moved by the base change g_i = J + i*I at vertex i
+    (J all ones): the arrow a -> b becomes g_b B g_a^{-1}."""
+    g = {i: [[Fraction(1 + (r == c) * i) for c in range(d)]
+             for r in range(d)] for i, d in enumerate(module.dim, start=1)}
+    ginv = {i: inverse(m, Fraction(1), Fraction(0)) for i, m in g.items()}
+    arrows = {(a, b): mat_mul(mat_mul(g[b], [list(r) for r in mat]), ginv[a])
+              for (a, b), mat in module.arrows.items() if mat and mat[0]}
+    return PreprojModule(module.datum, module.orientation, module.dim,
+                         arrows)
+
+
+@pytest.mark.parametrize("name", sorted(ENUM_BOUNDS))
+def test_is_isomorphic_two_routes(name):
+    # the invariant-first test and the raw intertwiner search agree on
+    # every enumerated class against every other and against a conjugate
+    p = load_preset(name)
+    d, om = p["datum"], p["orientation"]
+    for dim in all_dims_up_to(ENUM_BOUNDS[name]):
+        classes = enumerate_modules(d, om, dim)
+        for j, m in enumerate(classes):
+            for n in classes[j + 1:]:
+                assert not is_isomorphic(m, n), (name, dim)
+                assert not preproj._intertwiner_search(m, n), (name, dim)
+            c = _conjugate(m)
+            assert is_module(c)
+            assert is_isomorphic(m, c), (name, dim)
+            assert preproj._intertwiner_search(m, c), (name, dim)
+
+
+def test_is_isomorphic_raises_when_schedule_misses(a2, monkeypatch):
+    d, om = a2["datum"], a2["orientation"]
+    classes = enumerate_modules(d, om, (2, 2))
+    wide = [(m, n) for j, m in enumerate(classes) for n in classes[j + 1:]
+            if len(hom_basis(m, n)) > 4]
+    assert wide
+    monkeypatch.setattr(preproj, "_coefficient_schedule", lambda n: [])
+    # non-isomorphism is certified without the schedule, even where the
+    # grid {-2..2}^n is not used
+    for m, n in wide:
+        assert not preproj._intertwiner_search(m, n)
+    scaled = PreprojModule(d, om, (1, 1), {(1, 2): [[2]]})
+    with pytest.raises(ValueError,
+                       match=r"\(1, 1\) and \(1, 1\).* n = 1 Hom"):
+        is_isomorphic(a2["p1"], scaled)
+
+
+def test_det_vanishes_examples():
+    # [[c1, c2], [c1, c2]] cancels to zero; [[c1, c2], [c2, c1]] does not
+    assert preproj._det_vanishes([[[1, 0], [1, 0]], [[0, 1], [0, 1]]], 2)
+    assert not preproj._det_vanishes([[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                                     2)
+    # every 3x3 skew-symmetric matrix is singular, with no entry forced 0
+    skew = [[[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+            [[0, 0, 0], [0, 0, 1], [0, -1, 0]]]
+    assert preproj._det_vanishes(skew, 3)
+    corner = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    assert not preproj._det_vanishes(skew + [corner], 3)
+
+
+def test_components_match_crystal_labels():
+    # geometric crystal: one component per Kostant partition, and the
+    # module labels of the components are exactly the weight's labels
+    seen = 0
+    for name in sorted(ENUM_BOUNDS):
+        p = load_preset(name)
+        d, om = p["datum"], p["orientation"]
+        ctx = get_canonical(d)
+        for dim in all_dims_up_to(ENUM_BOUNDS[name]):
+            comps = components(d, om, dim)
+            assert len(comps) == kostant_dimension(d, dim), (name, dim)
+            labels = sorted(module_label(ctx, m) for m in comps)
+            assert labels == sorted(ctx.labels_of_weight(dim)), (name, dim)
+            seen += 1
+    assert seen == 30
 
 
 def test_indecomposables_a2(a2):
