@@ -4,12 +4,15 @@ shadows, emitted as JSON, CSV, or TeX."""
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
+import tempfile
 
+from . import __version__
 from .quiver import load_preset
 from .canonical import get_canonical, weights_up_to_height
 from .preproj import (ENUM_BOUNDS, all_dims_up_to, enumerate_modules,
@@ -319,11 +322,54 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _source_digest():
+    """sha256 of the package's modules and presets, so that cached results
+    go stale when the code changes; computed once per process."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+        for name in sorted(filenames):
+            if name.endswith((".py", ".json")):
+                path = os.path.join(dirpath, name)
+                with open(path, "rb") as fh:
+                    data = fh.read()
+                rel = os.path.relpath(path, root)
+                h.update(f"{rel}\0{len(data)}\0".encode() + data)
+    return h.hexdigest()
+
+
 def _cache_key(args):
     skip = {"format", "out", "workers"}
     payload = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    payload["qbases"] = [__version__, _source_digest()]
     blob = json.dumps(payload, sort_keys=True).encode()
     return f"{args.command}-{hashlib.sha256(blob).hexdigest()[:24]}.json"
+
+
+def _read_cache(path):
+    """(results, failures) of a cache file; None when the file is missing,
+    unreadable or malformed, so the caller recomputes and rewrites it."""
+    try:
+        with open(path) as fh:
+            blob = json.load(fh)
+        return blob["results"], blob["failures"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
+def _write_cache(path, results, failures):
+    """Write through a temporary file in the cache directory and rename it
+    into place, so no reader ever sees a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"results": results, "failures": failures}, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def execute(argv=None):
@@ -341,10 +387,7 @@ def execute(argv=None):
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, _cache_key(args))
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                blob = json.load(fh)
-            results, failures = blob["results"], blob["failures"]
+        results, failures = _read_cache(cache_path) or (None, None)
 
     if results is None:
         try:
@@ -356,8 +399,7 @@ def execute(argv=None):
         results = json.loads(json.dumps(results))
         failures = json.loads(json.dumps(failures))
         if cache_path:
-            with open(cache_path, "w") as fh:
-                json.dump({"results": results, "failures": failures}, fh)
+            _write_cache(cache_path, results, failures)
 
     try:
         data = emit_report(results, args.format, failures=failures)

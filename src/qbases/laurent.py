@@ -4,7 +4,8 @@ LaurentPoly is a sparse integer Laurent polynomial keyed by exponent.
 RatFunc is a reduced fraction num/den with num a Laurent polynomial and
 den an ordinary polynomial with nonzero constant term (powers of q are
 always pulled out of the denominator into the numerator's exponents).
-No floating point is used anywhere.
+Reduction runs in Z[q] on Python ints: a fraction-free gcd and exact
+division, with no field arithmetic.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -53,41 +54,41 @@ def _pol_primitive(p):
 
 
 def _pol_gcd(a, b):
-    """gcd in Z[q] including integer content, leading coefficient > 0."""
+    """gcd in Z[q] including integer content, leading coefficient > 0.
+
+    Euclid on primitive parts, in Python ints only: each step replaces
+    (a, b) by (b, primitive part of a pseudo-remainder of a by b), which
+    keeps the primitive gcd (Knuth, TAOCP vol. 2, 4.6.1; Brown 1971).
+    """
     a, b = _trim(a), _trim(b)
     if not a:
         return tuple(x if b[-1] > 0 else -x for x in b) if b else ()
     if not b:
         return tuple(x if a[-1] > 0 else -x for x in a)
     ca, cb = _pol_content(a), _pol_content(b)
-    # Euclid over Q on primitive parts, then restore the content gcd.
-    fa = [Fraction(x, ca) for x in a]
-    fb = [Fraction(x, cb) for x in b]
-    while fb:
-        # remainder of fa modulo fb
-        r = list(fa)
-        while len(r) >= len(fb) and any(r):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            coef = r[-1] / fb[-1]
-            shift = len(r) - len(fb)
-            for i, y in enumerate(fb):
-                r[shift + i] -= coef * y
-            r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        fa, fb = fb, r
-    # fa is the gcd over Q; clear denominators and primitivize.
-    den_lcm = 1
-    for x in fa:
-        den_lcm = den_lcm * x.denominator // _int_gcd(den_lcm, x.denominator)
-    ints = [int(x * den_lcm) for x in fa]
-    prim = _pol_primitive(_trim(ints))
-    if prim and prim[-1] < 0:
-        prim = tuple(-x for x in prim)
     g = _int_gcd(ca, cb)
-    return tuple(x * g for x in prim)
+    if len(a) == 1 or len(b) == 1:
+        return (g,)
+    a, b = tuple(x // ca for x in a), tuple(x // cb for x in b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, lb, nb = list(a), b[-1], len(b)
+        while len(r) >= nb:
+            lr = r.pop()
+            if lr:
+                # r <- s*r - t*q^shift*b with s*lr == t*lb: the top cancels
+                h = _int_gcd(lr, lb)
+                s, t, shift = lb // h, lr // h, len(r) - nb + 1
+                if s != 1:
+                    r = [s * x for x in r]
+                for i in range(nb - 1):
+                    r[shift + i] -= t * b[i]
+        r = _trim(r)
+        if not r:
+            return tuple(g * x if b[-1] > 0 else -g * x for x in b)
+        a, b = b, _pol_primitive(r)
+    return (g,)
 
 
 def _pol_divexact(a, b):
@@ -97,22 +98,20 @@ def _pol_divexact(a, b):
         raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return ()
-    q = [0] * (len(a) - len(b) + 1)
-    r = [Fraction(x) for x in a]
-    blead = Fraction(b[-1])
-    for k in range(len(a) - len(b), -1, -1):
-        coef = r[k + len(b) - 1] / blead
-        q[k] = coef
-        for i, y in enumerate(b):
-            r[k + i] -= coef * y
+    lb, nb = b[-1], len(b)
+    q = [0] * (len(a) - nb + 1)
+    r = list(a)
+    for k in range(len(a) - nb, -1, -1):
+        coef, rem = divmod(r[k + nb - 1], lb)
+        if rem:  # would stay in r for the final check; stop early
+            raise ValueError("inexact polynomial division")
+        if coef:
+            q[k] = coef
+            for i, y in enumerate(b):
+                r[k + i] -= coef * y
     if any(r):
         raise ValueError("inexact polynomial division")
-    out = []
-    for x in q:
-        if x.denominator != 1:
-            raise ValueError("inexact polynomial division")
-        out.append(int(x))
-    return _trim(out)
+    return _trim(q)
 
 
 # ---------------------------------------------------------------------------

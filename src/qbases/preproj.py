@@ -327,9 +327,10 @@ def is_isomorphic(left, right):
         return True
     if _rank_signature(left) != _rank_signature(right):
         return False
-    if hom_dim(left, right) != hom_dim(right, left):
+    basis = hom_basis(left, right)
+    if len(basis) != hom_dim(right, left):
         return False
-    return _intertwiner_search(left, right)
+    return _intertwiner_search(left, right, basis)
 
 
 def _coefficient_schedule(n):
@@ -367,9 +368,9 @@ def _det_vanishes(mats, d):
     return not minor(0, tuple(range(d)))
 
 
-def _intertwiner_search(left, right):
+def _intertwiner_search(left, right, basis):
     """Decide isomorphism of two modules with one dimension vector from
-    hom_basis(left, right) = (phi_1, ..., phi_n).
+    basis = hom_basis(left, right) = (phi_1, ..., phi_n).
 
     False when the determinant of sum_k c_k phi_k at some vertex
     vanishes identically in the c_k: then every map is singular there.
@@ -381,7 +382,6 @@ def _intertwiner_search(left, right):
     {-2..2}^n (Combinatorial Nullstellensatz).  A miss elsewhere raises
     ValueError.
     """
-    basis = hom_basis(left, right)
     if not basis:
         return left.total_dim() == 0
     for i in range(1, left.datum.rank + 1):

@@ -129,3 +129,44 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
                        "--height", "3")
     assert code2 == 0 and data2 == data1
     assert list(cache.iterdir()) == files
+
+
+BW_A2 = ("bw", "--type", "A2", "--word", "1,2", "--height", "3")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:len(text) // 2],          # truncated mid-write
+    lambda text: "",                             # empty
+    lambda text: '{"results": []}',              # a key missing
+    lambda text: "[1, 2]",                       # not an object
+])
+def test_corrupt_cache_file_is_recomputed(tmp_path, monkeypatch, damage):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    code, fresh = run(tmp_path, *BW_A2)
+    [path] = cache.iterdir()
+    good = path.read_text()
+    path.write_text(damage(good))
+    code2, again = run(tmp_path, *BW_A2)
+    assert code2 == code == 0 and again == fresh
+    assert list(cache.iterdir()) == [path]
+    assert path.read_text() == good
+
+
+def test_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    run(tmp_path, *BW_A2)
+    run(tmp_path, "basis", "--type", "A2", "--height", "2")
+    names = sorted(p.name for p in cache.iterdir())
+    assert [n.split("-")[0] for n in names] == ["basis", "bw"]
+    assert all(n.endswith(".json") for n in names)
+
+
+def test_cache_key_follows_source_digest(monkeypatch):
+    args = cli._build_parser().parse_args(list(BW_A2))
+    key = cli._cache_key(args)
+    assert cli._cache_key(args) == key
+    assert len(cli._source_digest()) == 64
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cli._cache_key(args) != key

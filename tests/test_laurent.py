@@ -1,10 +1,17 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qbases.laurent import (
     LaurentPoly,
     RatFunc,
+    _pol_divexact,
+    _pol_gcd,
+    _pol_mul,
+    _pol_primitive,
+    _trim,
     quantum_binomial,
     quantum_factorial,
     quantum_int,
@@ -265,3 +272,174 @@ class TestRatFunc:
         # 1/(q^2+1): the squared-norm shape whose value at 0 is 1
         nrm = RatFunc.one() / RatFunc({0: 1, 2: 1})
         assert nrm.at_zero() == 1
+
+
+# ---------------------------------------------------------------------------
+# reference routes: Euclid and long division over Fraction, the field
+# arithmetic the integer kernels in qbases.laurent replaced
+
+
+def ref_pol_gcd(a, b):
+    a, b = _trim(a), _trim(b)
+    if not a:
+        return tuple(x if b[-1] > 0 else -x for x in b) if b else ()
+    if not b:
+        return tuple(x if a[-1] > 0 else -x for x in a)
+    ca = ref_content(a)
+    cb = ref_content(b)
+    fa = [Fraction(x, ca) for x in a]
+    fb = [Fraction(x, cb) for x in b]
+    while fb:
+        r = list(fa)
+        while len(r) >= len(fb) and any(r):
+            if r[-1] == 0:
+                r.pop()
+                continue
+            coef = r[-1] / fb[-1]
+            shift = len(r) - len(fb)
+            for i, y in enumerate(fb):
+                r[shift + i] -= coef * y
+            r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+        fa, fb = fb, r
+    den_lcm = 1
+    for x in fa:
+        den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
+    prim = _pol_primitive(_trim([int(x * den_lcm) for x in fa]))
+    if prim and prim[-1] < 0:
+        prim = tuple(-x for x in prim)
+    g = gcd(ca, cb)
+    return tuple(x * g for x in prim)
+
+
+def ref_pol_divexact(a, b):
+    a, b = _trim(a), _trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return ()
+    quot = [0] * (len(a) - len(b) + 1)
+    r = [Fraction(x) for x in a]
+    for k in range(len(a) - len(b), -1, -1):
+        coef = r[k + len(b) - 1] / b[-1]
+        quot[k] = coef
+        for i, y in enumerate(b):
+            r[k + i] -= coef * y
+    if any(r) or any(x.denominator != 1 for x in quot):
+        raise ValueError("inexact polynomial division")
+    return _trim([int(x) for x in quot])
+
+
+def ref_content(p):
+    g = 0
+    for x in p:
+        g = gcd(g, x)
+    return g
+
+
+def rand_dense(rng, deg, lead=(2, 3, -2, 5), coef=4):
+    """Dense polynomial of degree deg with a non-unit leading coefficient."""
+    return tuple(rng.randint(-coef, coef) for _ in range(deg)) \
+        + (rng.choice(lead),)
+
+
+def q_factor(rng):
+    """(1 - q^{2s}) or the quantum integer q^{n-1} [n] = sum_k q^{2k}."""
+    s = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return (1,) + (0,) * (2 * s - 1) + (-1,)
+    return tuple(1 - k % 2 for k in range(2 * s + 1))
+
+
+def q_product(rng, n):
+    p = (rng.choice((1, -1, 2, 3)),)
+    for _ in range(n):
+        p = _pol_mul(p, q_factor(rng))
+    return p
+
+
+def both_routes(a, b):
+    new, ref = _pol_gcd(a, b), ref_pol_gcd(a, b)
+    assert new == ref, (a, b)
+    if new:
+        for p in (a, b):
+            assert _pol_divexact(p, new) == ref_pol_divexact(p, new)
+    return new
+
+
+class TestKernelTwoRoutes:
+    def test_planted_common_factor(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            f = rand_dense(rng, rng.randint(0, 3))
+            a = _pol_mul(rand_dense(rng, rng.randint(0, 4)), f)
+            b = _pol_mul(rand_dense(rng, rng.randint(0, 4)), f)
+            ka, kb = rng.choice((1, 2, 6)), rng.choice((1, 3, 6))
+            a, b = tuple(ka * x for x in a), tuple(kb * x for x in b)
+            g = both_routes(a, b)
+            # the planted factor divides the gcd exactly
+            assert _pol_divexact(g, _pol_primitive(f)) == \
+                ref_pol_divexact(g, _pol_primitive(f))
+            assert both_routes(b, a) == g
+
+    def test_workload_shapes(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            a = q_product(rng, rng.randint(0, 4))
+            b = q_product(rng, rng.randint(1, 4))
+            both_routes(a, b)
+            # one-term numerator against a long denominator
+            both_routes((rng.choice((1, -1, 4)),), b)
+            ab = _pol_mul(a, b)
+            assert _pol_divexact(ab, b) == ref_pol_divexact(ab, b) == a
+
+    def test_degenerate_arguments(self):
+        for a, b in [((), ()), ((), (0, -2, -4)), ((3, 6), ()),
+                     ((0, 0, 3), (1, 1)), ((0, 2), (0, 4)), ((-6,), (4, 2)),
+                     ((0, 1, -1), (0, 0, 1))]:
+            both_routes(a, b)
+
+    @pytest.mark.parametrize("a, b", [
+        ((1, 1), (-1, 1)),        # (1 + q)/(q - 1): nonzero remainder
+        ((1,), (1, 1)),           # lower degree than the divisor
+        ((1, 2), (0, 2)),         # remainder 1 after an integral step
+        ((1, 1), (2, 2)),         # (1 + q)/(2 + 2q) = 1/2: not integral
+        ((1, 2, 1), (2, 2)),      # (1 + q)^2/(2 + 2q) = (1 + q)/2
+        ((3, 0, 3), (1, 0, 2)),   # leading step 3/2
+    ])
+    def test_inexact_division_raises(self, a, b):
+        for route in (_pol_divexact, ref_pol_divexact):
+            with pytest.raises(ValueError, match="inexact"):
+                route(a, b)
+
+    def test_division_by_zero(self):
+        for route in (_pol_divexact, ref_pol_divexact):
+            with pytest.raises(ZeroDivisionError):
+                route((1, 1), (0,))
+
+    def test_ratfunc_normal_form_random(self):
+        rng = random.Random(41)
+
+        def rand_rat():
+            d = LaurentPoly(dict(enumerate(q_product(rng, 2))))
+            d = d * rand_laurent(rng, span=1, width=2)
+            return RatFunc(rand_laurent(rng, span=3, width=3).c, d or one)
+
+        xs = [rand_rat() for _ in range(6)]
+        for _ in range(120):
+            a, b = rng.choice(xs), rng.choice(xs)
+            op = rng.choice(("+", "-", "*", "/"))
+            if op == "/" and b.is_zero():
+                continue
+            r = {"+": a.__add__, "-": a.__sub__, "*": a.__mul__,
+                 "/": a.__truediv__}[op](b)
+            assert r.den[0] != 0 and r.den[-1] > 0
+            if r.num:
+                m = min(r.num)
+                npoly = [r.num.get(m + i, 0)
+                         for i in range(max(r.num) - m + 1)]
+                assert ref_pol_gcd(npoly, r.den) == (1,)
+            else:
+                assert r.den == (1,)
+            xs[rng.randrange(len(xs))] = r if len(r.den) < 12 else a

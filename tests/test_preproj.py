@@ -135,11 +135,13 @@ def test_is_isomorphic_two_routes(name):
         for j, m in enumerate(classes):
             for n in classes[j + 1:]:
                 assert not is_isomorphic(m, n), (name, dim)
-                assert not preproj._intertwiner_search(m, n), (name, dim)
+                assert not preproj._intertwiner_search(
+                    m, n, hom_basis(m, n)), (name, dim)
             c = _conjugate(m)
             assert is_module(c)
             assert is_isomorphic(m, c), (name, dim)
-            assert preproj._intertwiner_search(m, c), (name, dim)
+            assert preproj._intertwiner_search(
+                m, c, hom_basis(m, c)), (name, dim)
 
 
 def test_is_isomorphic_raises_when_schedule_misses(a2, monkeypatch):
@@ -152,7 +154,7 @@ def test_is_isomorphic_raises_when_schedule_misses(a2, monkeypatch):
     # non-isomorphism is certified without the schedule, even where the
     # grid {-2..2}^n is not used
     for m, n in wide:
-        assert not preproj._intertwiner_search(m, n)
+        assert not preproj._intertwiner_search(m, n, hom_basis(m, n))
     scaled = PreprojModule(d, om, (1, 1), {(1, 2): [[2]]})
     with pytest.raises(ValueError,
                        match=r"\(1, 1\) and \(1, 1\).* n = 1 Hom"):
