@@ -26,7 +26,7 @@ elements of the negative half on the nose, e.g. T_1 T_2 (F_1) = F_2.
 from __future__ import annotations
 
 from .laurent import LaurentPoly, RatFunc, quantum_factorial
-from .wordalg import WordElement, word_content, words_of_content
+from .wordalg import WordElement, _as_coeff, word_content, words_of_content
 
 BRAID_CONVENTION = {
     "coproduct_twist": "(a x b)(c x d) = q^{-(wt b, wt c)} ac x bd",
@@ -37,14 +37,6 @@ BRAID_CONVENTION = {
     "T_on_F_j": "F_j F_i - q F_i F_j      (a_ij = -1)",
     "pbw_order": "increasing position index, left to right",
 }
-
-
-def _coeff(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, (int, LaurentPoly)):
-        return RatFunc(x if isinstance(x, int) else x.c)
-    raise TypeError(f"bad coefficient type {type(x).__name__}")
 
 
 def _qpow(k):
@@ -66,7 +58,7 @@ class TriangularElement:
         t = {}
         if terms:
             for (w, mu, v), c in terms.items():
-                c = _coeff(c)
+                c = _as_coeff(c)
                 if not c.is_zero():
                     t[(tuple(w), tuple(mu), tuple(v))] = c
         self.terms = t
@@ -126,7 +118,7 @@ class TriangularElement:
         return self + (-other)
 
     def scale(self, c):
-        c = _coeff(c)
+        c = _as_coeff(c)
         out = TriangularElement(self.datum)
         if not c.is_zero():
             out.terms = {k: v * c for k, v in self.terms.items()}
@@ -210,13 +202,6 @@ class TriangularElement:
         return NotImplemented
 
     # -- projection back to the negative half
-
-    def f_part(self):
-        """The terms with no K and no E factors, as a word element."""
-        return WordElement(
-            self.datum,
-            {w: c for (w, mu, v), c in self.terms.items()
-             if not v and not any(mu)})
 
     def to_word_element(self, height_cap=None):
         """Project to the negative half; any K/E remainder must be zero in
@@ -362,27 +347,6 @@ def braid_apply(i, x, inverse=False):
     return total
 
 
-def normal_form(x):
-    """Straightened E-K-F form of a product of generators.
-
-    Multiplication in TriangularElement already straightens eagerly, so
-    a single element passes through; an iterable of factors is folded.
-    """
-    if isinstance(x, TriangularElement):
-        return x
-    factors = list(x)
-    if not factors:
-        raise ValueError("empty product has no datum")
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
-
-
-def braid_auto(i, x, inverse=False):
-    return braid_apply(i, x, inverse=inverse)
-
-
 def braid_word_apply(word, x, inverse=False):
     """T_{i_1} T_{i_2} ... T_{i_k} applied to x (rightmost factor first);
     with inverse=True, the inverse of that composite."""
@@ -440,6 +404,3 @@ def pbw_monomial(datum, word, cvec, vectors=None, height_cap=None):
         out = out * piece.scale(inv)
     return out
 
-
-def pbw_element(datum, word, cvec, height_cap=None):
-    return pbw_monomial(datum, word, cvec, height_cap=height_cap)

@@ -9,38 +9,12 @@ and the structure constants of the dual product, and the epsilon
 dominance sets used as singular-support diagnostics.
 """
 
-import threading
-
 from .laurent import LaurentPoly, RatFunc
 from .wordalg import PAIRING_HEIGHT_CAP, TensorElement, WordElement
 from .braid import pbw_monomial, root_vectors
-from .pbwalg import accumulate, get_context
+from .pbwalg import accumulate, get_context, pbw_indices
 
 _R_ONE = RatFunc(1)
-
-
-def pbw_indices(datum, word, weight):
-    """Exponent vectors c >= 0 with sum c_p beta_p = weight for the
-    inversion sequence of a reduced word, in ascending lex order."""
-    roots = datum.inversion_sequence(word)
-    n = len(roots)
-    out = []
-    c = [0] * n
-
-    def extend(p, rem):
-        if p == n:
-            if not any(rem):
-                out.append(tuple(c))
-            return
-        beta = roots[p]
-        top = min(rem[t] // beta[t] for t in range(len(rem)) if beta[t])
-        for m in range(top + 1):
-            c[p] = m
-            extend(p + 1, tuple(r - m * b for r, b in zip(rem, beta)))
-        c[p] = 0
-
-    extend(0, tuple(weight))
-    return tuple(out)
 
 
 def weights_up_to_height(rank, height):
@@ -92,7 +66,6 @@ class CanonicalTable:
         self._place = {c: k for k, c in enumerate(indices)}
         self._canonical = None
         self._dual_coords = None
-        self._dual_gram = None
 
     @property
     def word(self):
@@ -141,25 +114,6 @@ class CanonicalTable:
                      for b in range(dim)] for a in range(dim)]
             self._dual_coords = dual
         return self._dual_coords
-
-    @property
-    def dual_gram(self):
-        if self._dual_gram is None:
-            dual = self.dual_coords
-            dim = len(self.indices)
-            out = []
-            for a in range(dim):
-                row = []
-                for b in range(dim):
-                    acc = RatFunc(0)
-                    for d in range(dim):
-                        if dual[d][a] and dual[d][b]:
-                            acc = acc + (dual[d][a] * dual[d][b]
-                                         * self.pbw_gram[d][d])
-                    row.append(acc)
-                out.append(row)
-            self._dual_gram = out
-        return self._dual_gram
 
     def dual_coord_dict(self, label):
         col = self._place[tuple(label)]
@@ -229,7 +183,6 @@ class CanonicalContext:
         if len(self.word) != len(datum.positive_roots()):
             raise ValueError("labelling word must be a longest word")
         self.ctx = get_context(datum, self.word)
-        self._lock = threading.RLock()
         self._tables = {}
         self._eps = {}
         self._star = {}
@@ -259,60 +212,59 @@ class CanonicalContext:
     def _table(self, weight):
         """Bar-invariant unitriangular solve at one weight (cached)."""
         weight = tuple(weight)
-        with self._lock:
-            table = self._tables.get(weight)
-            if table is not None:
-                return table
-            inds, gram = self.ctx.gram(weight)
-            dim = len(inds)
-            place = {c: k for k, c in enumerate(inds)}
-            # bar matrix: bar(L(c)) = sum_d M[d][c] L(d)
-            bar_mat = [[LaurentPoly.zero()] * dim for _ in range(dim)]
-            for ci, c in enumerate(inds):
-                col = self.ctx.bar({c: _R_ONE})
-                for d, v in col.items():
-                    if not v.is_laurent():
-                        raise AssertionError(
-                            f"bar transition not Laurent at {weight}: "
-                            f"{c} -> {d}: {v}")
-                    di = place[d]
-                    if di < ci:
-                        raise AssertionError(
-                            f"bar transition not triangular at {weight}: "
-                            f"bar L{c} hits lower index {d}")
-                    bar_mat[di][ci] = v.to_laurent()
-                if not bar_mat[ci][ci].is_one():
-                    raise AssertionError(
-                        f"bar transition diagonal is not 1 at {c}")
-            # unitriangular bar-invariant columns:
-            # P[d][c] - bar(P[d][c]) = sum_{c <= e < d} M[d][e] bar(P[e][c])
-            trans = [[LaurentPoly.one() if a == b else LaurentPoly.zero()
-                      for b in range(dim)] for a in range(dim)]
-            for ci in range(dim):
-                for di in range(ci + 1, dim):
-                    g = LaurentPoly.zero()
-                    for ei in range(ci, di):
-                        if bar_mat[di][ei] and trans[ei][ci]:
-                            g = g + bar_mat[di][ei] * trans[ei][ci].bar()
-                    kappa = _solve_bar_fixed(g)
-                    if kappa and min(kappa.c) < 1:
-                        raise AssertionError(
-                            f"canonical correction not in qZ[q]: {kappa}")
-                    trans[di][ci] = kappa
-            # verify bar(b(c)) = b(c) exactly: M . bar(P) = P
-            for ci in range(dim):
-                for di in range(dim):
-                    acc = LaurentPoly.zero()
-                    for ei in range(dim):
-                        if bar_mat[di][ei] and trans[ei][ci]:
-                            acc = acc + bar_mat[di][ei] * trans[ei][ci].bar()
-                    if acc != trans[di][ci]:
-                        raise AssertionError(
-                            f"canonical element not bar invariant at "
-                            f"{weight}, column {inds[ci]}")
-            table = CanonicalTable(self, weight, inds, gram, trans)
-            self._tables[weight] = table
+        table = self._tables.get(weight)
+        if table is not None:
             return table
+        inds, gram = self.ctx.gram(weight)
+        dim = len(inds)
+        place = {c: k for k, c in enumerate(inds)}
+        # bar matrix: bar(L(c)) = sum_d M[d][c] L(d)
+        bar_mat = [[LaurentPoly.zero()] * dim for _ in range(dim)]
+        for ci, c in enumerate(inds):
+            col = self.ctx.bar({c: _R_ONE})
+            for d, v in col.items():
+                if not v.is_laurent():
+                    raise AssertionError(
+                        f"bar transition not Laurent at {weight}: "
+                        f"{c} -> {d}: {v}")
+                di = place[d]
+                if di < ci:
+                    raise AssertionError(
+                        f"bar transition not triangular at {weight}: "
+                        f"bar L{c} hits lower index {d}")
+                bar_mat[di][ci] = v.to_laurent()
+            if not bar_mat[ci][ci].is_one():
+                raise AssertionError(
+                    f"bar transition diagonal is not 1 at {c}")
+        # unitriangular bar-invariant columns:
+        # P[d][c] - bar(P[d][c]) = sum_{c <= e < d} M[d][e] bar(P[e][c])
+        trans = [[LaurentPoly.one() if a == b else LaurentPoly.zero()
+                  for b in range(dim)] for a in range(dim)]
+        for ci in range(dim):
+            for di in range(ci + 1, dim):
+                g = LaurentPoly.zero()
+                for ei in range(ci, di):
+                    if bar_mat[di][ei] and trans[ei][ci]:
+                        g = g + bar_mat[di][ei] * trans[ei][ci].bar()
+                kappa = _solve_bar_fixed(g)
+                if kappa and min(kappa.c) < 1:
+                    raise AssertionError(
+                        f"canonical correction not in qZ[q]: {kappa}")
+                trans[di][ci] = kappa
+        # verify bar(b(c)) = b(c) exactly: M . bar(P) = P
+        for ci in range(dim):
+            for di in range(dim):
+                acc = LaurentPoly.zero()
+                for ei in range(dim):
+                    if bar_mat[di][ei] and trans[ei][ci]:
+                        acc = acc + bar_mat[di][ei] * trans[ei][ci].bar()
+                if acc != trans[di][ci]:
+                    raise AssertionError(
+                        f"canonical element not bar invariant at "
+                        f"{weight}, column {inds[ci]}")
+        table = CanonicalTable(self, weight, inds, gram, trans)
+        self._tables[weight] = table
+        return table
 
     def canonical_basis(self, weight):
         """The CanonicalTable of the weight, with word elements
@@ -384,43 +336,36 @@ class CanonicalContext:
 
     def ftilde(self, i, label):
         key = ("f", i, tuple(label))
-        with self._lock:
-            hit = self._steps.get(key)
+        hit = self._steps.get(key)
         if hit is None:
             out = self.ctx.ftilde(i, {tuple(label): _R_ONE})
             hit = self._crystal_step_label(out)
             if hit is None:
                 raise AssertionError("ftilde vanished on a crystal element")
-            with self._lock:
-                self._steps[key] = hit
+            self._steps[key] = hit
         return hit
 
     def etilde(self, i, label):
         key = ("e", i, tuple(label))
-        with self._lock:
-            if key in self._steps:
-                return self._steps[key]
-        out = self.ctx.etilde(i, {tuple(label): _R_ONE})
-        hit = self._crystal_step_label(out)
-        with self._lock:
-            self._steps[key] = hit
-        return hit
+        if key not in self._steps:
+            out = self.ctx.etilde(i, {tuple(label): _R_ONE})
+            self._steps[key] = self._crystal_step_label(out)
+        return self._steps[key]
 
     def epsilon(self, i, label):
         """Crystal epsilon: successful etilde steps from the label."""
         key = (i, tuple(label))
-        with self._lock:
-            hit = self._eps.get(key)
-            if hit is None:
-                count = 0
-                cur = tuple(label)
-                while True:
-                    cur = self.etilde(i, cur)
-                    if cur is None:
-                        break
-                    count += 1
-                hit = self._eps[key] = count
-            return hit
+        hit = self._eps.get(key)
+        if hit is None:
+            count = 0
+            cur = tuple(label)
+            while True:
+                cur = self.etilde(i, cur)
+                if cur is None:
+                    break
+                count += 1
+            hit = self._eps[key] = count
+        return hit
 
     def phi(self, i, label):
         """phi_i = eps_i + <h_i, wt>; wt is minus the content."""
@@ -430,15 +375,14 @@ class CanonicalContext:
 
     def star(self, label):
         key = tuple(label)
-        with self._lock:
-            hit = self._star.get(key)
+        hit = self._star.get(key)
+        if hit is None:
+            out = self.ctx.star({key: _R_ONE})
+            hit = self._crystal_step_label(out)
             if hit is None:
-                out = self.ctx.star({key: _R_ONE})
-                hit = self._crystal_step_label(out)
-                if hit is None:
-                    raise AssertionError("star vanished on a crystal element")
-                self._star[key] = hit
-            return hit
+                raise AssertionError("star vanished on a crystal element")
+            self._star[key] = hit
+        return hit
 
     def epsilon_star(self, i, label):
         return self.epsilon(i, self.star(label))
@@ -535,25 +479,22 @@ class CanonicalContext:
 
     def _bw_member(self, word, label):
         key = (word, label)
-        with self._lock:
-            hit = self._bw.get(key)
-            if hit is not None:
-                return hit
-        if not word:
-            result = label == self.unit_label()
-        else:
-            i = word[0]
-            cur = label
-            for _ in range(self.epsilon(i, label)):
-                cur = self.etilde(i, cur)
-            source = self.saito_reflection(i, cur, "inverse")
-            if self.epsilon_star(i, source):
-                raise AssertionError(
-                    "inverse saito reflection left its codomain")
-            result = self._bw_member(word[1:], source)
-        with self._lock:
-            self._bw[key] = result
-        return result
+        hit = self._bw.get(key)
+        if hit is None:
+            if not word:
+                hit = label == self.unit_label()
+            else:
+                i = word[0]
+                cur = label
+                for _ in range(self.epsilon(i, label)):
+                    cur = self.etilde(i, cur)
+                source = self.saito_reflection(i, cur, "inverse")
+                if self.epsilon_star(i, source):
+                    raise AssertionError(
+                        "inverse saito reflection left its codomain")
+                hit = self._bw_member(word[1:], source)
+            self._bw[key] = hit
+        return hit
 
     # -- epsilon dominance diagnostics
 
@@ -604,16 +545,12 @@ class CanonicalContext:
         """r^{b1,b2}_{b3}: the expansion of b1^up b2^up in the dual
         canonical basis."""
         key = (tuple(label1), tuple(label2))
-        with self._lock:
-            hit = self._sc.get(key)
-        if hit is not None:
-            return dict(hit)
-        prod = self.ctx.mul(self.dual_pbw_coords(label1),
-                            self.dual_pbw_coords(label2))
-        out = self.expand_dual(prod).coords
-        with self._lock:
-            self._sc[key] = dict(out)
-        return out
+        hit = self._sc.get(key)
+        if hit is None:
+            prod = self.ctx.mul(self.dual_pbw_coords(label1),
+                                self.dual_pbw_coords(label2))
+            hit = self._sc[key] = self.expand_dual(prod).coords
+        return dict(hit)
 
     def structure_constants_via_coproduct(self, label1, label2):
         """The same constants read from the twisted coproduct of each
@@ -648,15 +585,13 @@ class CanonicalContext:
 
 
 _CANONICAL = {}
-_CANONICAL_LOCK = threading.Lock()
 
 
 def get_canonical(datum, word=None):
     """Shared CanonicalContext per (datum, labelling word)."""
     word = tuple(word) if word is not None else datum.longest_word()
     key = (datum.cartan, word)
-    with _CANONICAL_LOCK:
-        ctxt = _CANONICAL.get(key)
-        if ctxt is None:
-            ctxt = _CANONICAL[key] = CanonicalContext(datum, word)
-        return ctxt
+    ctxt = _CANONICAL.get(key)
+    if ctxt is None:
+        ctxt = _CANONICAL[key] = CanonicalContext(datum, word)
+    return ctxt

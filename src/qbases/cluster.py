@@ -8,8 +8,6 @@ multiple of a dual canonical basis element.
 """
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from .laurent import LaurentPoly, RatFunc
 from .linalg import solve
@@ -494,7 +492,10 @@ def reachable_seeds(preset, depth):
 def verify_conjecture(preset, depth, exp_bound, workers=1):
     """Walk the exchange graph to the depth, then normalize every
     cluster monomial with exponents up to the bound and test membership
-    of its label in the crystal subset of the seed word."""
+    of its label in the crystal subset of the seed word.
+
+    ``workers`` is accepted for API compatibility; the run is serial.
+    """
     seeds, log = reachable_seeds(preset, depth)
     ctx = seeds[0].context
     word = seeds[0].word
@@ -515,11 +516,7 @@ def verify_conjecture(preset, depth, exp_bound, workers=1):
                 "fail: label outside the crystal subset of the word")
         return rep.to_json()
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    results = [run(j) for j in jobs]
 
     dedup = {}
     for r in results:

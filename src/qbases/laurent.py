@@ -142,10 +142,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def from_int(cls, n):
-        return cls({0: n})
-
-    @classmethod
     def q_power(cls, k, coeff=1):
         return cls({k: coeff})
 
@@ -169,9 +165,6 @@ class LaurentPoly:
         if not self.c:
             raise ValueError("zero polynomial has no degree")
         return max(self.c)
-
-    def is_monomial(self):
-        return len(self.c) == 1
 
     # -- ring operations
 
@@ -251,9 +244,6 @@ class LaurentPoly:
     def bar(self):
         """The bar involution q -> q^-1."""
         return LaurentPoly({-e: v for e, v in self.c.items()})
-
-    def shifted(self, k):
-        return LaurentPoly({e + k: v for e, v in self.c.items()})
 
     def exact_div(self, other):
         """Exact division in Z[q, q^-1]; raises ValueError if inexact."""
@@ -605,7 +595,7 @@ def _rat_normalize(num, den):
         den = den[k:]
         num = {e - k: v for e, v in num.items()}
     if den == _L_ONE:
-        return num, den
+        return num, _L_ONE
     m = min(num)
     npoly = [0] * (max(num) - m + 1)
     for e, v in num.items():
@@ -618,7 +608,7 @@ def _rat_normalize(num, den):
         den = tuple(-x for x in den)
         npoly = tuple(-x for x in npoly)
     num = {m + i: v for i, v in enumerate(npoly) if v}
-    return num, den
+    return num, (_L_ONE if den == _L_ONE else den)
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 

@@ -9,8 +9,6 @@ That keeps weight spaces of height 20 tractable even though their word
 expansions are astronomically large.
 """
 
-import threading
-
 from .laurent import LaurentPoly, RatFunc, quantum_factorial
 from .linalg import solve
 from .wordalg import WordElement, weight_basis
@@ -39,6 +37,30 @@ def scaled(source, scale):
     return accumulate({}, source, scale)
 
 
+def pbw_indices(datum, word, weight):
+    """Exponent vectors c >= 0 with sum c_p beta_p = weight for the
+    inversion sequence of a reduced word, in ascending lex order."""
+    roots = datum.inversion_sequence(word)
+    n = len(roots)
+    out = []
+    c = [0] * n
+
+    def extend(p, rem):
+        if p == n:
+            if not any(rem):
+                out.append(tuple(c))
+            return
+        beta = roots[p]
+        top = min(rem[t] // beta[t] for t in range(len(rem)) if beta[t])
+        for m in range(top + 1):
+            c[p] = m
+            extend(p + 1, tuple(r - m * b for r, b in zip(rem, beta)))
+        c[p] = 0
+
+    extend(0, tuple(weight))
+    return tuple(out)
+
+
 def _first_descent(seq):
     for k in range(len(seq) - 1):
         if seq[k] > seq[k + 1]:
@@ -49,10 +71,9 @@ def _first_descent(seq):
 class PBWContext:
     """All PBW computations for one reduced word (usually of w_0).
 
-    Caches are append-only and guarded by a reentrant lock, so one
-    context may be shared between worker threads; results do not depend
-    on scheduling because every value is computed by exact arithmetic
-    from the same seeds.
+    Caches are append-only memo tables, filled on first use; every
+    value is computed by exact arithmetic from the same seeds, so the
+    order in which they fill does not change any result.
     """
 
     def __init__(self, datum, word, height_cap=None):
@@ -70,7 +91,6 @@ class PBWContext:
             support = [t for t, v in enumerate(beta) if v]
             if len(support) == 1 and beta[support[0]] == 1:
                 self.simple_pos[support[0] + 1] = p
-        self._lock = threading.RLock()
         self._indices = {}
         self._straight = {}
         self._relations = {}
@@ -115,30 +135,11 @@ class PBWContext:
     def indices(self, weight):
         """PBW exponent vectors of the weight, in ascending lex order."""
         weight = tuple(weight)
-        with self._lock:
-            cached = self._indices.get(weight)
-            if cached is not None:
-                return cached
-            out = []
-            c = [0] * self.n
-
-            def extend(p, rem):
-                if p == self.n:
-                    if not any(rem):
-                        out.append(tuple(c))
-                    return
-                beta = self.roots[p]
-                top = min(rem[t] // beta[t]
-                          for t in range(len(rem)) if beta[t])
-                for m in range(top + 1):
-                    c[p] = m
-                    extend(p + 1, tuple(r - m * b
-                                        for r, b in zip(rem, beta)))
-                c[p] = 0
-
-            extend(0, weight)
-            cached = self._indices[weight] = tuple(out)
-            return cached
+        cached = self._indices.get(weight)
+        if cached is None:
+            cached = self._indices[weight] = pbw_indices(self.datum,
+                                                         self.word, weight)
+        return cached
 
     def _raw(self, c):
         seq = []
@@ -168,39 +169,38 @@ class PBWContext:
         is memoized.
         """
         seq = tuple(seq)
-        with self._lock:
-            memo = self._straight
-            hit = memo.get(seq)
-            if hit is not None:
-                return hit
-            stack = [seq]
-            while stack:
-                s = stack[-1]
-                if s in memo:
-                    stack.pop()
-                    continue
-                k = _first_descent(s)
-                if k is None:
-                    c = [0] * self.n
-                    for p in s:
-                        c[p] += 1
-                    c = tuple(c)
-                    memo[s] = {c: self._dfact(c)}
-                    stack.pop()
-                    continue
-                rel = self._relation(s[k], s[k + 1])
-                pending = [s[:k] + self._raw(d) + s[k + 2:] for d in rel]
-                todo = [t for t in pending if t not in memo]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                total = {}
-                for d, r in rel.items():
-                    child = s[:k] + self._raw(d) + s[k + 2:]
-                    accumulate(total, memo[child], r / self._dfact(d))
-                memo[s] = total
+        memo = self._straight
+        hit = memo.get(seq)
+        if hit is not None:
+            return hit
+        stack = [seq]
+        while stack:
+            s = stack[-1]
+            if s in memo:
                 stack.pop()
-            return memo[seq]
+                continue
+            k = _first_descent(s)
+            if k is None:
+                c = [0] * self.n
+                for p in s:
+                    c[p] += 1
+                c = tuple(c)
+                memo[s] = {c: self._dfact(c)}
+                stack.pop()
+                continue
+            rel = self._relation(s[k], s[k + 1])
+            pending = [s[:k] + self._raw(d) + s[k + 2:] for d in rel]
+            todo = [t for t in pending if t not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            total = {}
+            for d, r in rel.items():
+                child = s[:k] + self._raw(d) + s[k + 2:]
+                accumulate(total, memo[child], r / self._dfact(d))
+            memo[s] = total
+            stack.pop()
+        return memo[seq]
 
     def _relation(self, x, y):
         """E_x E_y in the PBW basis for a descent x > y (memoized)."""
@@ -237,19 +237,17 @@ class PBWContext:
     def coords_of_word_element(self, x):
         """PBW coordinates of a word element; solves a word-level Gram
         system, so only usable at small heights."""
-        with self._lock:
-            if x.weight is None:
-                return {}
-            probes, amat, inds, _ = self._word_space(tuple(x.weight))
-            rhs = [probe.pairing(x) for probe in probes]
-            sol = solve(amat, rhs)
-            return {d: v for d, v in zip(inds, sol) if v}
+        if x.weight is None:
+            return {}
+        probes, amat, inds, _ = self._word_space(tuple(x.weight))
+        rhs = [probe.pairing(x) for probe in probes]
+        sol = solve(amat, rhs)
+        return {d: v for d, v in zip(inds, sol) if v}
 
     def monomial_word_element(self, c):
         """L(c) as a word element (small heights only)."""
-        with self._lock:
-            _, _, _, mono = self._word_space(self.weight_of(c))
-            return mono[tuple(c)]
+        _, _, _, mono = self._word_space(self.weight_of(c))
+        return mono[tuple(c)]
 
     # -- products
 
@@ -276,37 +274,34 @@ class PBWContext:
     # -- seeds for bar, star and e'_i on single root vectors
 
     def bar_letter(self, p):
-        with self._lock:
-            hit = self._bar_letter.get(p)
-            if hit is None:
-                x = self.vectors[p]
-                barred = WordElement(self.datum, {w: cf.bar()
-                                                  for w, cf in
-                                                  x.terms.items()})
-                hit = self._bar_letter[p] = self.coords_of_word_element(
-                    barred)
-            return hit
+        hit = self._bar_letter.get(p)
+        if hit is None:
+            x = self.vectors[p]
+            barred = WordElement(self.datum, {w: cf.bar()
+                                              for w, cf in
+                                              x.terms.items()})
+            hit = self._bar_letter[p] = self.coords_of_word_element(
+                barred)
+        return hit
 
     def star_letter(self, p):
-        with self._lock:
-            hit = self._star_letter.get(p)
-            if hit is None:
-                hit = self._star_letter[p] = self.coords_of_word_element(
-                    self.vectors[p].star())
-            return hit
+        hit = self._star_letter.get(p)
+        if hit is None:
+            hit = self._star_letter[p] = self.coords_of_word_element(
+                self.vectors[p].star())
+        return hit
 
     def eprime_letter(self, i, p):
-        with self._lock:
-            key = (i, p)
-            hit = self._eprime_letter.get(key)
-            if hit is None:
-                x = self.vectors[p].eprime(i)
-                if x.is_algebra_zero(height_cap=self.height_cap):
-                    hit = {}
-                else:
-                    hit = self.coords_of_word_element(x)
-                self._eprime_letter[key] = hit
-            return hit
+        key = (i, p)
+        hit = self._eprime_letter.get(key)
+        if hit is None:
+            x = self.vectors[p].eprime(i)
+            if x.is_algebra_zero(height_cap=self.height_cap):
+                hit = {}
+            else:
+                hit = self.coords_of_word_element(x)
+            self._eprime_letter[key] = hit
+        return hit
 
     # -- bar involution and * at the PBW level
 
@@ -317,18 +312,17 @@ class PBWContext:
         return out
 
     def _bar_monomial(self, c):
-        with self._lock:
-            hit = self._bar_mono.get(c)
-            if hit is None:
-                # bar is a ring map, so bar(L(c)) is the ordered product
-                # of bar(E_p)^(c_p)
-                acc = self.one()
-                for p, m in enumerate(c):
-                    if m:
-                        acc = self.mul(acc, self.divided_power(
-                            self.bar_letter(p), m))
-                hit = self._bar_mono[c] = acc
-            return hit
+        hit = self._bar_mono.get(c)
+        if hit is None:
+            # bar is a ring map, so bar(L(c)) is the ordered product
+            # of bar(E_p)^(c_p)
+            acc = self.one()
+            for p, m in enumerate(c):
+                if m:
+                    acc = self.mul(acc, self.divided_power(
+                        self.bar_letter(p), m))
+            hit = self._bar_mono[c] = acc
+        return hit
 
     def star(self, f):
         out = {}
@@ -337,18 +331,17 @@ class PBWContext:
         return out
 
     def _star_monomial(self, c):
-        with self._lock:
-            hit = self._star_mono.get(c)
-            if hit is None:
-                # * is an anti-automorphism: reverse the factor order
-                acc = self.one()
-                for p in range(self.n - 1, -1, -1):
-                    m = c[p]
-                    if m:
-                        acc = self.mul(acc, self.divided_power(
-                            self.star_letter(p), m))
-                hit = self._star_mono[c] = acc
-            return hit
+        hit = self._star_mono.get(c)
+        if hit is None:
+            # * is an anti-automorphism: reverse the factor order
+            acc = self.one()
+            for p in range(self.n - 1, -1, -1):
+                m = c[p]
+                if m:
+                    acc = self.mul(acc, self.divided_power(
+                        self.star_letter(p), m))
+            hit = self._star_mono[c] = acc
+        return hit
 
     # -- e'_i as a twisted derivation over raw letters
 
@@ -359,30 +352,29 @@ class PBWContext:
         return out
 
     def _eprime_monomial(self, i, c):
-        with self._lock:
-            key = (i, c)
-            hit = self._eprime_mono.get(key)
-            if hit is not None:
-                return hit
-            seq = self._raw(c)
-            alpha = self.datum.simple_root(i)
-            total = {}
-            passed = (0,) * self.datum.rank
-            for j, p in enumerate(seq):
-                letter = self.eprime_letter(i, p)
-                if letter:
-                    # e'_i(a y) = e'_i(a) y + q^{-(alpha_i, wt a)} a e'_i(y)
-                    twist = RatFunc(LaurentPoly.q_power(
-                        -self.datum.bilinear(alpha, passed)))
-                    for d, r in letter.items():
-                        sub = self.straighten(
-                            seq[:j] + self._raw(d) + seq[j + 1:])
-                        accumulate(total, sub,
-                                   twist * r / self._dfact(d))
-                passed = tuple(a + b for a, b in zip(passed, self.roots[p]))
-            hit = scaled(total, _R_ONE / self._dfact(c))
-            self._eprime_mono[key] = hit
+        key = (i, c)
+        hit = self._eprime_mono.get(key)
+        if hit is not None:
             return hit
+        seq = self._raw(c)
+        alpha = self.datum.simple_root(i)
+        total = {}
+        passed = (0,) * self.datum.rank
+        for j, p in enumerate(seq):
+            letter = self.eprime_letter(i, p)
+            if letter:
+                # e'_i(a y) = e'_i(a) y + q^{-(alpha_i, wt a)} a e'_i(y)
+                twist = RatFunc(LaurentPoly.q_power(
+                    -self.datum.bilinear(alpha, passed)))
+                for d, r in letter.items():
+                    sub = self.straighten(
+                        seq[:j] + self._raw(d) + seq[j + 1:])
+                    accumulate(total, sub,
+                               twist * r / self._dfact(d))
+            passed = tuple(a + b for a, b in zip(passed, self.roots[p]))
+        hit = scaled(total, _R_ONE / self._dfact(c))
+        self._eprime_mono[key] = hit
+        return hit
 
     # -- multiplication by f_i on the left
 
@@ -392,13 +384,12 @@ class PBWContext:
             raise ValueError(f"alpha_{i} is not a root of the word {self.word}")
         out = {}
         for c, cf in f.items():
-            with self._lock:
-                key = (i, c)
-                hit = self._fmult_mono.get(key)
-                if hit is None:
-                    sub = self.straighten((pos,) + self._raw(c))
-                    hit = self._fmult_mono[key] = scaled(
-                        sub, _R_ONE / self._dfact(c))
+            key = (i, c)
+            hit = self._fmult_mono.get(key)
+            if hit is None:
+                sub = self.straighten((pos,) + self._raw(c))
+                hit = self._fmult_mono[key] = scaled(
+                    sub, _R_ONE / self._dfact(c))
             accumulate(out, hit, cf)
         return out
 
@@ -476,20 +467,19 @@ class PBWContext:
         """
         out = {}
         for c, cf in f.items():
-            with self._lock:
-                key = (p, c)
-                hit = self._eperp_mono.get(key)
-                if hit is None:
-                    total = {}
-                    for w, cw in self.vectors[p].terms.items():
-                        cur = {c: _R_ONE}
-                        for j in w:
-                            cur = self.eprime(j, cur)
-                            if not cur:
-                                break
-                        if cur:
-                            accumulate(total, cur, cw)
-                    hit = self._eperp_mono[key] = total
+            key = (p, c)
+            hit = self._eperp_mono.get(key)
+            if hit is None:
+                total = {}
+                for w, cw in self.vectors[p].terms.items():
+                    cur = {c: _R_ONE}
+                    for j in w:
+                        cur = self.eprime(j, cur)
+                        if not cur:
+                            break
+                    if cur:
+                        accumulate(total, cur, cw)
+                hit = self._eperp_mono[key] = total
             accumulate(out, hit, cf)
         return out
 
@@ -502,51 +492,50 @@ class PBWContext:
         convention is broken, and raises immediately.
         """
         weight = tuple(weight)
-        with self._lock:
-            hit = self._gram.get(weight)
-            if hit is not None:
-                return hit
-            inds = self.indices(weight)
-            if not any(weight):
-                hit = self._gram[weight] = (inds, [[_R_ONE]])
-                return hit
-            if not inds:
-                hit = self._gram[weight] = (inds, [])
-                return hit
-            mat = [[None] * len(inds) for _ in inds]
-            for bi, b in enumerate(inds):
-                p = next(t for t, m in enumerate(b) if m)
-                m = b[p]
-                bhat = b[:p] + (0,) + b[p + 1:]
-                beta = self.roots[p]
-                lower = tuple(v - m * r for v, r in zip(weight, beta))
-                linds, lmat = self.gram(lower)
-                place = {c: k for k, c in enumerate(linds)}
-                col = place[bhat]
-                inv_fact = _R_ONE / self._dfact((m,))
-                for ai, a in enumerate(inds):
-                    x = {a: _R_ONE}
-                    for _ in range(m):
-                        x = self.eperp(p, x)
-                        if not x:
-                            break
-                    val = RatFunc(0)
-                    for d, xd in x.items():
-                        entry = lmat[place[d]][col]
-                        if entry:
-                            val = val + xd * entry
-                    mat[ai][bi] = val * inv_fact
-            for a in range(len(inds)):
-                for b in range(len(inds)):
-                    if a != b and mat[a][b]:
-                        raise AssertionError(
-                            f"PBW basis not orthogonal at weight {weight}: "
-                            f"({inds[a]}, {inds[b]}) = {mat[a][b]}")
-                if not mat[a][a]:
-                    raise AssertionError(
-                        f"PBW norm vanishes at {inds[a]}")
-            hit = self._gram[weight] = (inds, mat)
+        hit = self._gram.get(weight)
+        if hit is not None:
             return hit
+        inds = self.indices(weight)
+        if not any(weight):
+            hit = self._gram[weight] = (inds, [[_R_ONE]])
+            return hit
+        if not inds:
+            hit = self._gram[weight] = (inds, [])
+            return hit
+        mat = [[None] * len(inds) for _ in inds]
+        for bi, b in enumerate(inds):
+            p = next(t for t, m in enumerate(b) if m)
+            m = b[p]
+            bhat = b[:p] + (0,) + b[p + 1:]
+            beta = self.roots[p]
+            lower = tuple(v - m * r for v, r in zip(weight, beta))
+            linds, lmat = self.gram(lower)
+            place = {c: k for k, c in enumerate(linds)}
+            col = place[bhat]
+            inv_fact = _R_ONE / self._dfact((m,))
+            for ai, a in enumerate(inds):
+                x = {a: _R_ONE}
+                for _ in range(m):
+                    x = self.eperp(p, x)
+                    if not x:
+                        break
+                val = RatFunc(0)
+                for d, xd in x.items():
+                    entry = lmat[place[d]][col]
+                    if entry:
+                        val = val + xd * entry
+                mat[ai][bi] = val * inv_fact
+        for a in range(len(inds)):
+            for b in range(len(inds)):
+                if a != b and mat[a][b]:
+                    raise AssertionError(
+                        f"PBW basis not orthogonal at weight {weight}: "
+                        f"({inds[a]}, {inds[b]}) = {mat[a][b]}")
+            if not mat[a][a]:
+                raise AssertionError(
+                    f"PBW norm vanishes at {inds[a]}")
+        hit = self._gram[weight] = (inds, mat)
+        return hit
 
     def _pair_known(self, f, g):
         """Pair two homogeneous dicts via the Gram of their weight."""
@@ -586,7 +575,6 @@ class PBWContext:
 
 
 _CONTEXTS = {}
-_CONTEXT_LOCK = threading.Lock()
 
 
 def get_context(datum, word=None, height_cap=None):
@@ -594,9 +582,8 @@ def get_context(datum, word=None, height_cap=None):
     longest-word preset of the datum."""
     word = tuple(word) if word is not None else datum.longest_word()
     key = (datum.cartan, word)
-    with _CONTEXT_LOCK:
-        ctx = _CONTEXTS.get(key)
-        if ctx is None:
-            ctx = _CONTEXTS[key] = PBWContext(datum, word,
-                                              height_cap=height_cap)
-        return ctx
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        ctx = _CONTEXTS[key] = PBWContext(datum, word,
+                                          height_cap=height_cap)
+    return ctx

@@ -219,7 +219,6 @@ class WordElement:
         ai = datum.simple_root(i)
         out = {}
         for w, c in self.terms.items():
-            prefix = [0] * datum.rank
             pair_acc = 0
             for p, j in enumerate(w):
                 if j == i:
@@ -232,7 +231,6 @@ class WordElement:
                     else:
                         out[sub] = s
                 pair_acc += datum.bilinear(ai, datum.simple_root(j))
-                prefix[j - 1] += 1
         r = WordElement.__new__(WordElement)
         r.datum, r.terms = datum, out
         return r
@@ -565,53 +563,6 @@ def ftilde(x, i, height_cap=None):
     for m, xm in comps.items():
         out = out + WordElement.divided_power(x.datum, i, m + 1) * xm
     return out
-
-
-def concat_product(x, y):
-    """Bilinear concatenation product; weight is additive."""
-    return x * y
-
-
-def divided_power(datum, i, n):
-    return WordElement.divided_power(datum, i, n)
-
-
-def twisted_coproduct(x):
-    return x.coproduct()
-
-
-def pairing(x, y):
-    return x.pairing(y)
-
-
-def equals(x, y):
-    return x.equals(y)
-
-
-def star(x):
-    return x.star()
-
-
-def eprime(i, x):
-    return x.eprime(i)
-
-
-def kashiwara(op, i, x, height_cap=None):
-    """Dispatch a crystal operator on a word element.
-
-    op is one of "etilde", "ftilde", "epsilon".  The first two return a
-    word element; "epsilon" returns the largest divided-power exponent.
-    """
-    if op == "ftilde":
-        return ftilde(x, i, height_cap=height_cap)
-    if op in ("etilde", "epsilon") and x.is_algebra_zero(
-            height_cap=height_cap):
-        raise ValueError("zero element has no Kashiwara data")
-    if op == "etilde":
-        return etilde(x, i, height_cap=height_cap)
-    if op == "epsilon":
-        return epsilon_element(x, i, height_cap=height_cap)
-    raise ValueError(f"unknown Kashiwara operator {op!r}")
 
 
 def serre_element(datum, i, j):

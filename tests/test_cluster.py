@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qbases import canonical, pbwalg
 from qbases.laurent import LaurentPoly
 from qbases.quiver import load_preset
 from qbases.canonical import get_canonical
@@ -173,8 +174,11 @@ def test_verify_depth_zero():
     assert rep["exchange_log"] == []
 
 
-def test_verify_deterministic_across_workers():
+def test_verify_deterministic_across_workers(monkeypatch):
     r1 = verify_conjecture("A2", 2, 2, workers=1)
+    # the second run starts from cold PBW and canonical caches
+    monkeypatch.setattr(pbwalg, "_CONTEXTS", {})
+    monkeypatch.setattr(canonical, "_CANONICAL", {})
     r3 = verify_conjecture("A2", 2, 2, workers=3)
     assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
 

@@ -7,6 +7,7 @@ import pytest
 from qbases.laurent import (
     LaurentPoly,
     RatFunc,
+    _L_ONE,
     _pol_divexact,
     _pol_gcd,
     _pol_mul,
@@ -178,6 +179,22 @@ class TestRatFunc:
     def test_integer_fraction_kept_exact(self):
         r = RatFunc(3) / RatFunc(2)
         assert r.num == {0: 3} and r.den == (2,)
+
+    def test_laurent_values_share_unit_denominator(self):
+        one_minus_q2 = RatFunc(L({0: 1, 2: -1}))
+        a = RatFunc({0: 1}, (1, 1))            # 1/(1+q)
+        b = RatFunc({1: 1}, (1, 1))            # q/(1+q)
+        values = [
+            RatFunc(5),
+            RatFunc(L({-1: 2, 3: -1})),
+            RatFunc({0: 1}, (0, 1)),           # 1/q
+            one_minus_q2 / one_minus_q2,
+            a + b,
+            a * RatFunc(L({0: 1, 1: 1})),
+        ]
+        for r in values:
+            assert r.is_laurent()
+            assert r.den is _L_ONE, r
 
     def test_field_ops(self):
         a = RatFunc({0: 1}, (1, 1))            # 1/(1+q)

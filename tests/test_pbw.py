@@ -8,9 +8,11 @@ from qbases.laurent import LaurentPoly, RatFunc
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, kostant_dimension
 from qbases.pbwalg import PBWContext, get_context, accumulate, scaled
+from qbases.canonical import weights_up_to_height
 
 A2 = load_preset("A2")
 A3 = load_preset("A3")
+D4 = load_preset("D4")
 
 
 def ctx_a2():
@@ -53,6 +55,12 @@ def test_indices_sorted_and_counted():
     ctx3 = ctx_a3()
     for wt in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]:
         assert len(ctx3.indices(wt)) == kostant_dimension(A3["datum"], wt)
+    d4 = D4["datum"]
+    ctx4 = get_context(d4, D4["longest_word"])
+    weights = weights_up_to_height(d4.rank, 4)
+    assert len(weights) == 70
+    for wt in weights:
+        assert len(ctx4.indices(wt)) == kostant_dimension(d4, wt), wt
 
 
 def test_weight_of_and_element_weight():
