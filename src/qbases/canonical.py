@@ -9,10 +9,10 @@ and the structure constants of the dual product, and the epsilon
 dominance sets used as singular-support diagnostics.
 """
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import LaurentPoly, RatFunc, accumulate
 from .wordalg import PAIRING_HEIGHT_CAP, TensorElement, WordElement
 from .braid import pbw_monomial, root_vectors
-from .pbwalg import accumulate, get_context, pbw_indices
+from .pbwalg import get_context, pbw_indices
 
 _R_ONE = RatFunc(1)
 

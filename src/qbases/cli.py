@@ -30,7 +30,17 @@ def _parse_word(text):
     try:
         return tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
-        raise UsageError(f"malformed word {text!r}") from None
+        raise UsageError(f"malformed integer list {text!r}") from None
+
+
+def _reduced_word(datum, text):
+    word = _parse_word(text)
+    try:
+        if datum.is_reduced(word):
+            return word
+    except ValueError as e:  # a vertex out of range
+        raise UsageError(str(e)) from None
+    raise UsageError("word not reduced")
 
 
 def _load(name):
@@ -143,9 +153,8 @@ def emit_report(results, fmt, failures=None):
 def _cmd_basis(args):
     box = _load(args.type)
     datum = box["datum"]
-    word = _parse_word(args.word) if args.word else box["longest_word"]
-    if not datum.is_reduced(word):
-        raise UsageError("word not reduced")
+    word = (_reduced_word(datum, args.word) if args.word
+            else box["longest_word"])
     ctx = get_canonical(datum, word)
     items = [ctx.canonical_basis(w).to_json()
              for w in weights_up_to_height(datum.rank, args.height)]
@@ -178,9 +187,7 @@ def _cmd_crystal(args):
 def _cmd_bw(args):
     box = _load(args.type)
     datum = box["datum"]
-    word = _parse_word(args.word)
-    if not datum.is_reduced(word):
-        raise UsageError("word not reduced")
+    word = _reduced_word(datum, args.word)
     ctx = get_canonical(datum, box["longest_word"])
     via_pbw = ctx.bw_members_pbw(word, args.height)
     via_crystal = ctx.bw_members_crystal(word, args.height)
@@ -202,7 +209,7 @@ def _cmd_preproj(args):
     box = _load(args.type)
     datum, orientation = box["datum"], box["orientation"]
     if args.dim:
-        dims = [tuple(int(x) for x in args.dim.split(","))]
+        dims = [_parse_word(args.dim)]
     else:
         bound = ENUM_BOUNDS.get(datum.name)
         if bound is None:

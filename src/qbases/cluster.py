@@ -9,7 +9,7 @@ multiple of a dual canonical basis element.
 
 import itertools
 
-from .laurent import LaurentPoly, RatFunc
+from .laurent import LaurentPoly, RatFunc, accumulate
 from .linalg import solve
 from .canonical import DualElement, get_canonical
 from .quiver import load_preset
@@ -53,32 +53,13 @@ def _scale_coords(coords, factor):
     return {k: v * factor for k, v in coords.items()}
 
 
-def _add_coords(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        s = v if cur is None else cur + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def dual_product(ctx, a, b):
     """Product of two elements given in dual canonical coordinates,
     through the structure constants."""
     out = {}
     for l1, c1 in a.items():
         for l2, c2 in b.items():
-            for l3, r in ctx.structure_constants(l1, l2).items():
-                term = c1 * c2 * r
-                cur = out.get(l3)
-                s = term if cur is None else cur + term
-                if s:
-                    out[l3] = s
-                else:
-                    out.pop(l3, None)
+            accumulate(out, ctx.structure_constants(l1, l2), c1 * c2)
     return out
 
 
@@ -130,12 +111,7 @@ def divide_right(ctx, r, y):
     def pbw(coords):
         acc = {}
         for label, c in coords.items():
-            for idx, v in ctx.dual_pbw_coords(label).items():
-                cur = acc.get(idx, RatFunc(0)) + v * RatFunc(c)
-                if cur:
-                    acc[idx] = cur
-                else:
-                    acc.pop(idx, None)
+            accumulate(acc, ctx.dual_pbw_coords(label), RatFunc(c))
         return acc
 
     rp = pbw(rc)
@@ -340,8 +316,8 @@ def _mutate_logged(seed, k):
     candidates = []
     near_miss = None
     for placement, r in (
-            ("plus", _add_coords(_scale_coords(yplus, qinv), yminus)),
-            ("minus", _add_coords(yplus, _scale_coords(yminus, qinv)))):
+            ("plus", accumulate(_scale_coords(yplus, qinv), yminus)),
+            ("minus", accumulate(dict(yplus), _scale_coords(yminus, qinv)))):
         try:
             z = divide_right(ctx, r, yk)
         except ValueError:

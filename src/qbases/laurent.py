@@ -172,25 +172,12 @@ class LaurentPoly:
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.c)
-        for e, v in other.c.items():
-            w = out.get(e, 0) + v
-            if w:
-                out[e] = w
-            else:
-                out.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.c = out
-        r._hash = None
-        return r
+        return _wrap(_ldict_add(self.c, other.c))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.c = {e: -v for e, v in self.c.items()}
-        r._hash = None
-        return r
+        return _wrap({e: -v for e, v in self.c.items()})
 
     def __sub__(self, other):
         other = _as_laurent(other)
@@ -208,24 +195,7 @@ class LaurentPoly:
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.c, other.c
-        if not a or not b:
-            return LaurentPoly()
-        if len(b) < len(a):
-            a, b = b, a
-        out = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
-                e = ea + eb
-                w = out.get(e, 0) + va * vb
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.c = out
-        r._hash = None
-        return r
+        return _wrap(_ldict_mul(self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -310,6 +280,14 @@ class LaurentPoly:
         return cls({int(e): int(v) for e, v in obj.items()})
 
 
+def _wrap(c):
+    """A LaurentPoly owning the dict c (nonzero int values), uncopied."""
+    r = LaurentPoly.__new__(LaurentPoly)
+    r.c = c
+    r._hash = None
+    return r
+
+
 def _as_laurent(x):
     if isinstance(x, LaurentPoly):
         return x
@@ -387,14 +365,7 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         if self.den == _L_ONE and other.den == _L_ONE:
-            out = dict(self.num)
-            for e, v in other.num.items():
-                w = out.get(e, 0) + v
-                if w:
-                    out[e] = w
-                else:
-                    del out[e]
-            return RatFunc._raw(out, _L_ONE)
+            return RatFunc._raw(_ldict_add(self.num, other.num), _L_ONE)
         n = _ldict_add(_ldict_mul_pol(self.num, other.den),
                        _ldict_mul_pol(other.num, self.den))
         return RatFunc._raw(n, _pol_mul(self.den, other.den))
@@ -553,6 +524,8 @@ def _ldict_add(a, b):
 def _ldict_mul(a, b):
     if not a or not b:
         return {}
+    if len(b) < len(a):
+        a, b = b, a
     out = {}
     for ea, va in a.items():
         for eb, vb in b.items():
@@ -563,6 +536,25 @@ def _ldict_mul(a, b):
             else:
                 del out[e]
     return out
+
+
+def accumulate(target, source, scale=None):
+    """target += scale * source on coefficient dicts of any ring values
+    (no scale: source as it is), pruning keys that cancel; returns
+    target."""
+    if scale is not None and not scale:
+        return target
+    for key, val in source.items():
+        if scale is not None:
+            val = val * scale
+        cur = target.get(key)
+        if cur is not None:
+            val = cur + val
+        if val:
+            target[key] = val
+        else:
+            target.pop(key, None)
+    return target
 
 
 def _ldict_mul_pol(a, p):

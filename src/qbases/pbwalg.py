@@ -9,28 +9,12 @@ That keeps weight spaces of height 20 tractable even though their word
 expansions are astronomically large.
 """
 
-from .laurent import LaurentPoly, RatFunc, quantum_factorial
+from .laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
 from .linalg import solve
 from .wordalg import WordElement, weight_basis
 from .braid import root_vectors, pbw_monomial
 
 _R_ONE = RatFunc(1)
-
-
-def accumulate(target, source, scale=_R_ONE):
-    """target += scale * source on coefficient dicts, pruning zeros."""
-    if not scale:
-        return target
-    for key, val in source.items():
-        term = val * scale
-        cur = target.get(key)
-        if cur is not None:
-            term = cur + term
-        if term:
-            target[key] = term
-        else:
-            target.pop(key, None)
-    return target
 
 
 def scaled(source, scale):
@@ -76,7 +60,7 @@ class PBWContext:
     order in which they fill does not change any result.
     """
 
-    def __init__(self, datum, word, height_cap=None):
+    def __init__(self, datum, word):
         word = tuple(word)
         if not datum.is_reduced(word):
             raise ValueError(f"word {word} is not reduced")
@@ -84,8 +68,7 @@ class PBWContext:
         self.word = word
         self.n = len(word)
         self.roots = datum.inversion_sequence(word)
-        self.height_cap = height_cap
-        self.vectors = root_vectors(datum, word, height_cap=height_cap)
+        self.vectors = root_vectors(datum, word)
         self.simple_pos = {}
         for p, beta in enumerate(self.roots):
             support = [t for t, v in enumerate(beta) if v]
@@ -216,8 +199,7 @@ class PBWContext:
     def _word_space(self, weight):
         cached = self._word_space_cache.get(weight)
         if cached is None:
-            words, _ = weight_basis(self.datum, weight,
-                                    height_cap=self.height_cap)
+            words, _ = weight_basis(self.datum, weight)
             inds = self.indices(weight)
             if len(words) != len(inds):
                 raise AssertionError(
@@ -225,8 +207,7 @@ class PBWContext:
                     f"dimension {len(words)} at {weight}")
             probes = [WordElement.monomial(self.datum, w) for w in words]
             mono = {d: pbw_monomial(self.datum, self.word, d,
-                                    vectors=self.vectors,
-                                    height_cap=self.height_cap)
+                                    vectors=self.vectors)
                     for d in inds}
             amat = [[probe.pairing(mono[d]) for d in inds]
                     for probe in probes]
@@ -261,15 +242,11 @@ class PBWContext:
                 accumulate(out, expn, scale_a * gb / self._dfact(b))
         return out
 
-    def power(self, f, m):
+    def divided_power(self, f, m):
         acc = self.one()
         for _ in range(m):
             acc = self.mul(acc, f)
-        return acc
-
-    def divided_power(self, f, m):
-        return scaled(self.power(f, m),
-                      _R_ONE / RatFunc(quantum_factorial(m)))
+        return scaled(acc, _R_ONE / RatFunc(quantum_factorial(m)))
 
     # -- seeds for bar, star and e'_i on single root vectors
 
@@ -296,7 +273,7 @@ class PBWContext:
         hit = self._eprime_letter.get(key)
         if hit is None:
             x = self.vectors[p].eprime(i)
-            if x.is_algebra_zero(height_cap=self.height_cap):
+            if x.is_algebra_zero():
                 hit = {}
             else:
                 hit = self.coords_of_word_element(x)
@@ -567,23 +544,16 @@ class PBWContext:
         self.gram(wf)
         return self._pair_known(f, g)
 
-    def norm(self, c):
-        c = tuple(c)
-        inds, mat = self.gram(self.weight_of(c))
-        k = inds.index(c)
-        return mat[k][k]
-
 
 _CONTEXTS = {}
 
 
-def get_context(datum, word=None, height_cap=None):
+def get_context(datum, word=None):
     """Shared PBWContext per (datum, word); word defaults to the
     longest-word preset of the datum."""
     word = tuple(word) if word is not None else datum.longest_word()
     key = (datum.cartan, word)
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        ctx = _CONTEXTS[key] = PBWContext(datum, word,
-                                          height_cap=height_cap)
+        ctx = _CONTEXTS[key] = PBWContext(datum, word)
     return ctx

@@ -690,7 +690,7 @@ def minimal_left_approximation(src, targets):
     return mid, fmap, kept
 
 
-def mutate_rigid(collection, k, skip_maximality_check=False):
+def mutate_rigid(collection, k):
     """Replace the k-th summand through the two exchange sequences.
 
     Returns (new collection, (T', T'')) where T' is the middle of
@@ -701,7 +701,7 @@ def mutate_rigid(collection, k, skip_maximality_check=False):
         raise ValueError(f"index {k} out of range")
     if collection.frozen[k - 1]:
         raise ValueError("mutation at a frozen index")
-    if not skip_maximality_check and not maximal_rigid_check(collection):
+    if not maximal_rigid_check(collection):
         raise ValueError("collection is not maximal rigid")
     tk = collection.modules[k - 1]
     rest = collection.without(k)

@@ -19,7 +19,10 @@ at q = 0.
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, RatFunc, quantum_factorial
+from itertools import product
+
+from .laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
+from .linalg import rank as _rank, solve
 
 # Pairings enumerate words of a given content; this cap keeps accidental
 # exponential blowups loud instead of silent.
@@ -121,16 +124,9 @@ class WordElement:
             return NotImplemented
         if not self._weights_compatible(other):
             raise ValueError("cannot add elements of different weights")
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            s = t.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = s
         r = WordElement.__new__(WordElement)
-        r.datum, r.terms = self.datum, t
+        r.datum = self.datum
+        r.terms = accumulate(dict(self.terms), other.terms)
         return r
 
     def __neg__(self):
@@ -161,15 +157,8 @@ class WordElement:
             return NotImplemented
         t = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = t.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    t.pop(w, None)
-                else:
-                    t[w] = s
+            accumulate(t, {w1 + w2: c2 for w2, c2 in other.terms.items()},
+                       c1)
         r = WordElement.__new__(WordElement)
         r.datum, r.terms = self.datum, t
         return r
@@ -224,6 +213,7 @@ class WordElement:
                 if j == i:
                     sub = w[:p] + w[p + 1:]
                     v = c * RatFunc(LaurentPoly.q_power(-pair_acc))
+                    # merged inline: a call per single term is slower here
                     s = out.get(sub)
                     s = v if s is None else s + v
                     if s.is_zero():
@@ -253,17 +243,15 @@ class WordElement:
                 total = total + c * val
         return total
 
-    def pairing_vector(self, height_cap=None):
+    def pairing_vector(self):
         """(self, w) for every word w of this weight, computed in one trie
         walk with shared e'-states.  Returns {word: RatFunc}."""
         wt = self.weight
         if wt is None:
             return {}
-        cap = PAIRING_HEIGHT_CAP if height_cap is None else height_cap
-        if sum(wt) > cap:
-            raise ValueError(
-                f"pairing_vector at height {sum(wt)} exceeds cap {cap}; "
-                "pass height_cap explicitly to override")
+        if sum(wt) > PAIRING_HEIGHT_CAP:
+            raise ValueError(f"pairing_vector at height {sum(wt)} exceeds "
+                             f"cap {PAIRING_HEIGHT_CAP}")
         rank = self.datum.rank
         out = {}
 
@@ -284,14 +272,14 @@ class WordElement:
         walk(self, list(wt), ())
         return out
 
-    def is_algebra_zero(self, height_cap=None):
+    def is_algebra_zero(self):
         """True when the element lies in the radical of the form, i.e. is
         zero in the quotient algebra."""
-        return not self.pairing_vector(height_cap=height_cap)
+        return not self.pairing_vector()
 
-    def equals(self, other, height_cap=None):
+    def equals(self, other):
         """Equality in the algebra (mod the defining relations)."""
-        return (self - other).is_algebra_zero(height_cap=height_cap)
+        return (self - other).is_algebra_zero()
 
     # -- twisted coproduct
 
@@ -314,6 +302,7 @@ class WordElement:
                 states = nxt
             for left, right, _, ex in states:
                 v = c * RatFunc(LaurentPoly.q_power(ex))
+                # merged inline: a call per single term is slower here
                 key = (left, right)
                 s = out.get(key)
                 s = v if s is None else s + v
@@ -362,15 +351,8 @@ class TensorElement:
         self.terms = t
 
     def __add__(self, other):
-        t = dict(self.terms)
-        for k, c in other.terms.items():
-            s = t.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = s
-        return TensorElement(self.datum, t)
+        return TensorElement(self.datum,
+                             accumulate(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -386,17 +368,10 @@ class TensorElement:
         out = {}
         for (a, b), c1 in self.terms.items():
             wb = word_content(datum, b)
-            for (cw, d), c2 in other.terms.items():
-                wc = word_content(datum, cw)
-                tw = -datum.bilinear(wb, wc)
-                v = c1 * c2 * RatFunc(LaurentPoly.q_power(tw))
-                key = (a + cw, b + d)
-                s = out.get(key)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            accumulate(out, {
+                (a + cw, b + d): c2 * RatFunc(LaurentPoly.q_power(
+                    -datum.bilinear(wb, word_content(datum, cw))))
+                for (cw, d), c2 in other.terms.items()}, c1)
         return TensorElement(datum, out)
 
     def pairing(self, other):
@@ -441,7 +416,6 @@ class TensorElement:
 def kostant_dimension(datum, weight):
     """Dimension of the weight space: ways to write the weight as a
     nonnegative combination of positive roots."""
-    from itertools import product
     target = tuple(weight)
     pts = sorted(product(*(range(t + 1) for t in target)),
                  key=lambda v: (sum(v), v))
@@ -474,13 +448,13 @@ def words_of_content(content):
     yield from gen(list(content), ())
 
 
-def weight_basis(datum, weight, height_cap=None):
+def weight_basis(datum, weight):
     """A basis of the weight space made of words, chosen greedily in lex
     order so that the Gram matrix stays nonsingular."""
     dim = kostant_dimension(datum, weight)
-    cap = PAIRING_HEIGHT_CAP if height_cap is None else height_cap
-    if sum(weight) > cap:
-        raise ValueError(f"weight_basis at height {sum(weight)} exceeds cap {cap}")
+    if sum(weight) > PAIRING_HEIGHT_CAP:
+        raise ValueError(f"weight_basis at height {sum(weight)} exceeds "
+                         f"cap {PAIRING_HEIGHT_CAP}")
     chosen = []
     gram = []
     for w in words_of_content(tuple(weight)):
@@ -489,7 +463,6 @@ def weight_basis(datum, weight, height_cap=None):
         diag = cand.pairing(cand)
         new_gram = [row + [col[i]] for i, row in enumerate(gram)]
         new_gram.append(col + [diag])
-        from .linalg import rank as _rank
         if _rank(new_gram) == len(chosen) + 1:
             chosen.append(w)
             gram = new_gram
@@ -500,7 +473,6 @@ def weight_basis(datum, weight, height_cap=None):
 
 def normal_coordinates(x, basis=None, gram=None):
     """Coordinates of x in the word basis of its weight space."""
-    from .linalg import solve
     if x.weight is None:
         return (), []
     if basis is None:
@@ -516,18 +488,18 @@ def normal_coordinates(x, basis=None, gram=None):
 # Kashiwara operators at the element level
 
 
-def kashiwara_components(x, i, height_cap=None):
+def kashiwara_components(x, i):
     """Decompose x = sum_m f_i^(m) x_m with e'_i x_m = 0; returns {m: x_m}.
 
     Nonzero tests happen in the algebra, not on word expansions.
     """
     comps = {}
     cur = x
-    while not cur.is_algebra_zero(height_cap=height_cap):
+    while not cur.is_algebra_zero():
         powers = [cur]
         while True:
             nxt = powers[-1].eprime(i)
-            if nxt.is_algebra_zero(height_cap=height_cap):
+            if nxt.is_algebra_zero():
                 break
             powers.append(nxt)
         m = len(powers) - 1
@@ -541,15 +513,15 @@ def kashiwara_components(x, i, height_cap=None):
     return comps
 
 
-def epsilon_element(x, i, height_cap=None):
+def epsilon_element(x, i):
     """Largest m with a nonzero component x_m; -inf is represented by None
     on the zero element."""
-    comps = kashiwara_components(x, i, height_cap=height_cap)
+    comps = kashiwara_components(x, i)
     return max(comps) if comps else None
 
 
-def etilde(x, i, height_cap=None):
-    comps = kashiwara_components(x, i, height_cap=height_cap)
+def etilde(x, i):
+    comps = kashiwara_components(x, i)
     out = WordElement.zero(x.datum)
     for m, xm in comps.items():
         if m >= 1:
@@ -557,8 +529,8 @@ def etilde(x, i, height_cap=None):
     return out
 
 
-def ftilde(x, i, height_cap=None):
-    comps = kashiwara_components(x, i, height_cap=height_cap)
+def ftilde(x, i):
+    comps = kashiwara_components(x, i)
     out = WordElement.zero(x.datum)
     for m, xm in comps.items():
         out = out + WordElement.divided_power(x.datum, i, m + 1) * xm

@@ -20,6 +20,14 @@ def test_usage_errors(tmp_path, capsys):
     assert "word not reduced" in capsys.readouterr().err
     code, _ = run(tmp_path, "basis", "--type", "E9", "--height", "2")
     assert code == 2
+    # a vertex out of range, and a malformed dimension vector
+    for argv in (("bw", "--type", "A2", "--word", "1,9", "--height", "2"),
+                 ("basis", "--type", "A2", "--word", "3", "--height", "2"),
+                 ("preproj", "--type", "A2", "--dim", "1,a")):
+        capsys.readouterr()
+        code, _ = run(tmp_path, *argv)
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
     assert cli.execute(["no-such-command"]) == 2
     assert cli.execute(["--help"]) == 0
 

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from qbases import pbwalg
 from qbases.laurent import (
     LaurentPoly,
     RatFunc,
@@ -13,6 +14,7 @@ from qbases.laurent import (
     _pol_mul,
     _pol_primitive,
     _trim,
+    accumulate,
     quantum_binomial,
     quantum_factorial,
     quantum_int,
@@ -460,3 +462,23 @@ class TestKernelTwoRoutes:
             else:
                 assert r.den == (1,)
             xs[rng.randrange(len(xs))] = r if len(r.den) < 12 else a
+
+
+def test_accumulate_keeps_type_and_prunes():
+    assert pbwalg.accumulate is accumulate
+    half = RatFunc(1, (1, 1))  # 1/(1 + q)
+    for a, b in ((2, 5), (q, qi + one), (half, RatFunc(q))):
+        target = {"x": a, "y": b}
+        out = accumulate(target, {"x": b, "z": a})
+        assert out is target
+        assert out == {"x": a + b, "y": b, "z": a}
+        assert all(type(v) is type(a) for v in out.values())
+        # a cancelling term removes its key
+        assert accumulate(target, {"x": -(a + b)}) is target
+        assert target == {"y": b, "z": a}
+        # a zero scale leaves the target as it was; -1 cancels y
+        assert accumulate(target, {"y": b, "w": a}, a - a) is target
+        assert target == {"y": b, "z": a}
+        accumulate(target, {"y": b}, -1)
+        assert target == {"z": a}
+        assert type(target["z"]) is type(a)
