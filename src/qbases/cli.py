@@ -27,8 +27,12 @@ class UsageError(ValueError):
 
 
 def _parse_word(text):
+    """Comma-separated integers; the empty string is the empty list, and
+    an empty entry anywhere else is a usage error."""
+    if text == "":
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"malformed integer list {text!r}") from None
 

@@ -10,15 +10,29 @@ expansions are astronomically large.
 """
 
 from .laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
-from .linalg import solve
-from .wordalg import WordElement, weight_basis
+from .wordalg import PAIRING_HEIGHT_CAP, WordElement, kostant_dimension
 from .braid import root_vectors, pbw_monomial
+# unused here; kept bound because perfbench/tracing.py patches these aliases
+from .linalg import solve  # noqa: F401
+from .wordalg import weight_basis  # noqa: F401
 
 _R_ONE = RatFunc(1)
 
 
 def scaled(source, scale):
     return accumulate({}, source, scale)
+
+
+def pbw_norm(c, height):
+    """(L(c), L(c)) in closed form (Kimura 2012): (1-q^2)^height times
+    prod_p prod_{s=1..c_p} 1/(1-q^{2s}), where height = ht wt(c)."""
+    num = den = LaurentPoly.one()
+    for _ in range(height):
+        num = num * LaurentPoly({0: 1, 2: -1})
+    for m in c:
+        for s in range(1, m + 1):
+            den = den * LaurentPoly({0: 1, 2 * s: -1})
+    return RatFunc(num) / RatFunc(den)
 
 
 def pbw_indices(datum, word, weight):
@@ -77,7 +91,8 @@ class PBWContext:
         self._indices = {}
         self._straight = {}
         self._relations = {}
-        self._word_space_cache = {}
+        self._monomials_cache = {}
+        self._pairing_vec = {}
         self._dfact_cache = {}
         self._bar_letter = {}
         self._star_letter = {}
@@ -196,39 +211,67 @@ class PBWContext:
 
     # -- word-level bridge (small heights only)
 
-    def _word_space(self, weight):
-        cached = self._word_space_cache.get(weight)
+    def _monomials(self, weight):
+        """{d: L(d) as a word element} for every PBW index of the weight;
+        the word expansions are built once per weight and kept."""
+        cached = self._monomials_cache.get(weight)
         if cached is None:
-            words, _ = weight_basis(self.datum, weight)
+            if sum(weight) > PAIRING_HEIGHT_CAP:
+                raise ValueError(f"word expansion at height {sum(weight)} "
+                                 f"exceeds cap {PAIRING_HEIGHT_CAP}")
             inds = self.indices(weight)
-            if len(words) != len(inds):
+            dim = kostant_dimension(self.datum, weight)
+            if len(inds) != dim:
                 raise AssertionError(
                     f"PBW index count {len(inds)} differs from weight-space "
-                    f"dimension {len(words)} at {weight}")
-            probes = [WordElement.monomial(self.datum, w) for w in words]
-            mono = {d: pbw_monomial(self.datum, self.word, d,
-                                    vectors=self.vectors)
-                    for d in inds}
-            amat = [[probe.pairing(mono[d]) for d in inds]
-                    for probe in probes]
-            cached = self._word_space_cache[weight] = (probes, amat, inds,
-                                                       mono)
+                    f"dimension {dim} at {weight}")
+            cached = self._monomials_cache[weight] = {
+                d: pbw_monomial(self.datum, self.word, d, vectors=self.vectors)
+                for d in inds}
         return cached
 
+    def _pairing_vector(self, d):
+        """(L(d), w) for every word w of its weight (memoized)."""
+        hit = self._pairing_vec.get(d)
+        if hit is None:
+            hit = self._pairing_vec[d] = \
+                self.monomial_word_element(d).pairing_vector()
+        return hit
+
     def coords_of_word_element(self, x):
-        """PBW coordinates of a word element; solves a word-level Gram
-        system, so only usable at small heights."""
+        """PBW coordinates of a word element (small heights only).
+
+        The PBW basis is orthogonal (Lusztig 1993, ch. 38), so
+        x_d = (x, L(d)) / (L(d), L(d)): the numerator dots x with the
+        pairing vector of L(d), the denominator is the closed-form norm.
+        Raises AssertionError naming the weight unless x - sum_d x_d L(d)
+        is zero in the algebra, so a broken convention fails loudly.
+        """
         if x.weight is None:
             return {}
-        probes, amat, inds, _ = self._word_space(tuple(x.weight))
-        rhs = [probe.pairing(x) for probe in probes]
-        sol = solve(amat, rhs)
-        return {d: v for d, v in zip(inds, sol) if v}
+        weight = tuple(x.weight)
+        out = {}
+        # the pairing vector of x - sum_d x_d L(d): empty iff that is zero
+        residual = x.pairing_vector()
+        for d in self._monomials(weight):
+            vec = self._pairing_vector(d)
+            num = RatFunc(0)
+            for w, cw in x.terms.items():
+                v = vec.get(w)
+                if v is not None:
+                    num = num + cw * v
+            if num:
+                out[d] = xd = num / pbw_norm(d, sum(weight))
+                accumulate(residual, vec, -xd)
+        if residual:
+            raise AssertionError(
+                f"PBW coordinates do not reconstruct the element at weight "
+                f"{weight}")
+        return out
 
     def monomial_word_element(self, c):
         """L(c) as a word element (small heights only)."""
-        _, _, _, mono = self._word_space(self.weight_of(c))
-        return mono[tuple(c)]
+        return self._monomials(self.weight_of(c))[tuple(c)]
 
     # -- products
 

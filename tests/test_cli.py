@@ -20,10 +20,16 @@ def test_usage_errors(tmp_path, capsys):
     assert "word not reduced" in capsys.readouterr().err
     code, _ = run(tmp_path, "basis", "--type", "E9", "--height", "2")
     assert code == 2
-    # a vertex out of range, and a malformed dimension vector
+    # a vertex out of range, a malformed dimension vector, and lists with
+    # an empty entry, which must not be read as shorter lists
     for argv in (("bw", "--type", "A2", "--word", "1,9", "--height", "2"),
                  ("basis", "--type", "A2", "--word", "3", "--height", "2"),
-                 ("preproj", "--type", "A2", "--dim", "1,a")):
+                 ("preproj", "--type", "A2", "--dim", "1,a"),
+                 ("preproj", "--type", "A2", "--dim", "1,,1"),
+                 ("bw", "--type", "A2", "--word", "1,,2", "--height", "2"),
+                 ("bw", "--type", "A2", "--word", "1,", "--height", "2"),
+                 ("ss-bound", "--type", "A2", "--label", ",1,0,0",
+                  "--height", "4")):
         capsys.readouterr()
         code, _ = run(tmp_path, *argv)
         assert code == 2

@@ -60,6 +60,17 @@ def test_initial_seed_a3(a3):
             assert rows[i][j] == -rows[j][i]
 
 
+def test_initial_seed_a4():
+    # validation checks all 45 pairs of the 10 variables quasi-commute
+    seed = initial_seed("A4")
+    assert seed.size() == 10
+    assert seed.word == (1, 2, 3, 4, 1, 2, 3, 1, 2, 1)
+    assert seed.mutable == (1, 2, 3, 5, 6, 8)
+    for k in range(10):
+        for l in range(10):
+            assert seed.lam[k][l] == -seed.lam[l][k]
+
+
 def test_seed_validation_failure(a2):
     ctx = a2.context
     with pytest.raises(ValueError, match="seed validation failed"):

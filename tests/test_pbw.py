@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from qbases import pbwalg
+from qbases.braid import pbw_monomial
 from qbases.laurent import LaurentPoly, RatFunc
+from qbases.linalg import solve
 from qbases.quiver import load_preset
-from qbases.wordalg import WordElement, kostant_dimension
-from qbases.pbwalg import PBWContext, get_context, accumulate, scaled
+from qbases.wordalg import WordElement, kostant_dimension, weight_basis
+from qbases.pbwalg import (PBWContext, get_context, accumulate, pbw_norm,
+                           scaled)
 from qbases.canonical import weights_up_to_height
 
 A2 = load_preset("A2")
@@ -69,6 +73,104 @@ def test_weight_of_and_element_weight():
     assert ctx.element_weight(unit((1, 2, 0))) == (3, 2)
     with pytest.raises(ValueError):
         ctx.element_weight({(1, 0, 0): RatFunc(1), (0, 0, 1): RatFunc(1)})
+
+
+# -- the word-level bridge: orthogonality against the Gram solve
+
+
+def ref_coords(ctx, x):
+    """PBW coordinates by the Gram solve: a greedy word basis of the
+    weight, the Gram of its words against every L(d), then a linear
+    solve.  Independent of the orthogonality route and its norm."""
+    if x.weight is None:
+        return {}
+    weight = tuple(x.weight)
+    words, _ = weight_basis(ctx.datum, weight)
+    inds = ctx.indices(weight)
+    probes = [WordElement.monomial(ctx.datum, w) for w in words]
+    monos = [pbw_monomial(ctx.datum, ctx.word, d, vectors=ctx.vectors)
+             for d in inds]
+    amat = [[probe.pairing(m) for m in monos] for probe in probes]
+    rhs = [probe.pairing(x) for probe in probes]
+    return {d: v for d, v in zip(inds, solve(amat, rhs)) if v}
+
+
+def random_element(datum, weight, rng):
+    """A few words of the weight with small Laurent coefficients."""
+    words = []
+    rest = list(weight)
+    while any(rest):
+        i = rng.choice([t for t, r in enumerate(rest) if r])
+        rest[i] -= 1
+        words.append(i + 1)
+    terms = {}
+    for _ in range(3):
+        rng.shuffle(words)
+        terms[tuple(words)] = LaurentPoly.q_power(rng.randrange(-2, 3),
+                                                  rng.choice((-2, -1, 1, 3)))
+    return WordElement(datum, terms)
+
+
+@pytest.mark.parametrize("preset,height", [("A2", 6), ("A3", 5), ("D4", 4)])
+def test_coords_two_routes(preset, height):
+    box = load_preset(preset)
+    datum = box["datum"]
+    ctx = get_context(datum, box["longest_word"])
+    ht = [sum(beta) for beta in ctx.roots]
+    checked = 0
+    # every straightening relation E_x E_y, x > y, within the height
+    for x in range(ctx.n):
+        for y in range(x):
+            if ht[x] + ht[y] <= height:
+                prod = ctx.vectors[x] * ctx.vectors[y]
+                want = ref_coords(ctx, prod)
+                assert ctx.coords_of_word_element(prod) == want, (x, y)
+                assert ctx._relation(x, y) == want, (x, y)
+                checked += 1
+    # every bar, star and e' letter within the height
+    for p in range(ctx.n):
+        if ht[p] > height:
+            continue
+        vec = ctx.vectors[p]
+        barred = WordElement(datum, {w: c.bar() for w, c in vec.terms.items()})
+        assert ctx.bar_letter(p) == ref_coords(ctx, barred), p
+        assert ctx.star_letter(p) == ref_coords(ctx, vec.star()), p
+        for i in range(1, datum.rank + 1):
+            xe = vec.eprime(i)
+            want = {} if xe.is_algebra_zero() else ref_coords(ctx, xe)
+            assert ctx.eprime_letter(i, p) == want, (i, p)
+        checked += 1
+    # a seeded random element at every weight within the height
+    rng = random.Random(height)
+    for wt in weights_up_to_height(datum.rank, height):
+        if any(wt):
+            x = random_element(datum, wt, rng)
+            assert ctx.coords_of_word_element(x) == ref_coords(ctx, x), wt
+    assert checked
+
+
+@pytest.mark.parametrize("preset,height,labels",
+                         [("A2", 6, 50), ("A3", 4, 62), ("D4", 3, 53)])
+def test_closed_form_norm_matches_gram(preset, height, labels):
+    box = load_preset(preset)
+    ctx = get_context(box["datum"], box["longest_word"])
+    seen = 0
+    for wt in weights_up_to_height(box["datum"].rank, height):
+        inds, mat = ctx.gram(wt)
+        for k, c in enumerate(inds):
+            assert pbw_norm(c, sum(wt)) == mat[k][k], (wt, c)
+            seen += 1
+    assert seen == labels
+
+
+def test_wrong_norm_fails_reconstruction(monkeypatch):
+    right = pbw_norm
+    monkeypatch.setattr(pbwalg, "pbw_norm",
+                        lambda c, height: right(c, height) * (1 - q(2)))
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    prod = ctx.vectors[2] * ctx.vectors[0]
+    with pytest.raises(AssertionError, match=r"weight \(1, 1\)"):
+        ctx.coords_of_word_element(prod)
 
 
 # -- straightening
