@@ -15,6 +15,7 @@ import tempfile
 from . import __version__
 from .quiver import load_preset
 from .canonical import get_canonical, weights_up_to_height
+from .wordalg import PAIRING_HEIGHT_CAP
 from .preproj import (ENUM_BOUNDS, all_dims_up_to, enumerate_modules,
                       is_open_orbit, is_rigid)
 from .cluster import verify_conjecture
@@ -35,6 +36,18 @@ def _parse_word(text):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"malformed integer list {text!r}") from None
+
+
+def _count(text):
+    """A nonnegative integer flag value; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative count {value}")
+    return value
 
 
 def _reduced_word(datum, text):
@@ -155,6 +168,9 @@ def emit_report(results, fmt, failures=None):
 
 
 def _cmd_basis(args):
+    if args.height > PAIRING_HEIGHT_CAP:
+        raise UsageError(f"height {args.height} exceeds the word-level cap "
+                         f"{PAIRING_HEIGHT_CAP}")
     box = _load(args.type)
     datum = box["datum"]
     word = (_reduced_word(datum, args.word) if args.word
@@ -290,21 +306,21 @@ def _build_parser():
         p.add_argument("--format", choices=("json", "csv", "tex"),
                        default="json")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_count, default=1)
 
     p = sub.add_parser("basis", help="canonical basis tables by weight")
     common(p)
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--height", type=_count, default=4)
     p.add_argument("--word", help="reduced word override, comma separated")
 
     p = sub.add_parser("crystal", help="crystal operator tables")
     common(p)
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--height", type=_count, default=4)
 
     p = sub.add_parser("bw", help="crystal subset of a Weyl word, both routes")
     common(p)
     p.add_argument("--word", required=True)
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--height", type=_count, default=4)
 
     p = sub.add_parser("preproj", help="preprojective module enumeration")
     common(p)
@@ -313,13 +329,13 @@ def _build_parser():
     p = sub.add_parser("cluster-verify",
                        help="quantum cluster monomial verification")
     common(p, preset_flag="--preset")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--exp", type=int, default=2)
+    p.add_argument("--depth", type=_count, default=2)
+    p.add_argument("--exp", type=_count, default=2)
 
     p = sub.add_parser("ss-bound", help="epsilon bound set of a label")
     common(p)
     p.add_argument("--label", required=True)
-    p.add_argument("--height", type=int, default=4)
+    p.add_argument("--height", type=_count, default=4)
     return parser
 
 

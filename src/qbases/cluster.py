@@ -7,11 +7,13 @@ exchange graph and checks that every cluster monomial is a q-power
 multiple of a dual canonical basis element.
 """
 
+import functools
 import itertools
 
 from .laurent import LaurentPoly, RatFunc, accumulate
 from .linalg import solve
 from .canonical import DualElement, get_canonical
+from .pbwalg import pbw_norm
 from .quiver import load_preset
 
 # monomial products beyond this total height are refused
@@ -402,23 +404,70 @@ class ClusterMonomialReport:
         }
 
 
-def cluster_monomial(seed, exponents):
-    """Normalize the ordered product of the seed variables with the
-    given exponents: find m with q^m * product a basis element."""
-    exponents = tuple(exponents)
-    if len(exponents) != seed.size():
-        raise ValueError("exponent vector length mismatch")
-    if any(e < 0 for e in exponents):
-        raise ValueError("negative exponent")
+@functools.cache
+def _dual_pbw_scale(d, height):
+    """(L(d), L(d)): the factor from L(d)- to E*(d)-coordinates."""
+    return pbw_norm(d, height)
+
+
+def _certificate(seed, exponents):
+    """(label, p) when the ordered product X of the seed variables has
+    coordinates over the dual PBW basis E*(d) = L(d) / (L(d), L(d)) that
+    are Laurent, equal to q^p at the label and have a higher lowest
+    exponent everywhere else; otherwise None.
+
+    Needs canonical tables only at the variables' own weights: the
+    product runs on their dual PBW coordinates.
+    """
     ctx = seed.context
-    total = [0] * ctx.datum.rank
-    for k, e in enumerate(exponents, start=1):
-        w = ctx.label_weight(seed.labels[k - 1])
-        for i in range(len(total)):
-            total[i] += e * w[i]
-    if sum(total) > CLUSTER_HEIGHT_CAP:
-        raise ValueError("product exceeds height bound")
-    coords = _monomial_coords(ctx, seed,
+    pbw = ctx.ctx
+    x = pbw.one()
+    for label, e in zip(seed.labels, exponents):
+        if e:
+            y = ctx.dual_pbw_coords(label)
+            for _ in range(e):
+                x = pbw.mul(x, y)
+    height = sum(pbw.element_weight(x))
+    lowest = {}
+    for d, v in x.items():
+        v = v * _dual_pbw_scale(d, height)
+        if not v.is_laurent():
+            return None
+        v = v.to_laurent()
+        lowest.setdefault(v.min_exp(), []).append((d, v))
+    p = min(lowest)
+    if len(lowest[p]) != 1:
+        return None
+    (label, v), = lowest[p]
+    if v.c != {p: 1}:
+        return None
+    return label, p
+
+
+def _sigma_exponent(seed, exponents):
+    """2p such that q^{-p} X is invariant under the dual bar involution,
+    X the ordered product of the seed variables: fixed by the seed's
+    q-commutation exponents and the weights of its variables."""
+    ctx = seed.context
+    form = ctx.datum.bilinear
+    weights = [ctx.label_weight(l) for l in seed.labels]
+    n = seed.size()
+    total = 0
+    for k in range(n):
+        ek = exponents[k]
+        total -= ek * (ek - 1) // 2 * form(weights[k], weights[k])
+        for l in range(k + 1, n):
+            total += ek * exponents[l] * (
+                seed.lam[k][l] - form(weights[k], weights[l]))
+    return total
+
+
+def _structure_constant_report(seed, exponents):
+    """The monomial's report through the structure constants: the whole
+    product expanded in the dual canonical basis, with canonical tables
+    at every intermediate and final weight.  The explainer of a
+    certificate rejection, and the reference route of the tests."""
+    coords = _monomial_coords(seed.context, seed,
                               [(k, e) for k, e in
                                enumerate(exponents, start=1) if e])
     one = _single_label(coords)
@@ -428,6 +477,47 @@ def cluster_monomial(seed, exponents):
             exponents, None, None,
             f"fail: not a q-power of a dual canonical element: {detail}")
     label, p = one
+    return ClusterMonomialReport(exponents, label, -p, "pass")
+
+
+def cluster_monomial(seed, exponents):
+    """Normalize the ordered product of the seed variables with the
+    given exponents: find m with q^m * product a basis element.
+
+    Certified by Lusztig's lemma.  The dual bar involution is a twisted
+    anti-automorphism, the variables are invariant under it and pairwise
+    q-commute (validated with the seed), so q^{-p} X is invariant for
+    the p of ``_sigma_exponent``; an invariant element congruent to E*(d)
+    modulo q times the dual PBW lattice is b^up(d).  The p read off the
+    coordinates is asserted to be that one.  A rejection is explained by
+    the structure-constant route, whose failure text is the report.
+    """
+    exponents = tuple(exponents)
+    if len(exponents) != seed.size():
+        raise ValueError("exponent vector length mismatch")
+    if any(e < 0 for e in exponents):
+        raise ValueError("negative exponent")
+    height = sum(e * sum(seed.context.label_weight(label))
+                 for label, e in zip(seed.labels, exponents))
+    if height > CLUSTER_HEIGHT_CAP:
+        raise ValueError("product exceeds height bound")
+    hit = _certificate(seed, exponents)
+    if hit is None:
+        rep = _structure_constant_report(seed, exponents)
+        if rep.passed():
+            raise AssertionError(
+                f"cluster monomial routes disagree at seed history "
+                f"{list(seed.history)}, exponents {list(exponents)}: the "
+                f"certificate rejects, the structure constants give "
+                f"{list(rep.label)} with q-power {rep.q_power}")
+        return rep
+    label, p = hit
+    want = _sigma_exponent(seed, exponents)
+    if 2 * p != want:
+        raise AssertionError(
+            f"q-power of the cluster monomial is not the sigma-invariant one "
+            f"at seed history {list(seed.history)}, exponents "
+            f"{list(exponents)}: 2p = {2 * p}, expected {want}")
     return ClusterMonomialReport(exponents, label, -p, "pass")
 
 
@@ -472,6 +562,10 @@ def verify_conjecture(preset, depth, exp_bound, workers=1):
 
     ``workers`` is accepted for API compatibility; the run is serial.
     """
+    if depth < 0 or exp_bound < 0:
+        raise ValueError(
+            f"depth and exponent bound must be nonnegative, got {depth} "
+            f"and {exp_bound}")
     seeds, log = reachable_seeds(preset, depth)
     ctx = seeds[0].context
     word = seeds[0].word

@@ -92,7 +92,6 @@ class PBWContext:
         self._straight = {}
         self._relations = {}
         self._monomials_cache = {}
-        self._pairing_vec = {}
         self._dfact_cache = {}
         self._bar_letter = {}
         self._star_letter = {}
@@ -230,40 +229,32 @@ class PBWContext:
                 for d in inds}
         return cached
 
-    def _pairing_vector(self, d):
-        """(L(d), w) for every word w of its weight (memoized)."""
-        hit = self._pairing_vec.get(d)
-        if hit is None:
-            hit = self._pairing_vec[d] = \
-                self.monomial_word_element(d).pairing_vector()
-        return hit
-
     def coords_of_word_element(self, x):
         """PBW coordinates of a word element (small heights only).
 
         The PBW basis is orthogonal (Lusztig 1993, ch. 38), so
-        x_d = (x, L(d)) / (L(d), L(d)): the numerator dots x with the
-        pairing vector of L(d), the denominator is the closed-form norm.
-        Raises AssertionError naming the weight unless x - sum_d x_d L(d)
-        is zero in the algebra, so a broken convention fails loudly.
+        x_d = (x, L(d)) / (L(d), L(d)): the numerator dots the pairing
+        vector of x with the word terms of L(d), the denominator is the
+        closed-form norm.  Raises AssertionError naming the weight unless
+        x - sum_d x_d L(d) is zero in the algebra, so a broken convention
+        fails loudly.
         """
         if x.weight is None:
             return {}
         weight = tuple(x.weight)
+        vec = x.pairing_vector()
         out = {}
-        # the pairing vector of x - sum_d x_d L(d): empty iff that is zero
-        residual = x.pairing_vector()
-        for d in self._monomials(weight):
-            vec = self._pairing_vector(d)
+        residual = dict(x.terms)
+        for d, ld in self._monomials(weight).items():
             num = RatFunc(0)
-            for w, cw in x.terms.items():
+            for w, cw in ld.terms.items():
                 v = vec.get(w)
                 if v is not None:
                     num = num + cw * v
             if num:
                 out[d] = xd = num / pbw_norm(d, sum(weight))
-                accumulate(residual, vec, -xd)
-        if residual:
+                accumulate(residual, ld.terms, -xd)
+        if not WordElement(self.datum, residual).is_algebra_zero():
             raise AssertionError(
                 f"PBW coordinates do not reconstruct the element at weight "
                 f"{weight}")

@@ -29,7 +29,18 @@ def test_usage_errors(tmp_path, capsys):
                  ("bw", "--type", "A2", "--word", "1,,2", "--height", "2"),
                  ("bw", "--type", "A2", "--word", "1,", "--height", "2"),
                  ("ss-bound", "--type", "A2", "--label", ",1,0,0",
-                  "--height", "4")):
+                  "--height", "4"),
+                 # above the word-level cap, refused before any table
+                 ("basis", "--type", "A2", "--height", "30"),
+                 # negative counts
+                 ("cluster-verify", "--preset", "A2", "--exp", "-1"),
+                 ("cluster-verify", "--preset", "A2", "--depth", "-1"),
+                 ("basis", "--type", "A2", "--height", "-1"),
+                 ("crystal", "--type", "A2", "--height", "-1"),
+                 ("bw", "--type", "A2", "--word", "1,2", "--height", "-1"),
+                 ("ss-bound", "--type", "A2", "--label", "1,0,0",
+                  "--height", "-1"),
+                 ("preproj", "--type", "A2", "--workers", "-1")):
         capsys.readouterr()
         code, _ = run(tmp_path, *argv)
         assert code == 2

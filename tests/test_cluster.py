@@ -1,11 +1,14 @@
 """Quantum seeds: initial data, quasi-commutation, mutation by exact
 division, monomial normalization, and the verification harness."""
 
+import copy
+import itertools
 import json
+import random
 
 import pytest
 
-from qbases import canonical, pbwalg
+from qbases import canonical, cluster, pbwalg
 from qbases.laurent import LaurentPoly
 from qbases.quiver import load_preset
 from qbases.canonical import get_canonical
@@ -146,6 +149,63 @@ def test_cluster_monomial_guards(a2):
         cluster_monomial(a2, (9, 9, 9))
 
 
+def _two_routes(seed, exps):
+    via_certificate = cluster_monomial(seed, exps).to_json()
+    via_constants = cluster._structure_constant_report(seed, exps).to_json()
+    assert via_certificate == via_constants, (seed.history, exps)
+
+
+def test_monomial_two_routes_a2():
+    seeds, _ = reachable_seeds("A2", 2)
+    checked = 0
+    for seed in seeds:
+        for exps in itertools.product(range(4), repeat=seed.size()):
+            _two_routes(seed, exps)
+            checked += 1
+    assert checked == 128
+
+
+def test_monomial_two_routes_a3_sample():
+    seeds, _ = reachable_seeds("A3", 8)
+    jobs = [(s, e) for s in seeds
+            for e in itertools.product(range(2), repeat=s.size())]
+    assert len(jobs) == 896
+    for seed, exps in random.Random(7).sample(jobs, 40):
+        _two_routes(seed, exps)
+
+
+def test_certificate_builds_no_product_table(monkeypatch):
+    monkeypatch.setattr(pbwalg, "_CONTEXTS", {})
+    monkeypatch.setattr(canonical, "_CANONICAL", {})
+    seed = initial_seed("A2")
+    ctx = seed.context
+    built = set(ctx._tables)
+    rep = cluster_monomial(seed, (3, 2, 3))
+    assert rep.passed() and ctx.label_weight(rep.label) == (8, 5)
+    assert (8, 5) not in built
+    assert set(ctx._tables) == built
+
+
+def test_shifted_lambda_is_caught(a2):
+    seed = mutate(a2, 1)
+    broken = copy.copy(seed)
+    lam = [list(r) for r in seed.lam]
+    lam[0][1] += 1
+    lam[1][0] -= 1
+    broken.lam = tuple(tuple(r) for r in lam)
+    assert cluster_monomial(seed, (1, 1, 0)).passed()
+    with pytest.raises(AssertionError,
+                       match=r"not the sigma-invariant one at seed history "
+                             r"\[1\], exponents \[1, 1, 0\]"):
+        cluster_monomial(broken, (1, 1, 0))
+
+
+def test_route_disagreement_is_loud(a2, monkeypatch):
+    monkeypatch.setattr(cluster, "_certificate", lambda seed, exps: None)
+    with pytest.raises(AssertionError, match="routes disagree"):
+        cluster_monomial(a2, (1, 1, 0))
+
+
 def test_reachable_seeds_a2(a2):
     seeds, log = reachable_seeds("A2", 2)
     assert len(seeds) == 2
@@ -183,6 +243,13 @@ def test_verify_depth_zero():
     rep = verify_conjecture("A2", 0, 1)
     assert all(m["status"] == "pass" for m in rep["monomials"])
     assert rep["exchange_log"] == []
+
+
+def test_verify_rejects_negative_bounds():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_conjecture("A2", -1, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_conjecture("A2", 0, -1)
 
 
 def test_verify_deterministic_across_workers(monkeypatch):
