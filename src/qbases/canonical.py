@@ -2,11 +2,14 @@
 
 Per weight space, the canonical basis is produced by the standard
 bar-invariant unitriangular solve against the PBW basis of a globally
-fixed reduced word of the longest element.  On top of the tables sit
-crystal labels, Kashiwara and Saito operators, the subsets attached to
-arbitrary Weyl group elements by two independent routes, dual bases
-and the structure constants of the dual product, and the epsilon
-dominance sets used as singular-support diagnostics.
+fixed reduced word of the longest element.  The labels are Lusztig
+data along that word; the crystal on them (Kashiwara and Saito
+operators) is integer combinatorics: a label is moved to another
+reduced word by Lusztig's braid-move transport, changed there and
+moved back.  On top of these sit the subsets attached to arbitrary
+Weyl group elements by two independent routes, dual bases and the
+structure constants of the dual product, and the epsilon dominance
+sets used as singular-support diagnostics.
 """
 
 from .laurent import LaurentPoly, RatFunc, accumulate
@@ -32,6 +35,61 @@ def weights_up_to_height(rank, height):
     extend([], height)
     out.sort(key=lambda v: (sum(v), v))
     return tuple(out)
+
+
+def braid_moves(datum, word):
+    """(k, span, new word) for each braid move of the word: a 2-move
+    (span 2) swaps commuting letters at k, k+1; a 3-move (span 3) sends
+    (i, j, i) at k..k+2 to (j, i, j) when a_ij = -1."""
+    a = datum.cartan
+    out = []
+    for k in range(len(word) - 1):
+        i, j = word[k], word[k + 1]
+        if a[i - 1][j - 1] == 0:
+            out.append((k, 2, word[:k] + (j, i) + word[k + 2:]))
+        elif (a[i - 1][j - 1] == -1 and k + 2 < len(word)
+              and word[k + 2] == i):
+            out.append((k, 3, word[:k] + (j, i, j) + word[k + 3:]))
+    return out
+
+
+def reduced_word_paths(datum, word):
+    """Every word reachable from the reduced word by braid moves (all its
+    reduced words, by Matsumoto's theorem), breadth first, each mapped to
+    the moves (k, span) of a shortest path from the word."""
+    word = tuple(word)
+    paths = {word: ()}
+    layer = [word]
+    while layer:
+        nxt = []
+        for w in layer:
+            for k, span, w2 in braid_moves(datum, w):
+                if w2 not in paths:
+                    paths[w2] = paths[w] + ((k, span),)
+                    nxt.append(w2)
+        layer = nxt
+    return paths
+
+
+def move_label(label, k, span):
+    """Lusztig's transport of a PBW label (a list, changed in place)
+    across the braid move at k: a 2-move swaps the two coordinates, a
+    3-move sends (a, b, c) to (b + c - m, m, a + b - m), m = min(a, c).
+    Both are involutions."""
+    if span == 2:
+        label[k], label[k + 1] = label[k + 1], label[k]
+    else:
+        a, b, c = label[k:k + 3]
+        m = min(a, c)
+        label[k:k + 3] = (b + c - m, m, a + b - m)
+
+
+def _move(label, path):
+    """Apply the moves of a path to a label list; the moves are
+    involutions, so reversed(path) undoes it."""
+    for k, span in path:
+        move_label(label, k, span)
+    return label
 
 
 def _solve_bar_fixed(g):
@@ -184,11 +242,9 @@ class CanonicalContext:
             raise ValueError("labelling word must be a longest word")
         self.ctx = get_context(datum, self.word)
         self._tables = {}
-        self._eps = {}
-        self._star = {}
         self._bw = {}
         self._sc = {}
-        self._steps = {}
+        self._paths = self._first = self._star_path = None
 
     # -- labels
 
@@ -313,59 +369,68 @@ class CanonicalContext:
         label, _ = self.identify_coords(coords)
         return label, x - self.canonical_word_element(label)
 
-    def _crystal_step_label(self, coords):
-        """Label of a crystal operator output, or None for crystal zero;
-        the representative must be congruent to a basis vector."""
-        if not coords:
-            return None
-        at_zero = {}
-        for c, v in coords.items():
-            if not v.regular_at_zero():
-                raise AssertionError("crystal step left the lattice")
-            a = v.at_zero()
-            if a:
-                at_zero[c] = a
-        if not at_zero:
-            return None
-        if len(at_zero) != 1 or set(at_zero.values()) != {1}:
-            raise AssertionError(
-                f"crystal step not congruent to a basis vector: {at_zero}")
-        return next(iter(at_zero))
+    # -- crystal operators on labels, by transport between reduced words
 
-    # -- crystal operators on labels
+    def _words(self):
+        """Move paths from the labelling word to every reduced word of
+        the longest element (built on the first crystal call), with the
+        path to one word starting with each letter and the path to the
+        -w0-twisted reversed word (i_N*, ..., i_1*)."""
+        if self._paths is None:
+            datum = self.datum
+            paths = reduced_word_paths(datum, self.word)
+            first = {}
+            for w, path in paths.items():
+                first.setdefault(w[0], path)
+            # w0(alpha_i) = -alpha_{i*}
+            w0 = self.word
+            twist = {i: datum.act(w0, datum.simple_root(i)).index(-1) + 1
+                     for i in range(1, datum.rank + 1)}
+            self._first = first
+            self._star_path = paths[tuple(twist[i] for i in reversed(w0))]
+            self._paths = paths
+        return self._paths
+
+    def transport(self, label, word):
+        """The label of the same canonical basis element in the PBW
+        parametrization of another reduced word of the longest element."""
+        path = self._words().get(tuple(word))
+        if path is None:
+            raise ValueError(
+                f"word {tuple(word)} is not a reduced word of the longest "
+                f"element")
+        return tuple(_move(list(label), path))
+
+    def _crystal_step(self, i, label, delta):
+        """etilde_i (delta -1) or ftilde_i (delta +1): shift the first
+        coordinate along a word starting with i, then move back."""
+        self._words()
+        path = self._first[i]
+        moved = _move(list(label), path)
+        if moved[0] + delta < 0:
+            return None
+        moved[0] += delta
+        out = tuple(_move(moved, reversed(path)))
+        expect = tuple(w + delta * a for w, a in
+                       zip(self.label_weight(label),
+                           self.datum.simple_root(i)))
+        if self.label_weight(out) != expect:
+            raise AssertionError(
+                f"crystal step {delta:+d} at i = {i} on label "
+                f"{tuple(label)} changed the weight wrongly: {out}")
+        return out
 
     def ftilde(self, i, label):
-        key = ("f", i, tuple(label))
-        hit = self._steps.get(key)
-        if hit is None:
-            out = self.ctx.ftilde(i, {tuple(label): _R_ONE})
-            hit = self._crystal_step_label(out)
-            if hit is None:
-                raise AssertionError("ftilde vanished on a crystal element")
-            self._steps[key] = hit
-        return hit
+        return self._crystal_step(i, label, 1)
 
     def etilde(self, i, label):
-        key = ("e", i, tuple(label))
-        if key not in self._steps:
-            out = self.ctx.etilde(i, {tuple(label): _R_ONE})
-            self._steps[key] = self._crystal_step_label(out)
-        return self._steps[key]
+        return self._crystal_step(i, label, -1)
 
     def epsilon(self, i, label):
-        """Crystal epsilon: successful etilde steps from the label."""
-        key = (i, tuple(label))
-        hit = self._eps.get(key)
-        if hit is None:
-            count = 0
-            cur = tuple(label)
-            while True:
-                cur = self.etilde(i, cur)
-                if cur is None:
-                    break
-                count += 1
-            hit = self._eps[key] = count
-        return hit
+        """Crystal epsilon: the first coordinate of the label along a
+        reduced word of the longest element that starts with i."""
+        self._words()
+        return _move(list(label), self._first[i])[0]
 
     def phi(self, i, label):
         """phi_i = eps_i + <h_i, wt>; wt is minus the content."""
@@ -374,15 +439,10 @@ class CanonicalContext:
         return self.epsilon(i, label) - pair
 
     def star(self, label):
-        key = tuple(label)
-        hit = self._star.get(key)
-        if hit is None:
-            out = self.ctx.star({key: _R_ONE})
-            hit = self._crystal_step_label(out)
-            if hit is None:
-                raise AssertionError("star vanished on a crystal element")
-            self._star[key] = hit
-        return hit
+        """Kashiwara's involution: the reversed label, read along the
+        -w0-twisted reversed word and moved back to the labelling word."""
+        self._words()
+        return tuple(_move(list(reversed(label)), reversed(self._star_path)))
 
     def epsilon_star(self, i, label):
         return self.epsilon(i, self.star(label))

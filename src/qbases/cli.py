@@ -205,6 +205,9 @@ def _cmd_crystal(args):
 
 
 def _cmd_bw(args):
+    if args.height > PAIRING_HEIGHT_CAP:
+        raise UsageError(f"height {args.height} exceeds the word-level cap "
+                         f"{PAIRING_HEIGHT_CAP}")
     box = _load(args.type)
     datum = box["datum"]
     word = _reduced_word(datum, args.word)

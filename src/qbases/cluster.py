@@ -524,6 +524,8 @@ def cluster_monomial(seed, exponents):
 def reachable_seeds(preset, depth):
     """All seeds within the mutation depth, deduplicated by variable
     label-sets, in breadth-first order; plus the exchange log."""
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     seed0 = initial_seed(preset) if not isinstance(preset, QuantumSeed) \
         else preset
     seeds = [seed0]

@@ -404,7 +404,9 @@ class PBWContext:
             accumulate(out, hit, cf)
         return out
 
-    # -- Kashiwara decomposition and operators at the element level
+    # -- Kashiwara decomposition and operators at the element level: the
+    # algebraic crystal, kept as the reference route for the integer
+    # crystal on labels in canonical.py
 
     def kashiwara_components(self, i, f):
         """Decompose f = sum_m f_i^(m) x_m with e'_i x_m = 0."""

@@ -1,7 +1,7 @@
 """Go/no-go acceptance suite.
 
 Ten end-to-end checks: convention gate, canonical-basis integrity,
-two-route crystal subsets, duality of structure constants, the A2 and
+three-route crystal subsets, duality of structure constants, the A2 and
 A3 cluster verification harnesses, the preprojective suite,
 cross-module coherence, the component and epsilon desk checks, and
 byte-level determinism across worker counts.  Each test is one
@@ -161,7 +161,15 @@ def test_criterion_02_canonical_integrity():
     print(f"criterion 2 canonical integrity: PASS ({elapsed:.1f}s)")
 
 
-# -- 3. crystal subsets attached to Weyl elements, two routes
+# -- 3. crystal subsets attached to Weyl elements, three routes
+
+def _extend_to_longest(datum, word):
+    """A reduced word of the longest element that starts with the word."""
+    while len(word) < len(datum.positive_roots()):
+        word = next(word + (i,) for i in range(1, datum.rank + 1)
+                    if datum.is_reduced(word + (i,)))
+    return word
+
 
 def _build_bw_routes(workers):
     out = {}
@@ -169,11 +177,18 @@ def _build_bw_routes(workers):
         d = p["datum"]
         ctx = get_canonical(d)
         words = d.weyl_elements()
+        labels = ctx.labels_up_to_height(6)
         per_word = {}
         for w in words:
             via_pbw = ctx.bw_members_pbw(w, 6)
             via_crystal = ctx.bw_members_crystal(w, 6)
-            assert via_pbw == via_crystal, w
+            # third route: b is in B(w) iff its label along a reduced
+            # word of w0 extending w vanishes past position l(w)
+            full = _extend_to_longest(d, w)
+            via_transport = frozenset(
+                c for c in labels
+                if not any(ctx.transport(c, full)[len(w):]))
+            assert via_pbw == via_crystal == via_transport, w
             per_word[",".join(map(str, w)) or "e"] = sorted(
                 list(c) for c in via_pbw)
         out[d.name] = per_word

@@ -1,13 +1,16 @@
 """Canonical/dual-canonical tables, crystal labels, Saito reflections,
-and the two routes to the subsets attached to Weyl group elements."""
+and the routes to the subsets attached to Weyl group elements."""
+
+import random
 
 import pytest
 
 from qbases.laurent import LaurentPoly, RatFunc
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement
-from qbases.canonical import (CanonicalContext, get_canonical, pbw_indices,
-                              weights_up_to_height)
+from qbases import canonical
+from qbases.canonical import (CanonicalContext, braid_moves, get_canonical,
+                              move_label, pbw_indices, weights_up_to_height)
 
 Q = LaurentPoly({1: 1})
 RQ = RatFunc({1: 1})
@@ -298,6 +301,131 @@ def test_bw_routes_agree_all_a2(a2):
 def test_bw_routes_agree_a3_sample(a3):
     for w in [(1,), (2,), (1, 3), (2, 1, 3), (1, 2, 3)]:
         assert a3.bw_members_pbw(w, 3) == a3.bw_members_crystal(w, 3)
+
+
+def test_bw_routes_agree_d4():
+    p = load_preset("D4")
+    cc = get_canonical(p["datum"], p["longest_word"])
+    word = (2, 1, 3, 4, 2)
+    via_crystal = cc.bw_members_crystal(word, 4)
+    assert cc.bw_members_pbw(word, 4) == via_crystal
+    assert len(via_crystal) == 20
+
+
+# -- the crystal on labels against the algebraic PBW crystal
+
+_R1 = RatFunc(1)
+
+
+def _algebraic_label(coords):
+    """Label of an algebraic crystal step's output (None for crystal
+    zero); the output must be congruent to a basis vector mod q."""
+    at_zero = {}
+    for c, v in coords.items():
+        assert v.regular_at_zero(), "crystal step left the lattice"
+        if v.at_zero():
+            at_zero[c] = v.at_zero()
+    if not at_zero:
+        return None
+    assert len(at_zero) == 1 and set(at_zero.values()) == {1}, at_zero
+    return next(iter(at_zero))
+
+
+@pytest.mark.parametrize("name,height",
+                         [("A2", 6), ("A3", 5), ("A4", 3), ("D4", 3)])
+def test_crystal_matches_pbw_oracle(name, height):
+    p = load_preset(name)
+    cc = get_canonical(p["datum"], p["longest_word"])
+    pbw = cc.ctx
+    down = {}
+
+    def e_alg(i, c):
+        key = (i, c)
+        if key not in down:
+            down[key] = _algebraic_label(pbw.etilde(i, {c: _R1}))
+        return down[key]
+
+    checks = 0
+    for c in cc.labels_up_to_height(height):
+        for i in range(1, p["datum"].rank + 1):
+            assert cc.ftilde(i, c) == _algebraic_label(
+                pbw.ftilde(i, {c: _R1})), (i, c)
+            assert cc.etilde(i, c) == e_alg(i, c), (i, c)
+            eps, cur = 0, e_alg(i, c)
+            while cur is not None:
+                eps, cur = eps + 1, e_alg(i, cur)
+            assert cc.epsilon(i, c) == eps, (i, c)
+            checks += 3
+        assert cc.star(c) == _algebraic_label(pbw.star({c: _R1})), c
+        checks += 1
+    assert checks > 300
+
+
+@pytest.mark.parametrize("name", ["A3", "D4"])
+def test_braid_moves_are_weight_preserving_involutions(name):
+    p = load_preset(name)
+    d = p["datum"]
+    cc = get_canonical(d, p["longest_word"])
+    rng = random.Random(5)
+    roots = {}
+
+    def weight(word, label):
+        if word not in roots:
+            # the inversion sequence, without re-checking reducedness
+            roots[word] = [d.act(word[:pos], d.simple_root(word[pos]))
+                           for pos in range(len(word))]
+        return tuple(sum(m * beta[t] for m, beta in zip(label, roots[word]))
+                     for t in range(d.rank))
+
+    words = list(cc._words())
+    assert len(words) == {"A3": 16, "D4": 2316}[name]
+    for word in rng.sample(words, min(len(words), 300)):
+        for k, span, other in braid_moves(d, word):
+            assert (k, span, word) in braid_moves(d, other)
+            label = [rng.randrange(4) for _ in word]
+            moved = list(label)
+            move_label(moved, k, span)
+            assert min(moved) >= 0
+            assert weight(other, moved) == weight(word, label)
+            move_label(moved, k, span)
+            assert moved == label
+
+
+def test_transport_reaches_every_reduced_word(a2, a3):
+    assert a2.transport((1, 2, 3), (2, 1, 2)) == (4, 1, 2)
+    assert a2.transport((4, 1, 2), (1, 2, 1)) == (4, 1, 2)
+    for c in a3.labels_up_to_height(3):
+        for word in a3._words():
+            back = a3._words()[word]
+            assert canonical._move(list(a3.transport(c, word)),
+                                   reversed(back)) == list(c)
+    with pytest.raises(ValueError, match="not a reduced word"):
+        a2.transport((0, 0, 0), (1, 2, 2))
+
+
+def test_star_needs_the_twisted_reversed_word(a3):
+    words = a3._words()
+    plain = tuple(reversed(a3.word))
+    twisted = tuple(4 - i for i in plain)
+    assert plain != twisted
+
+    def star_via(word, c):
+        return tuple(canonical._move(list(reversed(c)),
+                                     reversed(words[word])))
+
+    labels = a3.labels_up_to_height(4)
+    assert all(star_via(twisted, c) == a3.star(c) for c in labels)
+    wrong = [c for c in labels if star_via(plain, c) != a3.star(c)]
+    assert wrong
+
+
+def test_crystal_step_weight_check_is_loud(a2, monkeypatch):
+    def swap_only(label, k, span):
+        label[k], label[k + 1] = label[k + 1], label[k]
+
+    monkeypatch.setattr(canonical, "move_label", swap_only)
+    with pytest.raises(AssertionError, match=r"i = 2 on label \(0, 1, 0\)"):
+        a2.ftilde(2, (0, 1, 0))
 
 
 def test_epsilon_bound_set_unit_is_everything(a2):

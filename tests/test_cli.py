@@ -32,6 +32,7 @@ def test_usage_errors(tmp_path, capsys):
                   "--height", "4"),
                  # above the word-level cap, refused before any table
                  ("basis", "--type", "A2", "--height", "30"),
+                 ("bw", "--type", "A2", "--word", "1", "--height", "15"),
                  # negative counts
                  ("cluster-verify", "--preset", "A2", "--exp", "-1"),
                  ("cluster-verify", "--preset", "A2", "--depth", "-1"),

@@ -252,6 +252,11 @@ def test_verify_rejects_negative_bounds():
         verify_conjecture("A2", 0, -1)
 
 
+def test_reachable_seeds_rejects_negative_depth():
+    with pytest.raises(ValueError, match="nonnegative, got -3"):
+        reachable_seeds("A2", -3)
+
+
 def test_verify_deterministic_across_workers(monkeypatch):
     r1 = verify_conjecture("A2", 2, 2, workers=1)
     # the second run starts from cold PBW and canonical caches
