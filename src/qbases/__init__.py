@@ -6,8 +6,6 @@ quantum cluster mutation on top.
 
 __version__ = "0.1.0"
 
-from .laurent import LaurentPoly, RatFunc, quantum_binomial, quantum_factorial, quantum_int
-
 __all__ = [
     "LaurentPoly",
     "RatFunc",
@@ -15,3 +13,12 @@ __all__ = [
     "quantum_factorial",
     "quantum_binomial",
 ]
+
+
+def __getattr__(name):
+    """The ``laurent`` names of ``__all__``, imported on first access, so
+    that importing the package (as the CLI does) compiles no algebra."""
+    if name in __all__:
+        from . import laurent
+        return getattr(laurent, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,24 +3,29 @@ preprojective enumerations, conjecture verification, and epsilon-bound
 shadows, emitted as JSON, CSV, or TeX."""
 
 import argparse
-import csv
 import functools
 import hashlib
 import io
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
-from .quiver import load_preset
-from .canonical import get_canonical, weights_up_to_height
-from .wordalg import PAIRING_HEIGHT_CAP
-from .preproj import (ENUM_BOUNDS, all_dims_up_to, enumerate_modules,
-                      is_open_orbit, is_rigid)
-from .cluster import verify_conjecture
+
+# Each handler imports its own layers when it runs, so a cache hit, --help
+# and a usage error caught before any handler load no algebra module.
 
 CACHE_ENV = "QBASES_CACHE"
+
+
+def __getattr__(name):
+    """``verify_conjecture`` is read from ``cluster`` on each access and
+    never stored here: importing the CLI loads no algebra, and a wrapper
+    installed on ``cluster`` is what callers of ``cli`` get."""
+    if name == "verify_conjecture":
+        from . import cluster
+        return cluster.verify_conjecture
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(ValueError):
@@ -61,6 +66,7 @@ def _reduced_word(datum, text):
 
 
 def _load(name):
+    from .quiver import load_preset
     try:
         return load_preset(name)
     except ValueError as e:
@@ -146,6 +152,7 @@ def emit_report(results, fmt, failures=None):
     items = results if isinstance(results, list) else \
         results.get("monomials", [results])
     if fmt == "csv":
+        import csv
         rows = [r for item in items for r in _csv_rows(item)]
         for f in failures or ():
             rows.append({"failure": _cell(f)})
@@ -168,6 +175,8 @@ def emit_report(results, fmt, failures=None):
 
 
 def _cmd_basis(args):
+    from .canonical import get_canonical, weights_up_to_height
+    from .wordalg import PAIRING_HEIGHT_CAP
     if args.height > PAIRING_HEIGHT_CAP:
         raise UsageError(f"height {args.height} exceeds the word-level cap "
                          f"{PAIRING_HEIGHT_CAP}")
@@ -182,6 +191,7 @@ def _cmd_basis(args):
 
 
 def _cmd_crystal(args):
+    from .canonical import get_canonical
     box = _load(args.type)
     datum = box["datum"]
     ctx = get_canonical(datum, box["longest_word"])
@@ -205,6 +215,8 @@ def _cmd_crystal(args):
 
 
 def _cmd_bw(args):
+    from .canonical import get_canonical
+    from .wordalg import PAIRING_HEIGHT_CAP
     if args.height > PAIRING_HEIGHT_CAP:
         raise UsageError(f"height {args.height} exceeds the word-level cap "
                          f"{PAIRING_HEIGHT_CAP}")
@@ -229,6 +241,8 @@ def _cmd_bw(args):
 
 
 def _cmd_preproj(args):
+    from .preproj import (ENUM_BOUNDS, all_dims_up_to, enumerate_modules,
+                          is_open_orbit, is_rigid)
     box = _load(args.type)
     datum, orientation = box["datum"], box["orientation"]
     if args.dim:
@@ -264,9 +278,10 @@ def _cmd_preproj(args):
 
 
 def _cmd_cluster_verify(args):
+    from . import cluster
     try:
-        report = verify_conjecture(args.preset, args.depth, args.exp,
-                                   workers=args.workers)
+        report = cluster.verify_conjecture(args.preset, args.depth,
+                                           args.exp, workers=args.workers)
     except ValueError as e:
         raise UsageError(str(e)) from None
     failures = [{"invariant": "cluster monomial is dual canonical",
@@ -279,6 +294,7 @@ def _cmd_cluster_verify(args):
 
 
 def _cmd_ss_bound(args):
+    from .canonical import get_canonical
     box = _load(args.type)
     datum = box["datum"]
     ctx = get_canonical(datum, box["longest_word"])
@@ -378,6 +394,20 @@ def _cache_key(args):
     return f"{args.command}-{hashlib.sha256(blob).hexdigest()[:24]}.json"
 
 
+def _cache_path(args):
+    """The cache file of a command line under $QBASES_CACHE, creating the
+    directory; None when the variable is unset or empty."""
+    cache_dir = os.environ.get(CACHE_ENV)
+    if not cache_dir:
+        return None
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"{CACHE_ENV}={cache_dir!r} is not a usable "
+                         f"directory: {e.strerror}") from None
+    return os.path.join(cache_dir, _cache_key(args))
+
+
 def _read_cache(path):
     """(results, failures) of a cache file; None when the file is missing,
     unreadable or malformed, so the caller recomputes and rewrites it."""
@@ -392,6 +422,7 @@ def _read_cache(path):
 def _write_cache(path, results, failures):
     """Write through a temporary file in the cache directory and rename it
     into place, so no reader ever sees a partial file."""
+    import tempfile
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -411,36 +442,33 @@ def execute(argv=None):
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
 
-    cache_dir = os.environ.get(CACHE_ENV)
-    cache_path = None
-    results = failures = None
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, _cache_key(args))
-        results, failures = _read_cache(cache_path) or (None, None)
-
-    if results is None:
-        try:
-            results, failures = _HANDLERS[args.command](args)
-        except UsageError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        # normalize tuples so cached and fresh runs emit identical bytes
-        results = json.loads(json.dumps(results))
-        failures = json.loads(json.dumps(failures))
-        if cache_path:
-            _write_cache(cache_path, results, failures)
-
     try:
+        if args.out and not os.path.isdir(
+                os.path.dirname(os.path.abspath(args.out))):
+            raise UsageError(f"--out {args.out!r}: no such directory")
+        cache_path = _cache_path(args)
+        results, failures = (cache_path and _read_cache(cache_path)) \
+            or (None, None)
+        if results is None:
+            results, failures = _HANDLERS[args.command](args)
+            # normalize tuples so cached and fresh runs emit identical bytes
+            results = json.loads(json.dumps(results))
+            failures = json.loads(json.dumps(failures))
+            if cache_path:
+                _write_cache(cache_path, results, failures)
         data = emit_report(results, args.format, failures=failures)
+        if args.out:
+            try:
+                with open(args.out, "wb") as fh:
+                    fh.write(data)
+            except OSError as e:
+                raise UsageError(f"cannot write --out {args.out!r}: "
+                                 f"{e.strerror}") from None
+        else:
+            sys.stdout.buffer.write(data)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.buffer.write(data)
     return 1 if failures else 0
 
 

@@ -421,6 +421,9 @@ def enumerate_modules(datum, orientation, dim, workers=1):
     ``workers`` is accepted for API compatibility; the search is serial.
     """
     dim = tuple(int(d) for d in dim)
+    if len(dim) != datum.rank or any(d < 0 for d in dim):
+        raise ValueError(f"dimension vector {dim} needs {datum.rank} "
+                         f"nonnegative entries, the rank of {datum.name}")
     key = (datum.cartan, tuple(tuple(h) for h in orientation), dim)
     hit = _ENUM_CACHE.get(key)
     if hit is not None:
@@ -429,7 +432,7 @@ def enumerate_modules(datum, orientation, dim, workers=1):
     if bound is None:
         raise ValueError(
             f"enumeration unsupported for type {datum.name!r}")
-    if len(dim) != len(bound) or any(d > b for d, b in zip(dim, bound)):
+    if any(d > b for d, b in zip(dim, bound)):
         raise ValueError(
             f"dimension {dim} exceeds preset enumeration bound {bound}")
     arrows = double_arrows(orientation)

@@ -13,6 +13,7 @@ import json
 import time
 from fractions import Fraction
 
+from qbases import canonical, pbwalg, preproj
 from qbases.braid import TriangularElement, braid_word_apply
 from qbases.canonical import get_canonical, weights_up_to_height
 from qbases.cluster import reachable_seeds, verify_conjecture
@@ -386,10 +387,18 @@ _BUILDERS = {1: _build_convention, 2: _build_integrity, 3: _build_bw_routes,
              7: _build_preproj, 8: _build_coherence, 9: _build_desk_checks}
 
 
-def test_criterion_10_worker_determinism():
+def test_criterion_10_worker_determinism(monkeypatch):
+    base = {num: _bytes(_digest(num, 1, build))
+            for num, build in _BUILDERS.items()}
+    # the rebuild starts from cold caches, so it recomputes every context,
+    # table and enumeration instead of reading back the first run's
+    monkeypatch.setattr(pbwalg, "_CONTEXTS", {})
+    monkeypatch.setattr(canonical, "_CANONICAL", {})
+    monkeypatch.setattr(preproj, "_ENUM_CACHE", {})
+    monkeypatch.setattr(preproj, "_INDEC_CACHE", {})
     for num, build in _BUILDERS.items():
-        base = _bytes(_digest(num, 1, build))
         redo = _bytes(_digest(num, 3, build))
-        assert base == redo, f"criterion {num} output varies with workers"
+        assert base[num] == redo, \
+            f"criterion {num} output varies with workers"
     print("criterion 10 determinism: PASS (9 digests byte-identical "
           "across 1 and 3 workers)")

@@ -2,9 +2,13 @@
 determinism across worker counts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qbases
 from qbases import cli
 
 
@@ -41,13 +45,41 @@ def test_usage_errors(tmp_path, capsys):
                  ("bw", "--type", "A2", "--word", "1,2", "--height", "-1"),
                  ("ss-bound", "--type", "A2", "--label", "1,0,0",
                   "--height", "-1"),
-                 ("preproj", "--type", "A2", "--workers", "-1")):
+                 ("preproj", "--type", "A2", "--workers", "-1"),
+                 # a dimension vector of the wrong length or with a
+                 # negative entry
+                 ("preproj", "--type", "A2", "--dim=1"),
+                 ("preproj", "--type", "A2", "--dim=-1,2")):
         capsys.readouterr()
         code, _ = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if argv[-1].startswith("--dim="):
+            assert "2 nonnegative entries, the rank of A2" in err
+    # an --out that cannot be written: refused, not a traceback and exit 1
+    for out in (tmp_path / "nonexistent" / "x", tmp_path):
+        capsys.readouterr()
+        code = cli.execute(["basis", "--type", "A2", "--height", "2",
+                            "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
     assert cli.execute(["no-such-command"]) == 2
     assert cli.execute(["--help"]) == 0
+
+
+def test_cache_path_naming_a_file_is_a_usage_error(tmp_path, monkeypatch,
+                                                   capsys):
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    monkeypatch.setenv(cli.CACHE_ENV, str(blocker))
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "basis",
+                        lambda args: ran.append(args) or ([], []))
+    code, data = run(tmp_path, "basis", "--type", "A2", "--height", "2")
+    assert (code, data, ran) == (2, b"", [])
+    assert "error:" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_basis_json_table(tmp_path):
@@ -196,3 +228,101 @@ def test_cache_key_follows_source_digest(monkeypatch):
     assert len(cli._source_digest()) == 64
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
     assert cli._cache_key(args) != key
+
+
+# -- cold start: the modules a fresh interpreter loads for one command line
+
+ALGEBRA = ("laurent", "linalg", "wordalg", "braid", "pbwalg", "canonical",
+           "cluster", "preproj")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(qbases.__file__)))
+PROBE = ("import json, sys\n"
+         "from qbases import cli\n"
+         "code = cli.execute(sys.argv[2:])\n"
+         "with open(sys.argv[1], 'w') as fh:\n"
+         "    json.dump([code, sorted(m[7:] for m in sys.modules\n"
+         "                            if m.startswith('qbases.'))], fh)\n")
+
+
+def fresh_run(tmp_path, argv, cache=None):
+    """(exit code, qbases submodules loaded, stdout) of ``cli.execute``
+    in a fresh interpreter that compiles from source."""
+    path = filter(None, (SRC, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(path))
+    env.pop(cli.CACHE_ENV, None)
+    if cache is not None:
+        env[cli.CACHE_ENV] = str(cache)
+    probe = tmp_path / "probe.json"
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(probe)]
+                          + list(argv), env=env, capture_output=True,
+                          timeout=120, check=True)
+    code, loaded = json.loads(probe.read_text())
+    return code, set(loaded), proc.stdout
+
+
+def test_cache_hit_help_and_usage_errors_load_no_algebra(tmp_path,
+                                                         monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    argv = ("basis", "--type", "A2", "--height", "3")
+    code, miss = run(tmp_path, *argv)
+    assert code == 0 and len(list(cache.iterdir())) == 1
+    code, loaded, hit = fresh_run(tmp_path, argv, cache)
+    assert code == 0 and hit == miss
+    assert loaded.isdisjoint(ALGEBRA), loaded
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for argv, cache_dir in (
+            (("--help",), None),
+            (("no-such-command",), None),
+            (("basis", "--type", "A2", "--height", "-1"), None),
+            (("basis", "--type", "A2", "--out",
+              str(tmp_path / "nonexistent" / "x")), None),
+            (("basis", "--type", "A2"), blocker)):
+        code, loaded, _ = fresh_run(tmp_path, argv, cache_dir)
+        assert code == (0 if argv == ("--help",) else 2), argv
+        assert loaded.isdisjoint(ALGEBRA), (argv, loaded)
+
+
+def test_preproj_miss_loads_no_pbw_layers(tmp_path):
+    code, loaded, out = fresh_run(
+        tmp_path, ("preproj", "--type", "A2", "--dim", "1,1"))
+    assert code == 0 and len(json.loads(out)["items"]) == 3
+    assert "preproj" in loaded
+    assert loaded.isdisjoint({"laurent", "pbwalg", "canonical", "cluster"})
+
+
+def test_verify_conjecture_is_read_from_cluster(tmp_path, monkeypatch):
+    from qbases import cluster
+    assert cli.verify_conjecture is cluster.verify_conjecture
+    # a wrapper installed on cluster, as tracing installs one, reaches both
+    # the attribute and the handler
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return {"monomials": [], "exchange_log": []}
+    monkeypatch.setattr(cluster, "verify_conjecture", wrapper)
+    assert cli.verify_conjecture is wrapper
+    code, _ = run(tmp_path, "cluster-verify", "--preset", "A2",
+                  "--depth", "0", "--exp", "0")
+    assert code == 0 and calls == [("A2", 0, 0)]
+    assert "verify_conjecture" not in vars(cli)
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_package_exports_laurent_names():
+    from qbases import (LaurentPoly, RatFunc, quantum_binomial,
+                        quantum_factorial, quantum_int)
+    from qbases import laurent
+    assert (LaurentPoly, RatFunc, quantum_int, quantum_factorial,
+            quantum_binomial) == (laurent.LaurentPoly, laurent.RatFunc,
+                                  laurent.quantum_int,
+                                  laurent.quantum_factorial,
+                                  laurent.quantum_binomial)
+    scope = {}
+    exec("from qbases import *", scope)
+    assert {n for n in scope if n != "__builtins__"} == set(qbases.__all__)
+    with pytest.raises(AttributeError):
+        qbases.nope

@@ -97,6 +97,10 @@ def test_enumerate_examples(a2):
 def test_enumerate_bound_and_type_errors(a2):
     with pytest.raises(ValueError, match="bound"):
         enumerate_modules(a2["datum"], a2["orientation"], (3, 0))
+    for dim in ((1,), (1, 1, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="2 nonnegative entries, the "
+                                             "rank of A2"):
+            enumerate_modules(a2["datum"], a2["orientation"], dim)
     p = load_preset("D4")
     with pytest.raises(ValueError, match="unsupported"):
         enumerate_modules(p["datum"], p["orientation"], (1, 0, 0, 0))
