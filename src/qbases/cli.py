@@ -184,7 +184,10 @@ def _cmd_basis(args):
     datum = box["datum"]
     word = (_reduced_word(datum, args.word) if args.word
             else box["longest_word"])
-    ctx = get_canonical(datum, word)
+    try:
+        ctx = get_canonical(datum, word)
+    except ValueError as e:  # a reduced word that is not a longest word
+        raise UsageError(str(e)) from None
     items = [ctx.canonical_basis(w).to_json()
              for w in weights_up_to_height(datum.rank, args.height)]
     return items, []
@@ -256,8 +259,7 @@ def _cmd_preproj(args):
     failures = []
     for dim in dims:
         try:
-            classes = enumerate_modules(datum, orientation, dim,
-                                        workers=args.workers)
+            classes = enumerate_modules(datum, orientation, dim)
         except ValueError as e:
             raise UsageError(str(e)) from None
         for m in classes:
@@ -281,7 +283,7 @@ def _cmd_cluster_verify(args):
     from . import cluster
     try:
         report = cluster.verify_conjecture(args.preset, args.depth,
-                                           args.exp, workers=args.workers)
+                                           args.exp)
     except ValueError as e:
         raise UsageError(str(e)) from None
     failures = [{"invariant": "cluster monomial is dual canonical",
@@ -325,7 +327,6 @@ def _build_parser():
         p.add_argument("--format", choices=("json", "csv", "tex"),
                        default="json")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--workers", type=_count, default=1)
 
     p = sub.add_parser("basis", help="canonical basis tables by weight")
     common(p)
@@ -387,7 +388,7 @@ def _source_digest():
 
 
 def _cache_key(args):
-    skip = {"format", "out", "workers"}
+    skip = {"format", "out"}
     payload = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     payload["qbases"] = [__version__, _source_digest()]
     blob = json.dumps(payload, sort_keys=True).encode()

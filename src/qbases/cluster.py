@@ -7,13 +7,11 @@ exchange graph and checks that every cluster monomial is a q-power
 multiple of a dual canonical basis element.
 """
 
-import functools
 import itertools
 
 from .laurent import LaurentPoly, RatFunc, accumulate
 from .linalg import solve
 from .canonical import DualElement, get_canonical
-from .pbwalg import pbw_norm
 from .quiver import load_preset
 
 # monomial products beyond this total height are refused
@@ -404,12 +402,6 @@ class ClusterMonomialReport:
         }
 
 
-@functools.cache
-def _dual_pbw_scale(d, height):
-    """(L(d), L(d)): the factor from L(d)- to E*(d)-coordinates."""
-    return pbw_norm(d, height)
-
-
 def _certificate(seed, exponents):
     """(label, p) when the ordered product X of the seed variables has
     coordinates over the dual PBW basis E*(d) = L(d) / (L(d), L(d)) that
@@ -427,10 +419,9 @@ def _certificate(seed, exponents):
             y = ctx.dual_pbw_coords(label)
             for _ in range(e):
                 x = pbw.mul(x, y)
-    height = sum(pbw.element_weight(x))
     lowest = {}
     for d, v in x.items():
-        v = v * _dual_pbw_scale(d, height)
+        v = v * pbw.norm(d)
         if not v.is_laurent():
             return None
         v = v.to_laurent()
@@ -557,13 +548,10 @@ def reachable_seeds(preset, depth):
     return seeds, log
 
 
-def verify_conjecture(preset, depth, exp_bound, workers=1):
+def verify_conjecture(preset, depth, exp_bound):
     """Walk the exchange graph to the depth, then normalize every
     cluster monomial with exponents up to the bound and test membership
-    of its label in the crystal subset of the seed word.
-
-    ``workers`` is accepted for API compatibility; the run is serial.
-    """
+    of its label in the crystal subset of the seed word."""
     if depth < 0 or exp_bound < 0:
         raise ValueError(
             f"depth and exponent bound must be nonnegative, got {depth} "

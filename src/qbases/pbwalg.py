@@ -99,8 +99,8 @@ class PBWContext:
         self._bar_mono = {}
         self._star_mono = {}
         self._eprime_mono = {}
-        self._eperp_mono = {}
         self._fmult_mono = {}
+        self._norm = {}
         self._gram = {}
 
     # -- bookkeeping
@@ -252,7 +252,7 @@ class PBWContext:
                 if v is not None:
                     num = num + cw * v
             if num:
-                out[d] = xd = num / pbw_norm(d, sum(weight))
+                out[d] = xd = num / self.norm(d)
                 accumulate(residual, ld.terms, -xd)
         if not WordElement(self.datum, residual).is_algebra_zero():
             raise AssertionError(
@@ -470,115 +470,38 @@ class PBWContext:
 
     # -- bilinear form
 
-    def eperp(self, p, f):
-        """Adjoint of left multiplication by the root vector E_p:
-        (E_p z, x) = (z, eperp(p, x)).
-
-        Stripping a word w = (j_1,...,j_k) from the left of the other
-        argument composes e'_{j_1} first, so the adjoint of E_p is the
-        sum over its word expansion of those e' compositions.
-        """
-        out = {}
-        for c, cf in f.items():
-            key = (p, c)
-            hit = self._eperp_mono.get(key)
-            if hit is None:
-                total = {}
-                for w, cw in self.vectors[p].terms.items():
-                    cur = {c: _R_ONE}
-                    for j in w:
-                        cur = self.eprime(j, cur)
-                        if not cur:
-                            break
-                    if cur:
-                        accumulate(total, cur, cw)
-                hit = self._eperp_mono[key] = total
-            accumulate(out, hit, cf)
-        return out
+    def norm(self, c):
+        """(L(c), L(c)) by the closed form, with the height read off c."""
+        hit = self._norm.get(c)
+        if hit is None:
+            hit = self._norm[c] = pbw_norm(c, sum(self.weight_of(c)))
+        return hit
 
     def gram(self, weight):
         """(indices, Gram matrix) of the PBW basis at the weight.
 
-        Descends by stripping the leftmost PBW factor of the column
-        index as a block: (x, E_p^(m) z) = ((eperp_p)^m x, z) / [m]!.
-        Off-diagonal entries must vanish; a nonzero one means the braid
-        convention is broken, and raises immediately.
+        The basis is orthogonal (Lusztig 1993, 38.2.3), so the matrix is
+        diagonal with the closed-form norms.  Both facts are certified by
+        the reconstruction check of coords_of_word_element at every
+        weight where the braid convention enters.
         """
         weight = tuple(weight)
         hit = self._gram.get(weight)
-        if hit is not None:
-            return hit
-        inds = self.indices(weight)
-        if not any(weight):
-            hit = self._gram[weight] = (inds, [[_R_ONE]])
-            return hit
-        if not inds:
-            hit = self._gram[weight] = (inds, [])
-            return hit
-        mat = [[None] * len(inds) for _ in inds]
-        for bi, b in enumerate(inds):
-            p = next(t for t, m in enumerate(b) if m)
-            m = b[p]
-            bhat = b[:p] + (0,) + b[p + 1:]
-            beta = self.roots[p]
-            lower = tuple(v - m * r for v, r in zip(weight, beta))
-            linds, lmat = self.gram(lower)
-            place = {c: k for k, c in enumerate(linds)}
-            col = place[bhat]
-            inv_fact = _R_ONE / self._dfact((m,))
-            for ai, a in enumerate(inds):
-                x = {a: _R_ONE}
-                for _ in range(m):
-                    x = self.eperp(p, x)
-                    if not x:
-                        break
-                val = RatFunc(0)
-                for d, xd in x.items():
-                    entry = lmat[place[d]][col]
-                    if entry:
-                        val = val + xd * entry
-                mat[ai][bi] = val * inv_fact
-        for a in range(len(inds)):
-            for b in range(len(inds)):
-                if a != b and mat[a][b]:
-                    raise AssertionError(
-                        f"PBW basis not orthogonal at weight {weight}: "
-                        f"({inds[a]}, {inds[b]}) = {mat[a][b]}")
-            if not mat[a][a]:
-                raise AssertionError(
-                    f"PBW norm vanishes at {inds[a]}")
-        hit = self._gram[weight] = (inds, mat)
+        if hit is None:
+            inds = self.indices(weight)
+            mat = [[self.norm(a) if a == b else RatFunc(0) for b in inds]
+                   for a in inds]
+            hit = self._gram[weight] = (inds, mat)
         return hit
 
-    def _pair_known(self, f, g):
-        """Pair two homogeneous dicts via the Gram of their weight."""
-        if not f or not g:
-            return RatFunc(0)
-        weight = self.element_weight(f)
-        inds, mat = self.gram(weight)
-        place = {c: k for k, c in enumerate(inds)}
+    def pairing(self, f, g):
+        """Kashiwara bilinear form: sum_c f_c g_c (L(c), L(c))."""
         val = RatFunc(0)
         for c, fc in f.items():
-            row = mat[place[c]]
-            for d, gd in g.items():
-                entry = row[place[d]]
-                if entry:
-                    val = val + fc * gd * entry
+            gc = g.get(c)
+            if gc is not None:
+                val = val + fc * gc * self.norm(c)
         return val
-
-    def pairing(self, f, g):
-        """Kashiwara bilinear form of two homogeneous dicts."""
-        if not f or not g:
-            return RatFunc(0)
-        wf = self.element_weight(f)
-        wg = self.element_weight(g)
-        if wf != wg:
-            return RatFunc(0)
-        if not any(wf):
-            zero = self.zero_index()
-            return f[zero] * g[zero]
-        self.gram(wf)
-        return self._pair_known(f, g)
 
 
 _CONTEXTS = {}

@@ -411,14 +411,13 @@ def _intertwiner_search(left, right, basis):
 _ENUM_CACHE = {}
 
 
-def enumerate_modules(datum, orientation, dim, workers=1):
+def enumerate_modules(datum, orientation, dim):
     """One representative per isomorphism class of nilpotent modules of
     the dimension vector, exhaustively for the bounded presets.
 
     Candidates run over 0/1 matrix entries; at the configured bounds
     every isomorphism class has such a representative (each class is a
     sum of indecomposables that admit 0/1 normal forms there).
-    ``workers`` is accepted for API compatibility; the search is serial.
     """
     dim = tuple(int(d) for d in dim)
     if len(dim) != datum.rank or any(d < 0 for d in dim):
@@ -469,7 +468,7 @@ def all_dims_up_to(bound):
 _INDEC_CACHE = {}
 
 
-def indecomposables(datum, orientation, workers=1):
+def indecomposables(datum, orientation):
     """All indecomposable classes with dimensions below the preset
     bound, by brute-force splitting against smaller classes."""
     bound = ENUM_BOUNDS.get(datum.name)
@@ -481,7 +480,7 @@ def indecomposables(datum, orientation, workers=1):
         return hit
     by_dim = {}
     for dim in all_dims_up_to(bound):
-        by_dim[dim] = enumerate_modules(datum, orientation, dim, workers)
+        by_dim[dim] = enumerate_modules(datum, orientation, dim)
     indec = []
     for dim, classes in by_dim.items():
         for m in classes:
@@ -758,11 +757,11 @@ def hom_leq(special, generic, probes):
     return True
 
 
-def components(datum, orientation, dim, workers=1):
+def components(datum, orientation, dim):
     """Representatives of the irreducible components of the nilpotent
     variety: classes maximal in the hom order."""
-    classes = enumerate_modules(datum, orientation, dim, workers)
-    probes = indecomposables(datum, orientation, workers)
+    classes = enumerate_modules(datum, orientation, dim)
+    probes = indecomposables(datum, orientation)
     out = []
     for m in classes:
         dominated = False
@@ -777,9 +776,9 @@ def components(datum, orientation, dim, workers=1):
     return tuple(out)
 
 
-def components_containing(datum, orientation, dim, point, workers=1):
-    probes = indecomposables(datum, orientation, workers)
-    return tuple(m for m in components(datum, orientation, dim, workers)
+def components_containing(datum, orientation, dim, point):
+    probes = indecomposables(datum, orientation)
+    return tuple(m for m in components(datum, orientation, dim)
                  if hom_leq(point, m, probes))
 
 

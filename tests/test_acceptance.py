@@ -4,7 +4,7 @@ Ten end-to-end checks: convention gate, canonical-basis integrity,
 three-route crystal subsets, duality of structure constants, the A2 and
 A3 cluster verification harnesses, the preprojective suite,
 cross-module coherence, the component and epsilon desk checks, and
-byte-level determinism across worker counts.  Each test is one
+byte-level determinism of a rerun from cold caches.  Each test is one
 pass/fail line under -v; wall-clock ceilings are asserted where they
 are part of the contract.
 """
@@ -24,6 +24,7 @@ from qbases.preproj import (ENUM_BOUNDS, PreprojModule, all_dims_up_to,
                             is_open_orbit, is_rigid, module_label,
                             mutate_rigid, preproj_preset, simple_module)
 from qbases.quiver import load_preset
+from test_pbw import ref_gram
 
 A2 = load_preset("A2")
 A3 = load_preset("A3")
@@ -32,11 +33,14 @@ ONE = [[Fraction(1)]]
 _DIGESTS = {}
 
 
-def _digest(num, workers, build):
-    key = (num, workers)
-    if key not in _DIGESTS:
-        _DIGESTS[key] = json.loads(json.dumps(build(workers)))
-    return _DIGESTS[key]
+def _normalized(payload):
+    return json.loads(json.dumps(payload))
+
+
+def _digest(num, build):
+    if num not in _DIGESTS:
+        _DIGESTS[num] = _normalized(build())
+    return _DIGESTS[num]
 
 
 def _bytes(payload):
@@ -55,7 +59,7 @@ def _gens(d):
 
 # -- 1. convention gate
 
-def _build_convention(workers):
+def _build_convention():
     braid_checks = 0
     for p in (A2, A3):
         d = p["datum"]
@@ -91,12 +95,16 @@ def _build_convention(workers):
         for wt in weights_up_to_height(p["datum"].rank, ht):
             tab = ctx.canonical_basis(wt)
             k = len(tab.indices)
+            # the closed-form Gram against the e' recursion
+            inds, ref = ref_gram(ctx.ctx, wt)
+            assert inds == tab.indices and tab.pbw_gram == ref, wt
             for a in range(k):
                 assert tab.transition[a][a].is_one()
+                assert ref[a][a], (wt, a)
                 for b in range(k):
                     if a == b:
                         continue
-                    assert not tab.pbw_gram[a][b], (wt, a, b)
+                    assert not ref[a][b], (wt, a, b)
                     pairs += 1
                     entry = tab.transition[a][b]
                     if entry:
@@ -111,7 +119,7 @@ def _build_convention(workers):
 
 def test_criterion_01_convention_gate():
     t0 = time.time()
-    dig = _digest(1, 1, _build_convention)
+    dig = _digest(1, _build_convention)
     elapsed = time.time() - t0
     assert dig["congruent_elements"] == {"A2": 95, "A3": 217}
     assert elapsed < 300
@@ -120,7 +128,7 @@ def test_criterion_01_convention_gate():
 
 # -- 2. canonical-basis integrity
 
-def _build_integrity(workers):
+def _build_integrity():
     out = {}
     for p, ht in ((A2, 8), (A3, 6)):
         d = p["datum"]
@@ -155,7 +163,7 @@ def _build_integrity(workers):
 
 def test_criterion_02_canonical_integrity():
     t0 = time.time()
-    dig = _digest(2, 1, _build_integrity)
+    dig = _digest(2, _build_integrity)
     elapsed = time.time() - t0
     assert len(dig["A2"]) and len(dig["A3"])
     assert elapsed < 300
@@ -172,7 +180,7 @@ def _extend_to_longest(datum, word):
     return word
 
 
-def _build_bw_routes(workers):
+def _build_bw_routes():
     out = {}
     for p in (A2, A3):
         d = p["datum"]
@@ -198,7 +206,7 @@ def _build_bw_routes(workers):
 
 def test_criterion_03_bw_route_agreement():
     t0 = time.time()
-    dig = _digest(3, 1, _build_bw_routes)
+    dig = _digest(3, _build_bw_routes)
     elapsed = time.time() - t0
     assert len(dig["A2"]) == 6 and len(dig["A3"]) == 24
     assert elapsed < 600
@@ -207,7 +215,7 @@ def test_criterion_03_bw_route_agreement():
 
 # -- 4. duality of structure constants, two routes
 
-def _build_duality(workers):
+def _build_duality():
     out = {}
     for p, hmax in ((A2, 5), (A3, 4)):
         d = p["datum"]
@@ -238,7 +246,7 @@ def _build_duality(workers):
 
 
 def test_criterion_04_duality_consistency():
-    dig = _digest(4, 1, _build_duality)
+    dig = _digest(4, _build_duality)
     assert len(dig["A2"]) == 144 and len(dig["A3"]) == 223
     print("criterion 4 duality consistency: PASS "
           f"({len(dig['A2']) + len(dig['A3'])} products)")
@@ -246,10 +254,10 @@ def test_criterion_04_duality_consistency():
 
 # -- 5. cluster harness at the A2 longest word
 
-def _build_harness_a2(workers):
+def _build_harness_a2():
     seeds, _ = reachable_seeds("A2", 2)
     assert len(seeds) == 2
-    report = verify_conjecture("A2", 2, 4, workers=workers)
+    report = verify_conjecture("A2", 2, 4)
     assert all(m["status"] == "pass" for m in report["monomials"])
     assert all(e["status"] == "pass" for e in report["exchange_log"])
     return report
@@ -257,7 +265,7 @@ def _build_harness_a2(workers):
 
 def test_criterion_05_a2_cluster_monomials():
     t0 = time.time()
-    dig = _digest(5, 1, _build_harness_a2)
+    dig = _digest(5, _build_harness_a2)
     elapsed = time.time() - t0
     assert len(dig["monomials"]) == 225
     assert elapsed < 120
@@ -267,11 +275,11 @@ def test_criterion_05_a2_cluster_monomials():
 
 # -- 6. cluster harness at the A3 longest word
 
-def _build_harness_a3(workers):
+def _build_harness_a3():
     seeds, _ = reachable_seeds("A3", 8)
     assert len(seeds) == 14
     variables = {v for s in seeds for v in s.label_set()}
-    report = verify_conjecture("A3", 8, 1, workers=workers)
+    report = verify_conjecture("A3", 8, 1)
     assert all(m["status"] == "pass" for m in report["monomials"])
     assert all(e["status"] == "pass" for e in report["exchange_log"])
     singles = {tuple(m["label"]) for m in report["monomials"]
@@ -282,7 +290,7 @@ def _build_harness_a3(workers):
 
 def test_criterion_06_a3_cluster_variables():
     t0 = time.time()
-    dig = _digest(6, 1, _build_harness_a3)
+    dig = _digest(6, _build_harness_a3)
     elapsed = time.time() - t0
     assert elapsed < 900
     print(f"criterion 6 A3 harness: PASS ({len(dig['monomials'])} "
@@ -291,13 +299,13 @@ def test_criterion_06_a3_cluster_variables():
 
 # -- 7. preprojective suite
 
-def _build_preproj(workers):
+def _build_preproj():
     counts = {}
     for p in (A2, A3):
         d, om = p["datum"], p["orientation"]
         rows = []
         for dim in all_dims_up_to(ENUM_BOUNDS[d.name]):
-            mods = enumerate_modules(d, om, dim, workers=workers)
+            mods = enumerate_modules(d, om, dim)
             n_rigid = 0
             for m in mods:
                 rigid = is_rigid(m)
@@ -323,7 +331,7 @@ def _build_preproj(workers):
 
 def test_criterion_07_preprojective_suite():
     t0 = time.time()
-    dig = _digest(7, 1, _build_preproj)
+    dig = _digest(7, _build_preproj)
     elapsed = time.time() - t0
     assert elapsed < 120
     print(f"criterion 7 preprojective suite: PASS ({elapsed:.1f}s)")
@@ -331,7 +339,7 @@ def test_criterion_07_preprojective_suite():
 
 # -- 8. cross-module coherence
 
-def _build_coherence(workers):
+def _build_coherence():
     pre = preproj_preset("A2")
     _, (tp, ts) = mutate_rigid(pre["collection"], 1)
     ctx = get_canonical(pre["datum"], pre["word"])
@@ -343,19 +351,18 @@ def _build_coherence(workers):
 
 
 def test_criterion_08_cross_module_pair():
-    dig = _digest(8, 1, _build_coherence)
+    dig = _digest(8, _build_coherence)
     print(f"criterion 8 cross-module pair: PASS ({dig['pair']})")
 
 
 # -- 9. component containment and epsilon-bound desk checks
 
-def _build_desk_checks(workers):
+def _build_desk_checks():
     d, om = A2["datum"], A2["orientation"]
     s1, s2 = simple_module(d, om, 1), simple_module(d, om, 2)
     p1 = PreprojModule(d, om, (1, 1), {(1, 2): ONE})
     p2 = PreprojModule(d, om, (1, 1), {(2, 1): ONE})
-    comps = components_containing(d, om, (1, 1), direct_sum(s1, s2),
-                                  workers=workers)
+    comps = components_containing(d, om, (1, 1), direct_sum(s1, s2))
     assert len(comps) == 2
     hits = sorted("P1" if is_isomorphic(c, p1) else
                   "P2" if is_isomorphic(c, p2) else "?" for c in comps)
@@ -374,21 +381,21 @@ def _build_desk_checks(workers):
 
 
 def test_criterion_09_desk_checks():
-    dig = _digest(9, 1, _build_desk_checks)
+    dig = _digest(9, _build_desk_checks)
     assert len(dig["cut_members"]) > 0
     print(f"criterion 9 desk checks: PASS ({len(dig['cut_members'])} "
           "labels in the cut)")
 
 
-# -- 10. determinism across worker counts
+# -- 10. determinism of a rerun from cold caches
 
 _BUILDERS = {1: _build_convention, 2: _build_integrity, 3: _build_bw_routes,
              4: _build_duality, 5: _build_harness_a2, 6: _build_harness_a3,
              7: _build_preproj, 8: _build_coherence, 9: _build_desk_checks}
 
 
-def test_criterion_10_worker_determinism(monkeypatch):
-    base = {num: _bytes(_digest(num, 1, build))
+def test_criterion_10_cold_rerun_determinism(monkeypatch):
+    base = {num: _bytes(_digest(num, build))
             for num, build in _BUILDERS.items()}
     # the rebuild starts from cold caches, so it recomputes every context,
     # table and enumeration instead of reading back the first run's
@@ -397,8 +404,8 @@ def test_criterion_10_worker_determinism(monkeypatch):
     monkeypatch.setattr(preproj, "_ENUM_CACHE", {})
     monkeypatch.setattr(preproj, "_INDEC_CACHE", {})
     for num, build in _BUILDERS.items():
-        redo = _bytes(_digest(num, 3, build))
+        redo = _bytes(_normalized(build()))
         assert base[num] == redo, \
-            f"criterion {num} output varies with workers"
+            f"criterion {num} output differs on a cold rerun"
     print("criterion 10 determinism: PASS (9 digests byte-identical "
-          "across 1 and 3 workers)")
+          "on a cold rerun)")

@@ -1,12 +1,13 @@
 """Tests for the PBW straightening engine."""
 
 import random
+import weakref
 
 import pytest
 
 from qbases import pbwalg
 from qbases.braid import pbw_monomial
-from qbases.laurent import LaurentPoly, RatFunc
+from qbases.laurent import LaurentPoly, RatFunc, quantum_factorial
 from qbases.linalg import solve
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, kostant_dimension, weight_basis
@@ -95,6 +96,93 @@ def ref_coords(ctx, x):
     return {d: v for d, v in zip(inds, solve(amat, rhs)) if v}
 
 
+_REF_MEMO = weakref.WeakKeyDictionary()
+
+
+def _ref_eperp(ctx, p, f, memo):
+    """Adjoint of left multiplication by the root vector E_p:
+    (E_p z, x) = (z, eperp(p, x)).
+
+    Stripping a word w = (j_1,...,j_k) from the left of the other
+    argument composes e'_{j_1} first, so the adjoint of E_p is the
+    sum over its word expansion of those e' compositions.
+    """
+    out = {}
+    for c, cf in f.items():
+        key = (p, c)
+        hit = memo.get(key)
+        if hit is None:
+            total = {}
+            for w, cw in ctx.vectors[p].terms.items():
+                cur = {c: RatFunc(1)}
+                for j in w:
+                    cur = ctx.eprime(j, cur)
+                    if not cur:
+                        break
+                if cur:
+                    accumulate(total, cur, cw)
+            hit = memo[key] = total
+        accumulate(out, hit, cf)
+    return out
+
+
+def ref_gram(ctx, weight):
+    """(indices, Gram matrix) of the PBW basis at the weight by the e'
+    recursion, independent of orthogonality and of the closed-form norm.
+
+    Descends by stripping the leftmost PBW factor of the column index as
+    a block: (x, E_p^(m) z) = ((eperp_p)^m x, z) / [m]!.  Memoized per
+    context, so a fresh context recomputes everything.
+    """
+    grams, eperps = _REF_MEMO.setdefault(ctx, ({}, {}))
+    weight = tuple(weight)
+    hit = grams.get(weight)
+    if hit is not None:
+        return hit
+    inds = ctx.indices(weight)
+    if not any(weight):
+        hit = grams[weight] = (inds, [[RatFunc(1)]])
+        return hit
+    mat = [[None] * len(inds) for _ in inds]
+    for bi, b in enumerate(inds):
+        p = next(t for t, m in enumerate(b) if m)
+        m = b[p]
+        bhat = b[:p] + (0,) + b[p + 1:]
+        beta = ctx.roots[p]
+        lower = tuple(v - m * r for v, r in zip(weight, beta))
+        linds, lmat = ref_gram(ctx, lower)
+        place = {c: k for k, c in enumerate(linds)}
+        col = place[bhat]
+        inv_fact = RatFunc(1) / RatFunc(quantum_factorial(m))
+        for ai, a in enumerate(inds):
+            x = {a: RatFunc(1)}
+            for _ in range(m):
+                x = _ref_eperp(ctx, p, x, eperps)
+                if not x:
+                    break
+            val = RatFunc(0)
+            for d, xd in x.items():
+                entry = lmat[place[d]][col]
+                if entry:
+                    val = val + xd * entry
+            mat[ai][bi] = val * inv_fact
+    hit = grams[weight] = (inds, mat)
+    return hit
+
+
+def assert_matches_ref_gram(ctx, weight):
+    """The closed-form Gram equals the recursion's, whose off-diagonal
+    entries vanish and whose diagonal is nonzero; returns the latter."""
+    inds, want = ref = ref_gram(ctx, weight)
+    assert ctx.gram(weight) == ref, weight
+    for a, ca in enumerate(inds):
+        assert want[a][a], (weight, ca)
+        for b, cb in enumerate(inds):
+            if a != b:
+                assert not want[a][b], (weight, ca, cb)
+    return ref
+
+
 def random_element(datum, weight, rng):
     """A few words of the weight with small Laurent coefficients."""
     words = []
@@ -156,9 +244,9 @@ def test_closed_form_norm_matches_gram(preset, height, labels):
     ctx = get_context(box["datum"], box["longest_word"])
     seen = 0
     for wt in weights_up_to_height(box["datum"].rank, height):
-        inds, mat = ctx.gram(wt)
+        inds, mat = assert_matches_ref_gram(ctx, wt)
         for k, c in enumerate(inds):
-            assert pbw_norm(c, sum(wt)) == mat[k][k], (wt, c)
+            assert pbw_norm(c, sum(wt)) == ctx.norm(c) == mat[k][k], (wt, c)
             seen += 1
     assert seen == labels
 
@@ -360,17 +448,24 @@ def test_gram_matches_word_level():
                 xa = ctx.monomial_word_element(ca)
                 xb = ctx.monomial_word_element(cb)
                 assert xa.pairing(xb) == mat[a][b], (wt, ca, cb)
+    # pairing of seeded random elements: PBW coordinates against words
+    for box, weights in ((A3, [(1, 1, 1), (2, 1, 1)]), (D4, [(1, 1, 1, 1)])):
+        datum = box["datum"]
+        ctx = get_context(datum, box["longest_word"])
+        rng = random.Random(sum(map(sum, weights)))
+        for wt in weights:
+            for _ in range(3):
+                x = random_element(datum, wt, rng)
+                y = random_element(datum, wt, rng)
+                fx = ctx.coords_of_word_element(x)
+                fy = ctx.coords_of_word_element(y)
+                assert ctx.pairing(fx, fy) == x.pairing(y), wt
 
 
 def test_gram_diagonal_a3():
     ctx = ctx_a3()
     for wt in [(1, 1, 0), (1, 1, 1), (2, 1, 1)]:
-        inds, mat = ctx.gram(wt)
-        for a in range(len(inds)):
-            for b in range(len(inds)):
-                if a != b:
-                    assert not mat[a][b], (wt, inds[a], inds[b])
-            assert mat[a][a], (wt, inds[a])
+        assert_matches_ref_gram(ctx, wt)
 
 
 def test_pairing_at_height_twenty_norm_positive_at_zero():
