@@ -110,9 +110,11 @@ class CanonicalTable:
     """Per-weight basis data relative to the fixed reduced word.
 
     indices are in ascending lex order; transition holds the columns of
-    b(c) over L(c') (unitriangular, off-diagonal in qZ[q]); dual_coords
-    holds the PBW coordinates of the dual basis; canonical materializes
-    the canonical elements as word elements.
+    b(c) over L(c') (unitriangular, off-diagonal in qZ[q]);
+    dual_transition holds the columns of b^up(c) over the dual PBW basis
+    E*(d) = L(d) / (L(d), L(d)) (Laurent), and dual_coords the same
+    columns over L(d); canonical materializes the canonical elements as
+    word elements.
     """
 
     def __init__(self, context, weight, indices, pbw_gram, transition):
@@ -123,6 +125,7 @@ class CanonicalTable:
         self.transition = transition
         self._place = {c: k for k, c in enumerate(indices)}
         self._canonical = None
+        self._dual_transition = None
         self._dual_coords = None
 
     @property
@@ -151,10 +154,11 @@ class CanonicalTable:
         return self._canonical
 
     @property
-    def dual_coords(self):
-        """Columns of b^up(c) over L(d): inverse-transpose of the
-        transition against the diagonal Gram."""
-        if self._dual_coords is None:
+    def dual_transition(self):
+        """Columns of b^up(c) over E*(d): the inverse-transpose of the
+        transition, since (b(c'), b^up(c)) = delta and (L(d'), E*(d)) =
+        delta.  Upper unitriangular over Z[q, q^-1]."""
+        if self._dual_transition is None:
             dim = len(self.indices)
             # invert the lower unitriangular transition by forward
             # substitution; the inverse is again lower unitriangular
@@ -167,17 +171,32 @@ class CanonicalTable:
                         if self.transition[row][mid] and inv[mid][col]:
                             acc = acc + self.transition[row][mid] * inv[mid][col]
                     inv[row][col] = -acc
-            dual = [[(RatFunc(inv[b][a]) / self.pbw_gram[a][a]
-                      if inv[b][a] else RatFunc(0))
-                     for b in range(dim)] for a in range(dim)]
-            self._dual_coords = dual
+            self._dual_transition = [[inv[b][a] for b in range(dim)]
+                                     for a in range(dim)]
+        return self._dual_transition
+
+    @property
+    def dual_coords(self):
+        """Columns of b^up(c) over L(d): the dual transition divided by
+        the diagonal Gram, since E*(d) = L(d) / (L(d), L(d))."""
+        if self._dual_coords is None:
+            self._dual_coords = [
+                [RatFunc(v) / self.pbw_gram[a][a] if v else RatFunc(0)
+                 for v in row]
+                for a, row in enumerate(self.dual_transition)]
         return self._dual_coords
 
+    def dual_transition_dict(self, label):
+        """{d: LaurentPoly} coordinates of b^up(label) over E*(d)."""
+        return self._column(self.dual_transition, label)
+
     def dual_coord_dict(self, label):
+        return self._column(self.dual_coords, label)
+
+    def _column(self, mat, label):
         col = self._place[tuple(label)]
-        dual = self.dual_coords
-        return {self.indices[d]: dual[d][col]
-                for d in range(len(self.indices)) if dual[d][col]}
+        return {self.indices[d]: mat[d][col]
+                for d in range(len(self.indices)) if mat[d][col]}
 
     def to_json(self):
         return {
@@ -507,12 +526,11 @@ class CanonicalContext:
         """Labels of the PBW monomials supported on the word, through
         braid-built root vectors and identification."""
         word = tuple(word)
-        if not self.datum.is_reduced(word):
-            raise ValueError(f"word {word} is not reduced")
+        roots = self.datum.inversion_sequence(word)
         vectors = root_vectors(self.datum, word)
         out = set()
         for wt in weights_up_to_height(self.datum.rank, height):
-            for c in pbw_indices(self.datum, word, wt):
+            for c in pbw_indices(roots, wt):
                 x = pbw_monomial(self.datum, word, c, vectors=vectors)
                 label, _ = self.identify(x)
                 out.add(label)
@@ -581,8 +599,15 @@ class CanonicalContext:
                 for c in table.indices]
 
     def dual_pbw_coords(self, label):
+        """b^up(label) over L(d), with RatFunc coefficients."""
         table = self._table(self.label_weight(label))
         return table.dual_coord_dict(label)
+
+    def dual_estar_coords(self, label):
+        """b^up(label) over E*(d) = L(d) / (L(d), L(d)), with LaurentPoly
+        coefficients; multiply these with ``PBWContext.dual_mul``."""
+        table = self._table(self.label_weight(label))
+        return table.dual_transition_dict(label)
 
     def expand_dual(self, coords):
         """Expansion of a PBW coordinate dict in the dual canonical

@@ -404,27 +404,25 @@ class ClusterMonomialReport:
 
 def _certificate(seed, exponents):
     """(label, p) when the ordered product X of the seed variables has
-    coordinates over the dual PBW basis E*(d) = L(d) / (L(d), L(d)) that
-    are Laurent, equal to q^p at the label and have a higher lowest
-    exponent everywhere else; otherwise None.
+    coordinates over the dual PBW basis E*(d) = L(d) / (L(d), L(d))
+    equal to q^p at the label and with a higher lowest exponent
+    everywhere else; otherwise None.
 
-    Needs canonical tables only at the variables' own weights: the
-    product runs on their dual PBW coordinates.
+    The product runs in Z[q, q^-1] on the variables' E*-coordinates
+    (``PBWContext.dual_mul``), so it needs canonical tables only at the
+    variables' own weights; a structure constant that is not Laurent
+    raises there instead of rejecting.
     """
     ctx = seed.context
     pbw = ctx.ctx
-    x = pbw.one()
+    x = {pbw.zero_index(): LaurentPoly.one()}
     for label, e in zip(seed.labels, exponents):
         if e:
-            y = ctx.dual_pbw_coords(label)
+            y = ctx.dual_estar_coords(label)
             for _ in range(e):
-                x = pbw.mul(x, y)
+                x = pbw.dual_mul(x, y)
     lowest = {}
     for d, v in x.items():
-        v = v * pbw.norm(d)
-        if not v.is_laurent():
-            return None
-        v = v.to_laurent()
         lowest.setdefault(v.min_exp(), []).append((d, v))
     p = min(lowest)
     if len(lowest[p]) != 1:
@@ -480,8 +478,11 @@ def cluster_monomial(seed, exponents):
     q-commute (validated with the seed), so q^{-p} X is invariant for
     the p of ``_sigma_exponent``; an invariant element congruent to E*(d)
     modulo q times the dual PBW lattice is b^up(d).  The p read off the
-    coordinates is asserted to be that one.  A rejection is explained by
-    the structure-constant route, whose failure text is the report.
+    coordinates is asserted to be that one.  The coordinates are Laurent
+    by construction (the E* structure constants are integral and any one
+    that is not raises), so a rejection means no unique lowest term
+    q^p.  It is explained by the structure-constant route, whose failure
+    text is the report.
     """
     exponents = tuple(exponents)
     if len(exponents) != seed.size():

@@ -25,20 +25,24 @@ def scaled(source, scale):
 
 def pbw_norm(c, height):
     """(L(c), L(c)) in closed form (Kimura 2012): (1-q^2)^height times
-    prod_p prod_{s=1..c_p} 1/(1-q^{2s}), where height = ht wt(c)."""
-    num = den = LaurentPoly.one()
-    for _ in range(height):
-        num = num * LaurentPoly({0: 1, 2: -1})
+    prod_p prod_{s=1..c_p} 1/(1-q^{2s}), where height = ht wt(c).
+
+    Each 1-q^{2s} is (1-q^2) times 1 + q^2 + ... + q^{2s-2}, and height
+    >= sum_p c_p, so this is (1-q^2)^(height - sum c) over the product of
+    those quotients for s >= 2: Laurent unless some c_p > 1, and the
+    fraction is reduced with small polynomials.
+    """
+    num = LaurentPoly({0: 1, 2: -1}) ** (height - sum(c))
+    den = LaurentPoly.one()
     for m in c:
-        for s in range(1, m + 1):
-            den = den * LaurentPoly({0: 1, 2 * s: -1})
-    return RatFunc(num) / RatFunc(den)
+        for s in range(2, m + 1):
+            den = den * LaurentPoly({2 * k: 1 for k in range(s)})
+    return RatFunc(num, den)
 
 
-def pbw_indices(datum, word, weight):
+def pbw_indices(roots, weight):
     """Exponent vectors c >= 0 with sum c_p beta_p = weight for the
-    inversion sequence of a reduced word, in ascending lex order."""
-    roots = datum.inversion_sequence(word)
+    inversion sequence roots of a reduced word, in ascending lex order."""
     n = len(roots)
     out = []
     c = [0] * n
@@ -102,6 +106,8 @@ class PBWContext:
         self._fmult_mono = {}
         self._norm = {}
         self._gram = {}
+        self._dual_sc = {}
+        self._wnorm_cache = {}
 
     # -- bookkeeping
 
@@ -134,8 +140,7 @@ class PBWContext:
         weight = tuple(weight)
         cached = self._indices.get(weight)
         if cached is None:
-            cached = self._indices[weight] = pbw_indices(self.datum,
-                                                         self.word, weight)
+            cached = self._indices[weight] = pbw_indices(self.roots, weight)
         return cached
 
     def _raw(self, c):
@@ -275,6 +280,53 @@ class PBWContext:
                 expn = self.straighten(raw_a + self._raw(b))
                 accumulate(out, expn, scale_a * gb / self._dfact(b))
         return out
+
+    def dual_mul(self, f, g):
+        """Product of two elements in dual PBW coordinates: dicts of
+        LaurentPoly coefficients over E*(c) = L(c) / (L(c), L(c)), which
+        span the integral dual form, so the product stays in Z[q, q^-1]."""
+        out = {}
+        for a, fa in f.items():
+            for b, gb in g.items():
+                accumulate(out, self.dual_constants(a, b), fa * gb)
+        return out
+
+    def dual_constants(self, a, b):
+        """{c: s^c_ab} with E*(a) E*(b) = sum_c s^c_ab E*(c) (memoized).
+
+        L(a) L(b) is the straightened E_{raw a + raw b} over
+        dfact(a) dfact(b), and L(c) = N(c) E*(c) for the norm N, so
+        s^c_ab = r_c N(c) / (dfact(a) dfact(b) N(a) N(b)) for the
+        coefficient r_c of L(c) in E_{raw a + raw b}.  With the Laurent
+        W(c) = dfact(c) N(c) this is the exact division of r_c W(c) by
+        dfact(c) W(a) W(b) in Z[q, q^-1].  The constants are coproduct
+        coefficients of L(c), integral by Kimura (2012); raises
+        AssertionError naming a, b and c if one is not Laurent.
+        """
+        key = (a, b)
+        hit = self._dual_sc.get(key)
+        if hit is None:
+            hit = {}
+            for c, r in self.straighten(self._raw(a) + self._raw(b)).items():
+                try:
+                    den = (self._dfact(c).to_laurent() * self._wnorm(a)
+                           * self._wnorm(b))
+                    hit[c] = (r.to_laurent() * self._wnorm(c)).exact_div(den)
+                except ValueError as e:
+                    raise AssertionError(
+                        f"dual PBW structure constant not Laurent: "
+                        f"E*{a} E*{b} at E*{c}") from e
+            self._dual_sc[key] = hit
+        return hit
+
+    def _wnorm(self, c):
+        """dfact(c) (L(c), L(c)), a signed q-power times
+        (1-q^2)^(ht - sum c); raises ValueError if not Laurent."""
+        hit = self._wnorm_cache.get(c)
+        if hit is None:
+            hit = self._wnorm_cache[c] = (
+                self._dfact(c) * self.norm(c)).to_laurent()
+        return hit
 
     def divided_power(self, f, m):
         acc = self.one()

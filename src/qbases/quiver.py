@@ -138,11 +138,22 @@ class CartanDatum:
         return len(self.weyl_elements())
 
     def longest_word(self):
-        """Shortlex-minimal reduced word for the longest element."""
-        best = max(self.weyl_elements(), key=len)
-        if len(best) != len(self.positive_roots()):
+        """Lex-minimal reduced word for the longest element, built
+        greedily: append the smallest letter i that keeps the word
+        reduced, that is, with w(alpha_i) positive.  Every reduced word
+        extends to one of w_0, so the greedy word is the lex-minimal one
+        (the longest word of ``weyl_elements``) without the group BFS."""
+        word = ()
+        while True:
+            for i in range(1, self.rank + 1):
+                if any(x > 0 for x in self.act(word, self.simple_root(i))):
+                    word += (i,)
+                    break
+            else:
+                break
+        if len(word) != len(self.positive_roots()):
             raise AssertionError("longest element length mismatch")
-        return best
+        return word
 
     def same_element(self, word1, word2) -> bool:
         return self._element_key(word1) == self._element_key(word2)

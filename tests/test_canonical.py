@@ -40,11 +40,11 @@ def test_labelling_word_must_be_longest():
 
 
 def test_pbw_indices_short_word(a2):
-    d = a2.datum
-    assert pbw_indices(d, (1, 2), (1, 1)) == ((0, 1),)
-    assert pbw_indices(d, (1, 2), (2, 1)) == ((1, 1),)
-    assert pbw_indices(d, (1,), (0, 1)) == ()
-    assert pbw_indices(d, (), (0, 0)) == ((),)
+    roots = a2.datum.inversion_sequence
+    assert pbw_indices(roots((1, 2)), (1, 1)) == ((0, 1),)
+    assert pbw_indices(roots((1, 2)), (2, 1)) == ((1, 1),)
+    assert pbw_indices(roots((1,)), (0, 1)) == ()
+    assert pbw_indices(roots(()), (0, 0)) == ((),)
 
 
 def test_weights_up_to_height_order():
@@ -193,6 +193,32 @@ def test_structure_constants_both_routes_a3(a3):
         for l2 in labels:
             assert (a3.structure_constants(l1, l2)
                     == a3.structure_constants_via_coproduct(l1, l2))
+
+
+@pytest.mark.parametrize("name, height, count", [
+    ("A2", 6, 399), ("A3", 4, 346), ("D4", 3, 225)])
+def test_dual_mul_two_routes(name, height, count):
+    """E*(d) = L(d) / (L(d), L(d)): the Laurent product on E*-coordinates
+    equals the rational product on L-coordinates rescaled by the norm,
+    for every pair of dual canonical elements with ht(a) + ht(b) <= height."""
+    p = load_preset(name)
+    ctx = get_canonical(p["datum"], p["longest_word"])
+    pbw = ctx.ctx
+    labels = ctx.labels_up_to_height(height)
+    ht = {c: sum(ctx.label_weight(c)) for c in labels}
+    pairs = 0
+    for a in labels:
+        for b in labels:
+            if ht[a] + ht[b] > height:
+                continue
+            fast = pbw.dual_mul(ctx.dual_estar_coords(a),
+                                ctx.dual_estar_coords(b))
+            slow = pbw.mul(ctx.dual_pbw_coords(a), ctx.dual_pbw_coords(b))
+            assert all(isinstance(v, LaurentPoly) for v in fast.values())
+            assert ({d: RatFunc(v) for d, v in fast.items()}
+                    == {d: v * pbw.norm(d) for d, v in slow.items()}), (a, b)
+            pairs += 1
+    assert pairs == count
 
 
 def test_epsilon_counts_crystal_steps(a2):

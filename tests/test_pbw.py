@@ -261,6 +261,19 @@ def test_wrong_norm_fails_reconstruction(monkeypatch):
         ctx.coords_of_word_element(prod)
 
 
+def test_wrong_norm_fails_dual_constant(monkeypatch):
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    # E_3 E_1 straightens with the right norm before the norm goes wrong
+    assert ctx.straighten((2, 0)) == {(0, 1, 0): RatFunc(1), (1, 0, 1): q()}
+    right = PBWContext.norm
+    monkeypatch.setattr(PBWContext, "norm",
+                        lambda self, c: right(self, c) * (1 - q(2)))
+    with pytest.raises(AssertionError,
+                       match=r"not Laurent: E\*\(0, 0, 1\) E\*\(1, 0, 0\) "
+                             r"at E\*\(1, 0, 1\)"):
+        ctx.dual_constants((0, 0, 1), (1, 0, 0))
+
+
 # -- straightening
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from qbases.quiver import CartanDatum, load_preset
+from qbases.quiver import PRESET_NAMES, CartanDatum, load_preset
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,12 @@ class TestWeylGroup:
 
     def test_longest_word_computed(self, a2):
         assert a2.weyl_length(a2.longest_word()) == 3
+
+    def test_greedy_longest_word_is_the_bfs_word(self):
+        for name in PRESET_NAMES:
+            datum = load_preset(name)["datum"]
+            assert datum.longest_word() == max(datum.weyl_elements(),
+                                               key=len)
 
     def test_enumeration_deterministic(self, a3):
         first = a3.weyl_elements()
