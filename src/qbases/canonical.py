@@ -17,8 +17,6 @@ from .wordalg import PAIRING_HEIGHT_CAP, TensorElement, WordElement
 from .braid import pbw_monomial, root_vectors
 from .pbwalg import get_context, pbw_indices
 
-_R_ONE = RatFunc(1)
-
 
 def weights_up_to_height(rank, height):
     """All nonnegative weight vectors of height <= height, by height
@@ -296,18 +294,14 @@ class CanonicalContext:
         # bar matrix: bar(L(c)) = sum_d M[d][c] L(d)
         bar_mat = [[LaurentPoly.zero()] * dim for _ in range(dim)]
         for ci, c in enumerate(inds):
-            col = self.ctx.bar({c: _R_ONE})
+            col = self.ctx.bar({c: LaurentPoly.one()})
             for d, v in col.items():
-                if not v.is_laurent():
-                    raise AssertionError(
-                        f"bar transition not Laurent at {weight}: "
-                        f"{c} -> {d}: {v}")
                 di = place[d]
                 if di < ci:
                     raise AssertionError(
                         f"bar transition not triangular at {weight}: "
                         f"bar L{c} hits lower index {d}")
-                bar_mat[di][ci] = v.to_laurent()
+                bar_mat[di][ci] = v
             if not bar_mat[ci][ci].is_one():
                 raise AssertionError(
                     f"bar transition diagonal is not 1 at {c}")

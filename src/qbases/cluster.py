@@ -25,11 +25,7 @@ class ExchangeFailure(ValueError):
 
 
 def _q_power_of(value):
-    """The exponent m when value = q^m, else None."""
-    if isinstance(value, RatFunc):
-        if not value.is_laurent():
-            return None
-        value = value.to_laurent()
+    """The exponent m when the LaurentPoly value = q^m, else None."""
     if len(value.c) == 1:
         (exp, coeff), = value.c.items()
         if coeff == 1:
@@ -72,9 +68,9 @@ def quasi_commutation(ctx, y1, y2):
         raise ValueError("not quasi-commuting")
     lam = None
     for label, v in p12.items():
-        ratio = RatFunc(v) / RatFunc(p21[label])
-        m = _q_power_of(ratio)
-        if m is None or (lam is not None and m != lam):
+        w = p21[label]
+        m = v.min_exp() - w.min_exp()
+        if v != w * LaurentPoly.q_power(m) or (lam is not None and m != lam):
             raise ValueError("not quasi-commuting")
         lam = m
     return lam
@@ -562,28 +558,20 @@ def verify_conjecture(preset, depth, exp_bound):
     word = seeds[0].word
     name = preset if isinstance(preset, str) else ctx.datum.name
 
-    jobs = []
+    dedup = {}
     for s in seeds:
         for exps in itertools.product(range(exp_bound + 1),
                                       repeat=s.size()):
-            jobs.append((s, exps))
-
-    def run(job):
-        s, exps = job
-        rep = cluster_monomial(s, exps)
-        if rep.passed() and not ctx.bw_contains(word, rep.label):
-            rep = ClusterMonomialReport(
-                exps, rep.label, rep.q_power,
-                "fail: label outside the crystal subset of the word")
-        return rep.to_json()
-
-    results = [run(j) for j in jobs]
-
-    dedup = {}
-    for r in results:
-        key = (tuple(r["exponents"]), tuple(r["label"] or ()),
-               r["q_power"] if r["q_power"] is not None else 0, r["status"])
-        dedup[key] = r
+            rep = cluster_monomial(s, exps)
+            if rep.passed() and not ctx.bw_contains(word, rep.label):
+                rep = ClusterMonomialReport(
+                    exps, rep.label, rep.q_power,
+                    "fail: label outside the crystal subset of the word")
+            r = rep.to_json()
+            key = (tuple(r["exponents"]), tuple(r["label"] or ()),
+                   r["q_power"] if r["q_power"] is not None else 0,
+                   r["status"])
+            dedup[key] = r
     monomials = [dedup[k] for k in sorted(dedup)]
     log_sorted = sorted(log, key=lambda e: (e["labels"], e["k"]))
     return {

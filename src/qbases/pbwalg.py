@@ -1,12 +1,16 @@
 """PBW-basis engine for the negative half along a fixed reduced word.
 
-Elements here are plain dicts mapping PBW exponent vectors to RatFunc
+Elements here are plain dicts mapping PBW exponent vectors to
 coefficients.  The word algebra is consulted only at small heights, to
 seed the quadratic straightening relations between pairs of root
 vectors and the action of bar, e'_i and * on single root vectors;
-everything else is assembled from those seeds by exact arithmetic.
-That keeps weight spaces of height 20 tractable even though their word
-expansions are astronomically large.
+everything else is assembled from those seeds by exact arithmetic in
+Z[q, q^-1], since the PBW basis is a basis of the integral form (Lusztig
+1993, ch. 38-41): the seeds are checked Laurent once, and every division
+by a quantum factorial is exact or raises.  That keeps weight spaces of
+height 20 tractable even though their word expansions are
+astronomically large.  RatFunc stays in the bridge and the bilinear
+form; a caller's rational coefficients promote products to RatFunc.
 """
 
 from .laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
@@ -16,11 +20,22 @@ from .braid import root_vectors, pbw_monomial
 from .linalg import solve  # noqa: F401
 from .wordalg import weight_basis  # noqa: F401
 
-_R_ONE = RatFunc(1)
-
 
 def scaled(source, scale):
     return accumulate({}, source, scale)
+
+
+def _divide(f, den, what, key):
+    """f / den on LaurentPoly coefficients, exactly in Z[q, q^-1] (f
+    itself when den is 1); raises AssertionError naming what and key if
+    a quotient is not Laurent."""
+    if den.is_one():
+        return f
+    try:
+        return {c: v.exact_div(den) for c, v in f.items()}
+    except ValueError as e:
+        raise AssertionError(
+            f"PBW coefficient not Laurent: {what} {key} over {den}") from e
 
 
 def pbw_norm(c, height):
@@ -94,12 +109,9 @@ class PBWContext:
                 self.simple_pos[support[0] + 1] = p
         self._indices = {}
         self._straight = {}
-        self._relations = {}
+        self._seeds = {}
         self._monomials_cache = {}
         self._dfact_cache = {}
-        self._bar_letter = {}
-        self._star_letter = {}
-        self._eprime_letter = {}
         self._bar_mono = {}
         self._star_mono = {}
         self._eprime_mono = {}
@@ -115,7 +127,7 @@ class PBWContext:
         return (0,) * self.n
 
     def one(self):
-        return {self.zero_index(): _R_ONE}
+        return {self.zero_index(): LaurentPoly.one()}
 
     def weight_of(self, c):
         out = [0] * self.datum.rank
@@ -152,10 +164,10 @@ class PBWContext:
     def _dfact(self, c):
         cached = self._dfact_cache.get(c)
         if cached is None:
-            acc = _R_ONE
+            acc = LaurentPoly.one()
             for m in c:
                 if m > 1:
-                    acc = acc * RatFunc(quantum_factorial(m))
+                    acc = acc * quantum_factorial(m)
             cached = self._dfact_cache[c] = acc
         return cached
 
@@ -196,22 +208,20 @@ class PBWContext:
             if todo:
                 stack.extend(todo)
                 continue
+            # E_child = dfact(d) E_prefix L(d) E_suffix, integral
             total = {}
             for d, r in rel.items():
                 child = s[:k] + self._raw(d) + s[k + 2:]
-                accumulate(total, memo[child], r / self._dfact(d))
+                accumulate(total, _divide(memo[child], self._dfact(d),
+                                          "E_seq", child), r)
             memo[s] = total
             stack.pop()
         return memo[seq]
 
     def _relation(self, x, y):
-        """E_x E_y in the PBW basis for a descent x > y (memoized)."""
-        key = (x, y)
-        hit = self._relations.get(key)
-        if hit is None:
-            prod = self.vectors[x] * self.vectors[y]
-            hit = self._relations[key] = self.coords_of_word_element(prod)
-        return hit
+        """E_x E_y in the PBW basis for a descent x > y."""
+        return self._seed(("E_{} E_{}", x, y),
+                          lambda: self.vectors[x] * self.vectors[y])
 
     # -- word-level bridge (small heights only)
 
@@ -265,6 +275,23 @@ class PBWContext:
                 f"{weight}")
         return out
 
+    def _seed(self, key, build):
+        """Memoized PBW coordinates of the word element build() as
+        LaurentPoly: the one place where the engine leaves Q(q).  key is
+        a name template and its arguments; raises AssertionError naming
+        the seed if a coefficient is not Laurent."""
+        hit = self._seeds.get(key)
+        if hit is None:
+            hit = {}
+            for d, v in self.coords_of_word_element(build()).items():
+                if not v.is_laurent():
+                    raise AssertionError(
+                        f"PBW seed {key[0].format(*key[1:])} not Laurent "
+                        f"at L{d}: {v}")
+                hit[d] = v.to_laurent()
+            self._seeds[key] = hit
+        return hit
+
     def monomial_word_element(self, c):
         """L(c) as a word element (small heights only)."""
         return self._monomials(self.weight_of(c))[tuple(c)]
@@ -272,13 +299,16 @@ class PBWContext:
     # -- products
 
     def mul(self, f, g):
+        """Product of two elements in PBW coordinates; L(a) L(b) is the
+        straightened E_{raw a + raw b} over dfact(a) dfact(b), exactly."""
         out = {}
         for a, fa in f.items():
             raw_a = self._raw(a)
-            scale_a = fa / self._dfact(a)
+            dfact_a = self._dfact(a)
             for b, gb in g.items():
                 expn = self.straighten(raw_a + self._raw(b))
-                accumulate(out, expn, scale_a * gb / self._dfact(b))
+                accumulate(out, _divide(expn, dfact_a * self._dfact(b),
+                                        "L(a) L(b)", (a, b)), fa * gb)
         return out
 
     def dual_mul(self, f, g):
@@ -309,9 +339,8 @@ class PBWContext:
             hit = {}
             for c, r in self.straighten(self._raw(a) + self._raw(b)).items():
                 try:
-                    den = (self._dfact(c).to_laurent() * self._wnorm(a)
-                           * self._wnorm(b))
-                    hit[c] = (r.to_laurent() * self._wnorm(c)).exact_div(den)
+                    den = self._dfact(c) * self._wnorm(a) * self._wnorm(b)
+                    hit[c] = (r * self._wnorm(c)).exact_div(den)
                 except ValueError as e:
                     raise AssertionError(
                         f"dual PBW structure constant not Laurent: "
@@ -332,39 +361,22 @@ class PBWContext:
         acc = self.one()
         for _ in range(m):
             acc = self.mul(acc, f)
-        return scaled(acc, _R_ONE / RatFunc(quantum_factorial(m)))
+        return _divide(acc, quantum_factorial(m), "divided power", m)
 
     # -- seeds for bar, star and e'_i on single root vectors
 
     def bar_letter(self, p):
-        hit = self._bar_letter.get(p)
-        if hit is None:
-            x = self.vectors[p]
-            barred = WordElement(self.datum, {w: cf.bar()
-                                              for w, cf in
-                                              x.terms.items()})
-            hit = self._bar_letter[p] = self.coords_of_word_element(
-                barred)
-        return hit
+        terms = self.vectors[p].terms
+        return self._seed(("bar E_{}", p), lambda: WordElement(
+            self.datum, {w: cf.bar() for w, cf in terms.items()}))
 
     def star_letter(self, p):
-        hit = self._star_letter.get(p)
-        if hit is None:
-            hit = self._star_letter[p] = self.coords_of_word_element(
-                self.vectors[p].star())
-        return hit
+        return self._seed(("star E_{}", p), lambda: self.vectors[p].star())
 
     def eprime_letter(self, i, p):
-        key = (i, p)
-        hit = self._eprime_letter.get(key)
-        if hit is None:
-            x = self.vectors[p].eprime(i)
-            if x.is_algebra_zero():
-                hit = {}
-            else:
-                hit = self.coords_of_word_element(x)
-            self._eprime_letter[key] = hit
-        return hit
+        # coords_of_word_element gives {} when e'_i E_p is zero
+        return self._seed(("e'_{} E_{}", i, p),
+                          lambda: self.vectors[p].eprime(i))
 
     # -- bar involution and * at the PBW level
 
@@ -427,15 +439,15 @@ class PBWContext:
             letter = self.eprime_letter(i, p)
             if letter:
                 # e'_i(a y) = e'_i(a) y + q^{-(alpha_i, wt a)} a e'_i(y)
-                twist = RatFunc(LaurentPoly.q_power(
-                    -self.datum.bilinear(alpha, passed)))
+                twist = LaurentPoly.q_power(
+                    -self.datum.bilinear(alpha, passed))
                 for d, r in letter.items():
-                    sub = self.straighten(
-                        seq[:j] + self._raw(d) + seq[j + 1:])
-                    accumulate(total, sub,
-                               twist * r / self._dfact(d))
+                    child = seq[:j] + self._raw(d) + seq[j + 1:]
+                    accumulate(total, _divide(self.straighten(child),
+                                              self._dfact(d), "E_seq",
+                                              child), twist * r)
             passed = tuple(a + b for a, b in zip(passed, self.roots[p]))
-        hit = scaled(total, _R_ONE / self._dfact(c))
+        hit = _divide(total, self._dfact(c), "e'_i L(c)", (i, c))
         self._eprime_mono[key] = hit
         return hit
 
@@ -450,9 +462,9 @@ class PBWContext:
             key = (i, c)
             hit = self._fmult_mono.get(key)
             if hit is None:
-                sub = self.straighten((pos,) + self._raw(c))
-                hit = self._fmult_mono[key] = scaled(
-                    sub, _R_ONE / self._dfact(c))
+                hit = self._fmult_mono[key] = _divide(
+                    self.straighten((pos,) + self._raw(c)), self._dfact(c),
+                    "f_i L(c)", (i, c))
             accumulate(out, hit, cf)
         return out
 
@@ -476,14 +488,13 @@ class PBWContext:
                 comps[0] = cur
                 break
             # (e'_i)^m (f_i^(m) u) = q^{-m(m-1)/2} u when e'_i u = 0
-            xm = scaled(chain[m],
-                        RatFunc(LaurentPoly.q_power(m * (m - 1) // 2)))
+            xm = scaled(chain[m], LaurentPoly.q_power(m * (m - 1) // 2))
             comps[m] = xm
             sub = xm
             for _ in range(m):
                 sub = self.f_mult(i, sub)
-            cur = accumulate(cur, sub,
-                             -(_R_ONE / RatFunc(quantum_factorial(m))))
+            cur = accumulate(cur, _divide(sub, quantum_factorial(m),
+                                          "f_i^(m) x_m", (i, m)), -1)
         return comps
 
     def epsilon(self, i, f):
@@ -505,7 +516,8 @@ class PBWContext:
             sub = xm
             for _ in range(m + 1):
                 sub = self.f_mult(i, sub)
-            accumulate(out, sub, _R_ONE / RatFunc(quantum_factorial(m + 1)))
+            accumulate(out, _divide(sub, quantum_factorial(m + 1),
+                                    "f_i^(m+1) x_m", (i, m)))
         return out
 
     def etilde(self, i, f):
@@ -517,7 +529,8 @@ class PBWContext:
             sub = xm
             for _ in range(m - 1):
                 sub = self.f_mult(i, sub)
-            accumulate(out, sub, _R_ONE / RatFunc(quantum_factorial(m - 1)))
+            accumulate(out, _divide(sub, quantum_factorial(m - 1),
+                                    "f_i^(m-1) x_m", (i, m)))
         return out
 
     # -- bilinear form

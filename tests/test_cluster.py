@@ -80,7 +80,7 @@ def test_seed_validation_failure(a2):
         QuantumSeed(ctx, a2.word, [(1, 0, 0), (0, 0, 1)], (), [(), ()])
 
 
-def test_quasi_commutation(a2):
+def test_quasi_commutation(a2, monkeypatch):
     ctx = a2.context
     assert quasi_commutation(ctx, (1, 0, 0), (1, 0, 0)) == 0
     with pytest.raises(ValueError, match="not quasi-commuting"):
@@ -90,6 +90,13 @@ def test_quasi_commutation(a2):
     for k in range(3):
         for l in range(3):
             assert a2.lam[k][l] == -a2.lam[l][k]
+    # Y1 Y2 = (1 + q) Y2 Y1: same support and lowest exponents, but the
+    # ratio is not a q-power
+    monkeypatch.setattr(cluster, "dual_product", lambda ctx, a, b: {
+        (1, 0, 1): LaurentPoly({0: 1, 1: 1}) if (1, 0, 0) in a
+        else LaurentPoly.one()})
+    with pytest.raises(ValueError, match="not quasi-commuting"):
+        quasi_commutation(ctx, (1, 0, 0), (0, 0, 1))
 
 
 def test_divide_right_examples(a2):

@@ -274,6 +274,48 @@ def test_wrong_norm_fails_dual_constant(monkeypatch):
         ctx.dual_constants((0, 0, 1), (1, 0, 0))
 
 
+def test_non_laurent_seed_is_loud(monkeypatch):
+    # every bridge output divided by 1 + q^2: no seed is Laurent any more
+    right = PBWContext.coords_of_word_element
+    spoil = RatFunc(1, (1, 0, 1))
+    monkeypatch.setattr(
+        PBWContext, "coords_of_word_element",
+        lambda self, x: {d: v * spoil for d, v in right(self, x).items()})
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    with pytest.raises(AssertionError, match=r"seed E_2 E_0 not Laurent"):
+        ctx.straighten((2, 0))
+    with pytest.raises(AssertionError, match=r"seed bar E_1 not Laurent"):
+        ctx.bar_letter(1)
+    with pytest.raises(AssertionError, match=r"seed star E_1 not Laurent"):
+        ctx.star_letter(1)
+    with pytest.raises(AssertionError, match=r"seed e'_2 E_1 not Laurent"):
+        ctx.eprime_letter(2, 1)
+
+
+@pytest.mark.parametrize("preset,height,labels",
+                         [("A3", 5, 120), ("D4", 3, 53)])
+def test_bar_and_mul_stay_laurent(preset, height, labels):
+    box = load_preset(preset)
+    ctx = get_context(box["datum"], box["longest_word"])
+    one = LaurentPoly.one()
+    units = [(c, sum(wt)) for wt in weights_up_to_height(box["datum"].rank,
+                                                         height)
+             for c in ctx.indices(wt)]
+    assert len(units) == labels
+    for c, _ in units:
+        assert all(type(v) is LaurentPoly
+                   for v in ctx.bar({c: one}).values()), c
+    for a, ha in units:
+        for b, hb in units:
+            if ha + hb <= height:
+                assert all(type(v) is LaurentPoly
+                           for v in ctx.mul({a: one}, {b: one}).values()), \
+                    (a, b)
+    # and so does every memoized straightening
+    assert all(type(v) is LaurentPoly
+               for expn in ctx._straight.values() for v in expn.values())
+
+
 # -- straightening
 
 
@@ -339,7 +381,8 @@ def test_mul_of_sorted_factors_is_unit_coefficient():
 
 def test_divided_power_of_generator():
     ctx = ctx_a2()
-    assert ctx.divided_power(unit((1, 0, 0)), 3) == unit((3, 0, 0))
+    one = LaurentPoly.one()
+    assert ctx.divided_power({(1, 0, 0): one}, 3) == {(3, 0, 0): one}
 
 
 # -- bar involution
