@@ -4,12 +4,13 @@ Elements are kept in triangular normal form: sums of F_w K_mu E_v with
 F-word w, integer K-exponent vector mu and E-word v.  Only the mixed
 commutation relations are rewritten here,
 
-    E_i F_j = F_j E_i + delta_ij (K_i - K_i^-1)/(q - q^-1),
+    Ebar_i F_j = F_j Ebar_i + delta_ij (K_i - K_i^-1),
     K_mu F_j = q^{-(mu, a_j)} F_j K_mu,
     K_mu E_j = q^{+(mu, a_j)} E_j K_mu,
 
-so the F- and E-sides stay free and zero tests fall back to the word
-algebra's bilinear form on each side.
+for the rescaled Ebar_i = (q - q^-1) E_i, so that they hold over
+Z[q, q^-1].  The F- and E-sides stay free and zero tests fall back to
+the word algebra's bilinear form on each side.
 
 The braid generator attached to vertex i acts by
 
@@ -21,6 +22,11 @@ The braid generator attached to vertex i acts by
 and fixes E_j, F_j for a_ij = 0.  With this choice the braid relations
 hold and composites along a reduced word send simple generators to
 elements of the negative half on the nose, e.g. T_1 T_2 (F_1) = F_2.
+
+TriangularElement and braid_apply are the full algebra over Q(q).  Root
+vectors and PBW monomials run on F-words over Z[q, q^-1], with one exact
+division per T_i and one division per PBW word coefficient; tests
+compare them with the full-algebra route.
 """
 
 from __future__ import annotations
@@ -39,13 +45,14 @@ BRAID_CONVENTION = {
 }
 
 
-def _qpow(k):
-    return RatFunc(LaurentPoly.q_power(k))
+_Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
+_INV_Q_MINUS_QINV = RatFunc({1: 1}, (-1, 0, 1))  # q/(q^2 - 1)
 
 
-# 1/(q - q^-1) = q/(q^2 - 1)
-def _inv_q_minus_qinv():
-    return RatFunc({1: 1}, (-1, 0, 1))
+def _rescale(terms, f):
+    """Each F K E term times f to the length of its E-word."""
+    return {key: c * f ** len(key[2]) if key[2] else c
+            for key, c in terms.items()}
 
 
 class TriangularElement:
@@ -94,15 +101,6 @@ class TriangularElement:
 
     # -- linear structure
 
-    def _merge(self, key, c):
-        # merged inline: a call per single term is slower here
-        s = self.terms.get(key)
-        s = c if s is None else s + c
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
     def __add__(self, other):
         out = TriangularElement(self.datum)
         out.terms = accumulate(dict(self.terms), other.terms)
@@ -149,51 +147,18 @@ class TriangularElement:
 
     # -- multiplication
 
-    def _mul_f(self, j):
-        """Right-multiply by F_j, commuting it leftwards past E and K."""
-        datum = self.datum
-        out = TriangularElement(datum)
-        for (w, mu, v), c in self.terms.items():
-            for (fp, rho, ew), c2 in _eword_past_f(datum, v, j).items():
-                # K_mu then picks up q^{-(mu, wt fp)} moving past fp
-                tw = -datum.bilinear(mu, word_content(datum, fp))
-                key = (w + fp,
-                       tuple(a + b for a, b in zip(mu, rho)),
-                       ew)
-                out._merge(key, c * c2 * _qpow(tw))
-        return out
-
-    def _mul_e(self, j):
-        out = TriangularElement(self.datum)
-        for (w, mu, v), c in self.terms.items():
-            out._merge((w, mu, v + (j,)), c)
-        return out
-
-    def _mul_k(self, nu):
-        datum = self.datum
-        out = TriangularElement(datum)
-        for (w, mu, v), c in self.terms.items():
-            tw = -datum.bilinear(nu, word_content(datum, v))
-            key = (w, tuple(a + b for a, b in zip(mu, nu)), v)
-            out._merge(key, c * _qpow(tw))
-        return out
-
     def __mul__(self, other):
+        """Product by _times on both factors read in Ebar_i; reading it
+        back puts 1/(q - q^-1) on each term that lost an E letter."""
         if isinstance(other, (int, LaurentPoly, RatFunc)):
             return self.scale(other)
         if not isinstance(other, TriangularElement):
             return NotImplemented
-        total = TriangularElement(self.datum)
-        for (w, mu, v), c in other.terms.items():
-            cur = self.scale(c)
-            for l in w:
-                cur = cur._mul_f(l)
-            if any(mu):
-                cur = cur._mul_k(mu)
-            for l in v:
-                cur = cur._mul_e(l)
-            total = total + cur
-        return total
+        out = TriangularElement(self.datum)
+        out.terms = _rescale(_times(
+            self.datum, _rescale(self.terms, _INV_Q_MINUS_QINV),
+            _rescale(other.terms, _INV_Q_MINUS_QINV)), _Q_MINUS_QINV)
+        return out
 
     def __rmul__(self, other):
         if isinstance(other, (int, LaurentPoly, RatFunc)):
@@ -240,9 +205,10 @@ class TriangularElement:
 
 
 def _eword_past_f(datum, v, l, _memo={}):
-    """Straighten E_v * F_l into sum of F K E normal terms.
+    """Straighten Ebar_v F_l into F K Ebar normal terms over Z[q, q^-1].
 
-    Returns {(fword, kvec, eword): RatFunc}; fword is () or (l,).
+    Returns {(fword, kvec, eword): LaurentPoly}; fword is () or (l,), and
+    the terms with fword () are those that lost an Ebar_l letter.
     """
     key = (datum.cartan, v, l)
     hit = _memo.get(key)
@@ -250,24 +216,50 @@ def _eword_past_f(datum, v, l, _memo={}):
         return hit
     zero_mu = (0,) * datum.rank
     if not v:
-        out = {((l,), zero_mu, ()): RatFunc.one()}
+        out = {((l,), zero_mu, ()): LaurentPoly.one()}
         _memo[key] = out
         return out
     head, j = v[:-1], v[-1]
-    # E_head (E_j F_l) = E_head F_l E_j [+ delta], then recurse on E_head F_l
+    # Ebar_head (Ebar_j F_l) = Ebar_head F_l Ebar_j [+ delta], then recurse
+    # on Ebar_head F_l
     out = {(fp, rho, ew + (j,)): c
            for (fp, rho, ew), c in _eword_past_f(datum, head, l).items()}
     if j == l:
-        # E_head (K_j - K_j^-1)/(q - q^-1); E_head K_j picks up
+        # Ebar_head (K_j - K_j^-1); Ebar_head K_j picks up
         # q^{-(a_j, wt head)} moving K_j to the left
-        inv = _inv_q_minus_qinv()
         pairing = datum.bilinear(datum.simple_root(j),
                                  word_content(datum, head))
         mu_plus = tuple(1 if t == j - 1 else 0 for t in range(datum.rank))
         mu_minus = tuple(-x for x in mu_plus)
-        accumulate(out, {((), mu_plus, head): inv * _qpow(-pairing),
-                         ((), mu_minus, head): -(inv * _qpow(pairing))})
+        accumulate(out, {((), mu_plus, head): LaurentPoly({-pairing: 1}),
+                         ((), mu_minus, head): LaurentPoly({pairing: -1})})
     _memo[key] = out
+    return out
+
+
+def _times(datum, x, y):
+    """x y for dicts {(F-word, K-vector, Ebar-word): coefficient} in
+    normal form: Ebar moves past F by _eword_past_f, K by q-powers."""
+    cartan = datum.cartan
+    out = {}
+    for (fw, nu, ev), cy in y.items():
+        cur = x
+        for l in fw:
+            nxt = {}
+            for (w, mu, v), c in cur.items():
+                # K_mu picks up q^{-(mu, a_l)} moving past F_l
+                tw = -sum(m * row[l - 1] for m, row in zip(mu, cartan))
+                accumulate(nxt, {
+                    (w + fp, tuple(a + b for a, b in zip(mu, rho)), ew):
+                    c2 * LaurentPoly.q_power(tw) if fp and tw else c2
+                    for (fp, rho, ew), c2 in _eword_past_f(datum, v, l).items()
+                }, c)
+            cur = nxt
+        for (w, mu, v), c in cur.items():
+            # Ebar_v K_nu = q^{-(nu, wt v)} K_nu Ebar_v
+            tw = -datum.bilinear(nu, word_content(datum, v))
+            accumulate(out, {(w, tuple(a + b for a, b in zip(mu, nu)), v + ev):
+                             c * LaurentPoly.q_power(tw) if tw else c}, cy)
     return out
 
 
@@ -275,25 +267,37 @@ def _eword_past_f(datum, v, l, _memo={}):
 # braid action
 
 
+def _image_f(datum, i, j):
+    """T_i(F_j) as {(F-word, K-vector, E-word): LaurentPoly}.  Read with
+    Ebar for E it is (q - q^-1)^{delta_ij} T_i(F_j): -K_i^-1 Ebar_i for
+    j = i, the same pure-F image otherwise."""
+    a, zero_mu = datum.cartan[i - 1][j - 1], (0,) * datum.rank
+    if j == i:
+        return {((), tuple(-x for x in datum.simple_root(i)), (i,)):
+                LaurentPoly({0: -1})}
+    if a == 0:
+        return {((j,), zero_mu, ()): LaurentPoly.one()}
+    if a != -1:
+        raise ValueError("braid action implemented for simply-laced data only")
+    return {((j, i), zero_mu, ()): LaurentPoly.one(),
+            ((i, j), zero_mu, ()): LaurentPoly({1: -1})}
+
+
 def _braid_image_f(datum, i, j, inverse):
     """Image of F_j under T_i (or its inverse)."""
-    a = datum.cartan[i - 1][j - 1]
+    if not inverse:
+        return TriangularElement(datum, _image_f(datum, i, j))
     if j == i:
         ei = TriangularElement.e_gen(datum, i)
         ki = TriangularElement.k_power(datum, datum.simple_root(i))
-        kin = TriangularElement.k_power(
-            datum, tuple(-x for x in datum.simple_root(i)))
-        if not inverse:
-            return (kin * ei).scale(-1)      # -K_i^-1 E_i
         return (ei * ki).scale(-1)           # -E_i K_i
+    a = datum.cartan[i - 1][j - 1]
     if a == 0:
         return TriangularElement.f_gen(datum, j)
     if a != -1:
         raise ValueError("braid action implemented for simply-laced data only")
     fi = TriangularElement.f_gen(datum, i)
     fj = TriangularElement.f_gen(datum, j)
-    if not inverse:
-        return fj * fi - (fi * fj).scale(LaurentPoly.q_power(1))
     return fi * fj - (fj * fi).scale(LaurentPoly.q_power(1))
 
 
@@ -349,47 +353,96 @@ def braid_word_apply(word, x, inverse=False):
 
 
 # ---------------------------------------------------------------------------
-# PBW root vectors
+# PBW root vectors, over Z[q, q^-1]
+
+
+def _image_word(datum, i, w, memo):
+    """(q - q^-1)^(letters i in w) T_i(F_w) for a nonempty F-word w, in
+    F K Ebar normal form, built on the image of its prefix; memo maps
+    (i, w) to images."""
+    hit = memo.get((i, w))
+    if hit is None:
+        hit = _image_f(datum, i, w[-1])
+        if len(w) > 1:
+            hit = _times(datum, _image_word(datum, i, w[:-1], memo), hit)
+        memo[i, w] = hit
+    return hit
 
 
 def root_vector(datum, word, p):
     """The p-th PBW root vector of a reduced word (1-based position):
-    T_{i_1}...T_{i_{p-1}} applied to F_{i_p}, as a word element."""
+    T_{i_1}...T_{i_{p-1}} applied to F_{i_p}, as a word element.  Raises
+    AssertionError naming the word, the position and the letter i if a
+    K/E remainder survives a T_i or a division is inexact, and naming the
+    expected root and the weight found if they differ."""
+    return _root_vector(datum, tuple(word), p, {})
+
+
+def _root_vector(datum, word, p, memo):
     if not (1 <= p <= len(word)):
         raise ValueError(f"position {p} out of range")
-    x = TriangularElement.f_gen(datum, word[p - 1])
-    img = braid_word_apply(word[:p - 1], x)
-    out = img.to_word_element()
+    x = {(word[p - 1],): LaurentPoly.one()}
+    for i in reversed(word[:p - 1]):
+        # T_i(x) on (q - q^-1)^k x, k the most letters i in a word of x:
+        # T_i(F_i) = -K_i^-1 Ebar_i / (q - q^-1) is its only denominator
+        k = max((w.count(i) for w in x), default=0)
+        img = {}
+        for w, c in x.items():
+            accumulate(img, _image_word(datum, i, w, memo),
+                       c * _Q_MINUS_QINV ** (k - w.count(i)))
+        where = f"T_{i} at position {p} of word {word}"
+        for (w, mu, v), c in img.items():
+            if v or any(mu):
+                raise AssertionError(f"{where} leaves the remainder ({c}) "
+                                     f"F{list(w)} K{list(mu)} E{list(v)}")
+        try:
+            x = {w: c.exact_div(_Q_MINUS_QINV ** k)
+                 for (w, _, _), c in img.items()}
+        except ValueError as e:
+            raise AssertionError(f"{where}: a coefficient is not divisible "
+                                 f"by (q - q^-1)^{k}") from e
+    out = WordElement(datum, x)
     beta = datum.act(word[:p - 1], datum.simple_root(word[p - 1]))
     if out.weight != beta:
-        raise AssertionError("root vector has wrong weight")
+        raise AssertionError(
+            f"root vector at position {p} of word {word} has weight "
+            f"{out.weight}, expected the root {beta}")
     return out
 
 
 def root_vectors(datum, word):
+    """Every root vector of the reduced word; they share one memo."""
+    word = tuple(word)
     if not datum.is_reduced(word):
-        raise ValueError(f"word {tuple(word)} is not reduced")
-    return tuple(root_vector(datum, word, p)
+        raise ValueError(f"word {word} is not reduced")
+    memo = {}
+    return tuple(_root_vector(datum, word, p, memo)
                  for p in range(1, len(word) + 1))
 
 
 def pbw_monomial(datum, word, cvec, vectors=None):
     """The PBW basis element with exponents cvec along the reduced word:
-    the ordered product of divided powers of the root vectors."""
+    the ordered product of divided powers of the root vectors.  The
+    product runs over Z[q, q^-1]; each word coefficient is then divided
+    once by prod_p [c_p]!, in Q(q): free-algebra words are not integral
+    (f_i^(2) is f_i f_i / [2])."""
     if vectors is None:
         vectors = root_vectors(datum, word)
     if len(cvec) != len(vectors):
         raise ValueError("exponent vector length mismatch")
-    out = WordElement.one(datum)
+    terms = {(): LaurentPoly.one()}
+    den = LaurentPoly.one()
     for c, vec in zip(cvec, vectors):
         if c < 0:
             raise ValueError("negative PBW exponent")
         if c == 0:
             continue
-        piece = WordElement.one(datum)
+        factor = {w: cf.to_laurent() for w, cf in vec.terms.items()}
         for _ in range(c):
-            piece = piece * vec
-        inv = RatFunc(1) / RatFunc(quantum_factorial(c))
-        out = out * piece.scale(inv)
-    return out
-
+            t = {}
+            for w1, c1 in terms.items():
+                accumulate(t, {w1 + w2: c2 for w2, c2 in factor.items()}, c1)
+            terms = t
+        den = den * quantum_factorial(c)
+    return WordElement(datum, {w: RatFunc(cf, den)
+                               for w, cf in terms.items()})

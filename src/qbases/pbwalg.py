@@ -349,12 +349,16 @@ class PBWContext:
         return hit
 
     def _wnorm(self, c):
-        """dfact(c) (L(c), L(c)), a signed q-power times
-        (1-q^2)^(ht - sum c); raises ValueError if not Laurent."""
+        """W(c) = dfact(c) (L(c), L(c)) in closed form:
+        q^(-sum_p c_p (c_p - 1)/2) (1-q^2)^(ht wt(c) - sum c), since
+        [m]! is q^(-m(m-1)/2) times the denominator of pbw_norm's factor
+        prod_{s<=m} 1/(1 + q^2 + ... + q^{2s-2})."""
         hit = self._wnorm_cache.get(c)
         if hit is None:
-            hit = self._wnorm_cache[c] = (
-                self._dfact(c) * self.norm(c)).to_laurent()
+            shift = -sum(m * (m - 1) // 2 for m in c)
+            height = sum(self.weight_of(c))
+            hit = self._wnorm_cache[c] = LaurentPoly.q_power(shift) * (
+                LaurentPoly({0: 1, 2: -1}) ** (height - sum(c)))
         return hit
 
     def divided_power(self, f, m):

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
-from qbases.laurent import LaurentPoly, RatFunc
+from qbases import braid
+from qbases.canonical import reduced_word_paths, weights_up_to_height
+from qbases.laurent import LaurentPoly, RatFunc, quantum_factorial
+from qbases.pbwalg import pbw_indices
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, words_of_content
 from qbases.braid import (
@@ -16,6 +19,8 @@ from qbases.braid import (
 
 A2 = load_preset("A2")["datum"]
 A3 = load_preset("A3")["datum"]
+A4 = load_preset("A4")["datum"]
+D4 = load_preset("D4")["datum"]
 
 q = RatFunc({1: 1})
 
@@ -176,6 +181,114 @@ class TestRootVectors:
         assert vecs[0].equals(f2)
         assert vecs[1].equals(f1 * f2 - (f2 * f1).scale(q))
         assert vecs[2].equals(f1)
+
+
+def _two_route_words():
+    """Every reduced word of w0 in A2 and A3, the preset words of A4 and
+    D4, and the non-longest words of the CLI and CI runs."""
+    out = []
+    for name, datum in (("A2", A2), ("A3", A3)):
+        w0 = load_preset(name)["longest_word"]
+        out += [(name, w) for w in sorted(reduced_word_paths(datum, w0))]
+    out += [("A4", load_preset("A4")["longest_word"]),
+            ("D4", load_preset("D4")["longest_word"]),
+            ("A3", (1, 2, 3)), ("D4", (2, 1, 3, 4, 2))]
+    return out
+
+
+TWO_ROUTE_WORDS = _two_route_words()
+
+
+class TestRootVectorRoutes:
+    """The Laurent route of root_vectors against braid_word_apply, the
+    full-algebra route over Q(q)."""
+
+    @pytest.mark.parametrize("name,word", TWO_ROUTE_WORDS, ids=[
+        name + "-" + "".join(map(str, w)) for name, w in TWO_ROUTE_WORDS])
+    def test_laurent_route_matches_triangular_route(self, name, word):
+        datum = {"A2": A2, "A3": A3, "A4": A4, "D4": D4}[name]
+        for p, vec in enumerate(root_vectors(datum, word), 1):
+            x = TriangularElement.f_gen(datum, word[p - 1])
+            slow = braid_word_apply(word[:p - 1], x).to_word_element()
+            assert vec == slow, (word, p)
+
+    def test_all_reduced_words_covered(self):
+        names = [name for name, _ in TWO_ROUTE_WORDS]
+        assert names.count("A2") == 2 and names.count("A3") == 17
+
+    def test_remainder_is_loud(self, monkeypatch):
+        # -K_i Ebar_i in place of -K_i^-1 Ebar_i: the K/E terms of
+        # T_1(F_1 F_2 - q F_2 F_1) no longer cancel
+        right = braid._image_f
+
+        def wrong(datum, i, j):
+            if j != i:
+                return right(datum, i, j)
+            return {((), datum.simple_root(i), (i,)): LaurentPoly({0: -1})}
+
+        monkeypatch.setattr(braid, "_image_f", wrong)
+        with pytest.raises(AssertionError, match=r"T_1 at position 3 of word "
+                                                 r"\(1, 2, 1\) leaves the "
+                                                 r"remainder"):
+            root_vector(A2, (1, 2, 1), 3)
+
+    def test_inexact_division_is_loud(self, monkeypatch):
+        # an extra pure-F term F_i in the image of F_i is not divisible
+        # by q - q^-1
+        right = braid._image_f
+
+        def wrong(datum, i, j):
+            img = dict(right(datum, i, j))
+            if j == i:
+                img[((i,), (0,) * datum.rank, ())] = LaurentPoly.one()
+            return img
+
+        monkeypatch.setattr(braid, "_image_f", wrong)
+        with pytest.raises(AssertionError, match=r"T_1 at position 3 of word "
+                                                 r"\(1, 2, 1\): a coefficient "
+                                                 r"is not divisible"):
+            root_vector(A2, (1, 2, 1), 3)
+
+    def test_wrong_weight_is_loud(self, monkeypatch):
+        # T_i(F_j) = F_j for adjacent i, j keeps the weight a_j
+        right = braid._image_f
+
+        def wrong(datum, i, j):
+            if datum.cartan[i - 1][j - 1] != -1:
+                return right(datum, i, j)
+            return {((j,), (0,) * datum.rank, ()): LaurentPoly.one()}
+
+        monkeypatch.setattr(braid, "_image_f", wrong)
+        with pytest.raises(AssertionError, match=r"position 2 of word "
+                                                 r"\(1, 2, 1\) has weight "
+                                                 r"\(0, 1\), expected the "
+                                                 r"root \(1, 1\)"):
+            root_vector(A2, (1, 2, 1), 2)
+
+
+def _product_route(datum, vectors, c):
+    """The ordered product of divided powers by WordElement products."""
+    out = WordElement.one(datum)
+    for m, vec in zip(c, vectors):
+        if m:
+            inv = RatFunc(1) / RatFunc(quantum_factorial(m))
+            out = out * (vec ** m).scale(inv)
+    return out
+
+
+@pytest.mark.parametrize("name,height,labels", [("A2", 6, 50), ("A3", 4, 62)])
+def test_pbw_monomial_matches_product_route(name, height, labels):
+    box = load_preset(name)
+    datum, word = box["datum"], box["longest_word"]
+    vectors = root_vectors(datum, word)
+    roots = datum.inversion_sequence(word)
+    seen = 0
+    for wt in weights_up_to_height(datum.rank, height):
+        for c in pbw_indices(roots, wt):
+            fast = pbw_monomial(datum, word, c, vectors=vectors)
+            assert fast == _product_route(datum, vectors, c), c
+            seen += 1
+    assert seen == labels
 
 
 class TestPbwMonomials:

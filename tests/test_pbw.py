@@ -251,6 +251,21 @@ def test_closed_form_norm_matches_gram(preset, height, labels):
     assert seen == labels
 
 
+@pytest.mark.parametrize("preset,height,labels",
+                         [("A2", 8, 95), ("A3", 6, 217), ("D4", 4, 137)])
+def test_closed_form_wnorm_matches_product(preset, height, labels):
+    # W(c) = q^(-sum c_p (c_p - 1)/2) (1-q^2)^(ht - sum c) against the
+    # product dfact(c) N(c) in Q(q) it replaces
+    box = load_preset(preset)
+    ctx = PBWContext(box["datum"], box["longest_word"])
+    seen = 0
+    for wt in weights_up_to_height(box["datum"].rank, height):
+        for c in ctx.indices(wt):
+            assert ctx._wnorm(c) == (ctx._dfact(c) * ctx.norm(c)).to_laurent()
+            seen += 1
+    assert seen == labels
+
+
 def test_wrong_norm_fails_reconstruction(monkeypatch):
     right = pbw_norm
     monkeypatch.setattr(pbwalg, "pbw_norm",
@@ -265,9 +280,10 @@ def test_wrong_norm_fails_dual_constant(monkeypatch):
     ctx = PBWContext(A2["datum"], A2["longest_word"])
     # E_3 E_1 straightens with the right norm before the norm goes wrong
     assert ctx.straighten((2, 0)) == {(0, 1, 0): RatFunc(1), (1, 0, 1): q()}
-    right = PBWContext.norm
-    monkeypatch.setattr(PBWContext, "norm",
-                        lambda self, c: right(self, c) * (1 - q(2)))
+    # the dual constants read the norm through W(c) = dfact(c) N(c)
+    right = PBWContext._wnorm
+    monkeypatch.setattr(PBWContext, "_wnorm", lambda self, c: right(self, c)
+                        * LaurentPoly({0: 1, 2: -1}))
     with pytest.raises(AssertionError,
                        match=r"not Laurent: E\*\(0, 0, 1\) E\*\(1, 0, 0\) "
                              r"at E\*\(1, 0, 1\)"):
