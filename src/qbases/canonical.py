@@ -141,14 +141,9 @@ class CanonicalTable:
     def canonical(self):
         """Canonical elements as word elements, in index order."""
         if self._canonical is None:
-            ctx = self.context.ctx
-            elems = []
-            for c in self.indices:
-                acc = WordElement.zero(self.context.datum)
-                for d, v in self.canonical_coords(c).items():
-                    acc = acc + ctx.monomial_word_element(d).scale(v)
-                elems.append(acc)
-            self._canonical = tuple(elems)
+            self._canonical = tuple(
+                self.context._word_combination(self.canonical_coords(c))
+                for c in self.indices)
         return self._canonical
 
     @property
@@ -309,24 +304,29 @@ class CanonicalContext:
         # P[d][c] - bar(P[d][c]) = sum_{c <= e < d} M[d][e] bar(P[e][c])
         trans = [[LaurentPoly.one() if a == b else LaurentPoly.zero()
                   for b in range(dim)] for a in range(dim)]
+        # pbar[c][e] = bar(P[e][c]), each computed once
+        pbar = [[None] * dim for _ in range(dim)]
         for ci in range(dim):
+            pbar[ci][ci] = LaurentPoly.one()
             for di in range(ci + 1, dim):
                 g = LaurentPoly.zero()
                 for ei in range(ci, di):
                     if bar_mat[di][ei] and trans[ei][ci]:
-                        g = g + bar_mat[di][ei] * trans[ei][ci].bar()
+                        g = g + bar_mat[di][ei] * pbar[ci][ei]
                 kappa = _solve_bar_fixed(g)
                 if kappa and min(kappa.c) < 1:
                     raise AssertionError(
                         f"canonical correction not in qZ[q]: {kappa}")
                 trans[di][ci] = kappa
-        # verify bar(b(c)) = b(c) exactly: M . bar(P) = P
+                pbar[ci][di] = kappa.bar()
+        # verify bar(b(c)) = b(c) exactly: M . bar(P) = P, where M and P
+        # are lower triangular, so only c <= e <= d contributes
         for ci in range(dim):
             for di in range(dim):
                 acc = LaurentPoly.zero()
-                for ei in range(dim):
+                for ei in range(ci, di + 1):
                     if bar_mat[di][ei] and trans[ei][ci]:
-                        acc = acc + bar_mat[di][ei] * trans[ei][ci].bar()
+                        acc = acc + bar_mat[di][ei] * pbar[ci][ei]
                 if acc != trans[di][ci]:
                     raise AssertionError(
                         f"canonical element not bar invariant at "
@@ -638,8 +638,8 @@ class CanonicalContext:
         w1 = self.label_weight(label1)
         w2 = self.label_weight(label2)
         weight = tuple(a + b for a, b in zip(w1, w2))
-        dual1 = self._dual_word_element(label1)
-        dual2 = self._dual_word_element(label2)
+        dual1 = self._word_combination(self.dual_pbw_coords(label1))
+        dual2 = self._word_combination(self.dual_pbw_coords(label2))
         probe = TensorElement(
             self.datum,
             {(u, v): cu * cv
@@ -656,11 +656,13 @@ class CanonicalContext:
                 out[c3] = val.to_laurent()
         return out
 
-    def _dual_word_element(self, label):
-        acc = WordElement.zero(self.datum)
-        for d, v in self.dual_pbw_coords(label).items():
-            acc = acc + self.ctx.monomial_word_element(d).scale(v)
-        return acc
+    def _word_combination(self, coords):
+        """sum_d coords[d] L(d) as a word element, accumulated into one
+        dict (small heights only)."""
+        terms = {}
+        for d, v in coords.items():
+            accumulate(terms, self.ctx.monomial_word_element(d).terms, v)
+        return WordElement(self.datum, terms)
 
 
 _CANONICAL = {}

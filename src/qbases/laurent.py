@@ -431,6 +431,15 @@ class RatFunc:
             n >>= 1
         return out
 
+    def shift(self, k):
+        """self * q^k: q is a unit and den has nonzero constant term, so
+        moving the numerator's exponents keeps lowest terms (no gcd)."""
+        r = RatFunc.__new__(RatFunc)
+        r.num = {e + k: v for e, v in self.num.items()}
+        r.den = self.den
+        r._hash = None
+        return r
+
     def bar(self):
         """q -> q^-1 on a rational function."""
         d = len(self.den) - 1

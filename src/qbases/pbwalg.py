@@ -7,9 +7,12 @@ vectors and the action of bar, e'_i and * on single root vectors;
 everything else is assembled from those seeds by exact arithmetic in
 Z[q, q^-1], since the PBW basis is a basis of the integral form (Lusztig
 1993, ch. 38-41): the seeds are checked Laurent once, and every division
-by a quantum factorial is exact or raises.  That keeps weight spaces of
-height 20 tractable even though their word expansions are
-astronomically large.  RatFunc stays in the bridge and the bilinear
+by a quantum factorial is exact or raises.  Bar runs by prefix
+recursion, bar(L(c)) = bar(L(c')) bar(E_p)^(c_p) for the last p with
+c_p > 0, on memoized divided powers, and the word-level e' behind each
+seed shifts by q-powers exactly (RatFunc.shift, no gcd).  That keeps
+weight spaces of height 20 tractable even though their word expansions
+are astronomically large.  RatFunc stays in the bridge and the bilinear
 form; a caller's rational coefficients promote products to RatFunc.
 """
 
@@ -113,6 +116,7 @@ class PBWContext:
         self._monomials_cache = {}
         self._dfact_cache = {}
         self._bar_mono = {}
+        self._bar_power = {}
         self._star_mono = {}
         self._eprime_mono = {}
         self._fmult_mono = {}
@@ -393,14 +397,19 @@ class PBWContext:
     def _bar_monomial(self, c):
         hit = self._bar_mono.get(c)
         if hit is None:
-            # bar is a ring map, so bar(L(c)) is the ordered product
-            # of bar(E_p)^(c_p)
-            acc = self.one()
-            for p, m in enumerate(c):
-                if m:
-                    acc = self.mul(acc, self.divided_power(
-                        self.bar_letter(p), m))
-            hit = self._bar_mono[c] = acc
+            if not any(c):
+                return self.one()
+            # bar is a ring map and L(c) = L(c') E_p^(c_p) for the last
+            # p with c_p > 0, where c' is c with c_p set to 0
+            p = max(k for k, m in enumerate(c) if m)
+            key = (p, c[p])
+            power = self._bar_power.get(key)
+            if power is None:
+                power = self._bar_power[key] = self.divided_power(
+                    self.bar_letter(p), c[p])
+            prefix = c[:p] + (0,) * (self.n - p)
+            hit = self._bar_mono[c] = self.mul(self._bar_monomial(prefix),
+                                               power)
         return hit
 
     def star(self, f):
@@ -558,7 +567,8 @@ class PBWContext:
         hit = self._gram.get(weight)
         if hit is None:
             inds = self.indices(weight)
-            mat = [[self.norm(a) if a == b else RatFunc(0) for b in inds]
+            zero = RatFunc(0)
+            mat = [[self.norm(a) if a == b else zero for b in inds]
                    for a in inds]
             hit = self._gram[weight] = (inds, mat)
         return hit

@@ -19,8 +19,6 @@ at q = 0.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
 from .linalg import rank as _rank, solve
 
@@ -205,14 +203,15 @@ class WordElement:
     def eprime(self, i):
         """Left Kashiwara derivation, adjoint to left multiplication by f_i."""
         datum = self.datum
-        ai = datum.simple_root(i)
+        datum._check_vertex(i)
+        row = datum.cartan[i - 1]
         out = {}
         for w, c in self.terms.items():
             pair_acc = 0
             for p, j in enumerate(w):
                 if j == i:
                     sub = w[:p] + w[p + 1:]
-                    v = c * RatFunc(LaurentPoly.q_power(-pair_acc))
+                    v = c.shift(-pair_acc)
                     # merged inline: a call per single term is slower here
                     s = out.get(sub)
                     s = v if s is None else s + v
@@ -220,7 +219,7 @@ class WordElement:
                         out.pop(sub, None)
                     else:
                         out[sub] = s
-                pair_acc += datum.bilinear(ai, datum.simple_root(j))
+                pair_acc += row[j - 1]
         r = WordElement.__new__(WordElement)
         r.datum, r.terms = datum, out
         return r
@@ -413,22 +412,34 @@ class TensorElement:
 # weight spaces
 
 
+# per root system: memo[k][weight] = ways to write weight on roots[k:]
+_KOSTANT = {}
+
+
 def kostant_dimension(datum, weight):
     """Dimension of the weight space: ways to write the weight as a
-    nonnegative combination of positive roots."""
-    target = tuple(weight)
-    pts = sorted(product(*(range(t + 1) for t in target)),
-                 key=lambda v: (sum(v), v))
-    ways = dict.fromkeys(pts, 0)
-    ways[(0,) * len(target)] = 1
-    # unbounded coin counting, one positive root at a time
-    for root in datum.positive_roots():
-        for v in pts:
-            if ways[v]:
-                lifted = tuple(a + b for a, b in zip(v, root))
-                if all(x <= t for x, t in zip(lifted, target)):
-                    ways[lifted] += ways[v]
-    return ways[target]
+    nonnegative combination of positive roots.  Counts are memoized on
+    (sub-weight, first root index) per root system, so every weight
+    shares the counts of its sub-weights."""
+    roots = datum.positive_roots()
+    memo = _KOSTANT.get(roots)
+    if memo is None:
+        memo = _KOSTANT[roots] = [{} for _ in roots]
+
+    def ways(w, k):
+        if k == len(roots):
+            return 0 if any(w) else 1
+        hit = memo[k].get(w)
+        if hit is None:
+            # either roots[k] is unused, or it is used once more
+            hit = ways(w, k + 1)
+            rest = tuple(a - b for a, b in zip(w, roots[k]))
+            if min(rest) >= 0:
+                hit += ways(rest, k)
+            memo[k][w] = hit
+        return hit
+
+    return ways(tuple(weight), 0)
 
 
 def words_of_content(content):

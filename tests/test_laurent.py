@@ -281,6 +281,26 @@ class TestRatFunc:
             if not b.is_zero():
                 assert (a / b) * b == a
 
+    def test_shift_matches_q_power_product(self):
+        # the exact q-shift against the normalizing product, on values
+        # whose denominators are not units
+        values = [RatFunc({-2: 1, 1: 3}, (2, 0, 1)),
+                  RatFunc.one() / RatFunc({0: 1, 2: 1}),
+                  RatFunc({0: 1, 2: -1}) / RatFunc({0: 1, 2: 1, 4: 1}),
+                  RatFunc({3: -4}, (1, 1)), RatFunc.zero()]
+        rng = random.Random(5)
+        for _ in range(20):
+            d = rand_laurent(rng, span=2)
+            if not d.is_zero():
+                values.append(RatFunc(rand_laurent(rng).c, d))
+        assert sum(x.den != _L_ONE for x in values) >= 10
+        for x in values:
+            for k in (-3, -1, 0, 1, 4):
+                want = x * RatFunc(LaurentPoly.q_power(k))
+                got = x.shift(k)
+                assert (got.num, got.den) == (want.num, want.den), (x, k)
+                assert hash(got) == hash(want) and got == want
+
     def test_json_roundtrip(self):
         r = RatFunc({-2: 1, 1: 3}, (2, 0, 1))
         j = r.to_json()

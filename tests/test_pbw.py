@@ -425,12 +425,43 @@ def test_bar_is_an_involution():
 
 
 def test_bar_matches_word_level():
-    ctx = ctx_a2()
-    for c in [(0, 1, 0), (1, 1, 0), (0, 1, 1)]:
-        x = ctx.monomial_word_element(c)
-        barred = WordElement(x.datum,
-                             {w: cf.bar() for w, cf in x.terms.items()})
-        assert ctx.bar(unit(c)) == ctx.coords_of_word_element(barred)
+    for box, height, labels in [(A2, 4, 22), (A3, 3, 29)]:
+        ctx = get_context(box["datum"], box["longest_word"])
+        cs = [c for wt in weights_up_to_height(box["datum"].rank, height)
+              for c in ctx.indices(wt)]
+        assert len(cs) == labels
+        for c in cs:
+            x = ctx.monomial_word_element(c)
+            barred = WordElement(x.datum,
+                                 {w: cf.bar() for w, cf in x.terms.items()})
+            assert ctx.bar(unit(c)) == ctx.coords_of_word_element(barred), c
+
+
+def ref_bar_monomial(ctx, c):
+    """Reference route: bar(L(c)) as the ordered product of the divided
+    powers bar(E_p)^(c_p), each rebuilt from the bar seed."""
+    acc = ctx.one()
+    for p, m in enumerate(c):
+        if m:
+            acc = ctx.mul(acc, ctx.divided_power(ctx.bar_letter(p), m))
+    return acc
+
+
+@pytest.mark.parametrize("preset,height,labels", [
+    ("A2", 8, 95), ("A3", 6, 217), ("D4", 4, 137), ("A4", 4, 132)])
+def test_bar_two_routes(preset, height, labels):
+    # the prefix recursion on memoized divided powers against the ordered
+    # product, and bar(bar(L(c))) = L(c), on every label
+    box = load_preset(preset)
+    ctx = get_context(box["datum"], box["longest_word"])
+    one = LaurentPoly.one()
+    cs = [c for wt in weights_up_to_height(box["datum"].rank, height)
+          for c in ctx.indices(wt)]
+    assert len(cs) == labels
+    for c in cs:
+        barred = ctx.bar({c: one})
+        assert barred == ref_bar_monomial(ctx, c), c
+        assert ctx.bar(barred) == {c: one}, c
 
 
 # -- derivations and Kashiwara operators

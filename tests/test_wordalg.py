@@ -1,8 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
+from qbases.canonical import weights_up_to_height
 from qbases.laurent import LaurentPoly, RatFunc, quantum_int
+from qbases.pbwalg import pbw_indices
 from qbases.quiver import load_preset
 from qbases.wordalg import (
     TensorElement,
@@ -145,6 +148,17 @@ class TestPairing:
         assert f(A2, 1, 2).eprime(1) == f(A2, 2)
         assert f(A2, 1).eprime(2).is_word_zero()
 
+    @pytest.mark.parametrize("name", ["A2", "D4"])
+    def test_eprime_rejects_out_of_range_vertex(self, name):
+        # cartan[i - 1] at i = 0 would silently read the last row
+        datum = load_preset(name)["datum"]
+        x = f(datum, 1, 2) + f(datum, 2, 1)
+        for i in (0, datum.rank + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                x.eprime(i)
+            with pytest.raises(ValueError, match="out of range"):
+                WordElement.zero(datum).eprime(i)
+
     def test_eprime_adjoint(self):
         rng = random.Random(13)
         for _ in range(10):
@@ -210,6 +224,23 @@ class TestRelations:
         assert a == f(A2, 1, 1)
 
 
+def ref_kostant_dimension(datum, weight):
+    """Reference count: unbounded coin counting over the full box of
+    sub-weights, one positive root at a time."""
+    target = tuple(weight)
+    pts = sorted(product(*(range(t + 1) for t in target)),
+                 key=lambda v: (sum(v), v))
+    ways = dict.fromkeys(pts, 0)
+    ways[(0,) * len(target)] = 1
+    for root in datum.positive_roots():
+        for v in pts:
+            if ways[v]:
+                lifted = tuple(a + b for a, b in zip(v, root))
+                if all(x <= t for x, t in zip(lifted, target)):
+                    ways[lifted] += ways[v]
+    return ways[target]
+
+
 class TestWeightSpaces:
     def test_kostant_dimension(self):
         assert kostant_dimension(A2, (1, 1)) == 2
@@ -217,6 +248,20 @@ class TestWeightSpaces:
         assert kostant_dimension(A2, (2, 2)) == 3
         assert kostant_dimension(A3, (1, 1, 1)) == 4
         assert kostant_dimension(A2, (0, 0)) == 1
+
+    @pytest.mark.parametrize("name,height,count",
+                             [("A2", 8, 45), ("A3", 6, 84), ("A4", 5, 126),
+                              ("D4", 5, 126)])
+    def test_kostant_dimension_three_routes(self, name, height, count):
+        box = load_preset(name)
+        datum = box["datum"]
+        roots = datum.inversion_sequence(box["longest_word"])
+        weights = weights_up_to_height(datum.rank, height)
+        assert len(weights) == count
+        for wt in weights:
+            dim = ref_kostant_dimension(datum, wt)
+            assert kostant_dimension(datum, wt) == dim, (name, wt)
+            assert len(pbw_indices(roots, wt)) == dim, (name, wt)
 
     def test_words_of_content(self):
         ws = list(words_of_content((2, 1)))
