@@ -7,9 +7,12 @@ data along that word; the crystal on them (Kashiwara and Saito
 operators) is integer combinatorics: a label is moved to another
 reduced word by Lusztig's braid-move transport, changed there and
 moved back.  On top of these sit the subsets attached to arbitrary
-Weyl group elements by two independent routes, dual bases and the
-structure constants of the dual product, and the epsilon dominance
-sets used as singular-support diagnostics.
+Weyl group elements by two independent routes, the dual canonical
+basis and the structure constants of the dual product, and the
+epsilon dominance sets used as singular-support diagnostics.
+The dual side has one coordinate system over Z[q, q^-1], the dual PBW
+basis E*(d) = L(d) / (L(d), L(d)): products are ``PBWContext.dual_mul``
+and the transition reads the result back in the dual canonical basis.
 """
 
 from .laurent import LaurentPoly, RatFunc, accumulate
@@ -110,9 +113,8 @@ class CanonicalTable:
     indices are in ascending lex order; transition holds the columns of
     b(c) over L(c') (unitriangular, off-diagonal in qZ[q]);
     dual_transition holds the columns of b^up(c) over the dual PBW basis
-    E*(d) = L(d) / (L(d), L(d)) (Laurent), and dual_coords the same
-    columns over L(d); canonical materializes the canonical elements as
-    word elements.
+    E*(d) = L(d) / (L(d), L(d)) (Laurent); canonical materializes the
+    canonical elements as word elements.
     """
 
     def __init__(self, context, weight, indices, pbw_gram, transition):
@@ -124,7 +126,6 @@ class CanonicalTable:
         self._place = {c: k for k, c in enumerate(indices)}
         self._canonical = None
         self._dual_transition = None
-        self._dual_coords = None
 
     @property
     def word(self):
@@ -168,25 +169,9 @@ class CanonicalTable:
                                      for a in range(dim)]
         return self._dual_transition
 
-    @property
-    def dual_coords(self):
-        """Columns of b^up(c) over L(d): the dual transition divided by
-        the diagonal Gram, since E*(d) = L(d) / (L(d), L(d))."""
-        if self._dual_coords is None:
-            self._dual_coords = [
-                [RatFunc(v) / self.pbw_gram[a][a] if v else RatFunc(0)
-                 for v in row]
-                for a, row in enumerate(self.dual_transition)]
-        return self._dual_coords
-
     def dual_transition_dict(self, label):
         """{d: LaurentPoly} coordinates of b^up(label) over E*(d)."""
-        return self._column(self.dual_transition, label)
-
-    def dual_coord_dict(self, label):
-        return self._column(self.dual_coords, label)
-
-    def _column(self, mat, label):
+        mat = self.dual_transition
         col = self._place[tuple(label)]
         return {self.indices[d]: mat[d][col]
                 for d in range(len(self.indices)) if mat[d][col]}
@@ -265,6 +250,16 @@ class CanonicalContext:
 
     def label_weight(self, label):
         return self.ctx.weight_of(label)
+
+    def _check_label(self, label):
+        """The label as a tuple; ValueError naming it unless it has one
+        nonnegative integer per letter of the labelling word."""
+        label = tuple(label)
+        if len(label) != len(self.word) or any(
+                not isinstance(m, int) or m < 0 for m in label):
+            raise ValueError(f"label {label} is not a Lusztig datum of "
+                             f"length {len(self.word)}")
+        return label
 
     def labels_of_weight(self, weight):
         return self.ctx.indices(weight)
@@ -412,11 +407,12 @@ class CanonicalContext:
             raise ValueError(
                 f"word {tuple(word)} is not a reduced word of the longest "
                 f"element")
-        return tuple(_move(list(label), path))
+        return tuple(_move(list(self._check_label(label)), path))
 
     def _crystal_step(self, i, label, delta):
         """etilde_i (delta -1) or ftilde_i (delta +1): shift the first
         coordinate along a word starting with i, then move back."""
+        label = self._check_label(label)
         self._words()
         path = self._first[i]
         moved = _move(list(label), path)
@@ -442,6 +438,7 @@ class CanonicalContext:
     def epsilon(self, i, label):
         """Crystal epsilon: the first coordinate of the label along a
         reduced word of the longest element that starts with i."""
+        label = self._check_label(label)
         self._words()
         return _move(list(label), self._first[i])[0]
 
@@ -454,6 +451,7 @@ class CanonicalContext:
     def star(self, label):
         """Kashiwara's involution: the reversed label, read along the
         -w0-twisted reversed word and moved back to the labelling word."""
+        label = self._check_label(label)
         self._words()
         return tuple(_move(list(reversed(label)), reversed(self._star_path)))
 
@@ -547,7 +545,7 @@ class CanonicalContext:
         word = tuple(word)
         if not self.datum.is_reduced(word):
             raise ValueError(f"word {word} is not reduced")
-        return self._bw_member(word, tuple(label))
+        return self._bw_member(word, self._check_label(label))
 
     def _bw_member(self, word, label):
         key = (word, label)
@@ -592,11 +590,6 @@ class CanonicalContext:
         return [DualElement(weight, {c: LaurentPoly.one()})
                 for c in table.indices]
 
-    def dual_pbw_coords(self, label):
-        """b^up(label) over L(d), with RatFunc coefficients."""
-        table = self._table(self.label_weight(label))
-        return table.dual_coord_dict(label)
-
     def dual_estar_coords(self, label):
         """b^up(label) over E*(d) = L(d) / (L(d), L(d)), with LaurentPoly
         coefficients; multiply these with ``PBWContext.dual_mul``."""
@@ -604,30 +597,32 @@ class CanonicalContext:
         return table.dual_transition_dict(label)
 
     def expand_dual(self, coords):
-        """Expansion of a PBW coordinate dict in the dual canonical
-        basis: the coefficient of b^up(d) is the pairing against b(d)."""
+        """Expansion of E*-coordinates (a dict of LaurentPoly over
+        E*(e)) in the dual canonical basis: the coefficient of b^up(d) is
+        the pairing against b(d) = sum_e P[e][d] L(e), which is
+        sum_e x_e P[e][d] since (E*(e), L(e')) = delta."""
         weight = self.ctx.element_weight(coords)
         if weight is None:
             return DualElement((0,) * self.datum.rank, {})
         table = self._table(weight)
+        rows = [(table.transition[table._place[e]], x)
+                for e, x in coords.items()]
         out = {}
-        for d in table.indices:
-            val = self.ctx.pairing(coords, table.canonical_coords(d))
+        for j, d in enumerate(table.indices):
+            val = sum((x * row[j] for row, x in rows if row[j]),
+                      LaurentPoly.zero())
             if val:
-                if not val.is_laurent():
-                    raise AssertionError(
-                        f"dual expansion not Laurent at {d}: {val}")
-                out[d] = val.to_laurent()
+                out[d] = val
         return DualElement(weight, out)
 
     def structure_constants(self, label1, label2):
         """r^{b1,b2}_{b3}: the expansion of b1^up b2^up in the dual
-        canonical basis."""
+        canonical basis, multiplied on E*-coordinates."""
         key = (tuple(label1), tuple(label2))
         hit = self._sc.get(key)
         if hit is None:
-            prod = self.ctx.mul(self.dual_pbw_coords(label1),
-                                self.dual_pbw_coords(label2))
+            prod = self.ctx.dual_mul(self.dual_estar_coords(label1),
+                                     self.dual_estar_coords(label2))
             hit = self._sc[key] = self.expand_dual(prod).coords
         return dict(hit)
 
@@ -638,8 +633,11 @@ class CanonicalContext:
         w1 = self.label_weight(label1)
         w2 = self.label_weight(label2)
         weight = tuple(a + b for a, b in zip(w1, w2))
-        dual1 = self._word_combination(self.dual_pbw_coords(label1))
-        dual2 = self._word_combination(self.dual_pbw_coords(label2))
+        # b^up over L(d), since E*(d) = L(d) / (L(d), L(d))
+        dual1, dual2 = (self._word_combination(
+            {d: RatFunc(v) / self.ctx.norm(d)
+             for d, v in self.dual_estar_coords(label).items()})
+            for label in (label1, label2))
         probe = TensorElement(
             self.datum,
             {(u, v): cu * cv

@@ -5,6 +5,11 @@ computes the new variable by exact right division through the exchange
 relation and re-validates every seed invariant.  The harness walks the
 exchange graph and checks that every cluster monomial is a q-power
 multiple of a dual canonical basis element.
+
+q-commutation, right division and the cluster-monomial certificate
+multiply Laurent coordinates over the dual PBW basis E*(d) (see
+``canonical``), so they need canonical tables only at the variables'
+weights; exchange monomials still use the structure constants.
 """
 
 import itertools
@@ -22,15 +27,6 @@ class ExchangeFailure(ValueError):
     """A mutated variable or exchange monomial failed to normalize to a
     single dual canonical basis element.  Surfaced, never swallowed:
     this is exactly the evidence the verification harness looks for."""
-
-
-def _q_power_of(value):
-    """The exponent m when the LaurentPoly value = q^m, else None."""
-    if len(value.c) == 1:
-        (exp, coeff), = value.c.items()
-        if coeff == 1:
-            return exp
-    return None
 
 
 def _unit_coords(label):
@@ -59,11 +55,23 @@ def dual_product(ctx, a, b):
     return out
 
 
+def _estar_coords(ctx, coords):
+    """Dual canonical coordinates re-expressed over E*(d), in
+    Z[q, q^-1]."""
+    out = {}
+    for label, c in coords.items():
+        accumulate(out, ctx.dual_estar_coords(label), c)
+    return out
+
+
 def quasi_commutation(ctx, y1, y2):
-    """The integer lam with Y1 Y2 = q^lam Y2 Y1."""
-    a, b = _coords_of(y1), _coords_of(y2)
-    p12 = dual_product(ctx, a, b)
-    p21 = dual_product(ctx, b, a)
+    """The integer lam with Y1 Y2 = q^lam Y2 Y1, read off both products
+    over the basis E*: every coordinate of Y1 Y2 must be q^lam times
+    that of Y2 Y1."""
+    a = _estar_coords(ctx, _coords_of(y1))
+    b = _estar_coords(ctx, _coords_of(y2))
+    p12 = ctx.ctx.dual_mul(a, b)
+    p21 = ctx.ctx.dual_mul(b, a)
     if not p12 or set(p12) != set(p21):
         raise ValueError("not quasi-commuting")
     lam = None
@@ -76,55 +84,44 @@ def quasi_commutation(ctx, y1, y2):
     return lam
 
 
-def _coords_weight(ctx, coords):
-    weight = None
-    for label in coords:
-        w = ctx.label_weight(label)
-        if weight is None:
-            weight = w
-        elif w != weight:
-            return "mixed"
-    return weight
-
-
 def divide_right(ctx, r, y):
-    """The unique Z with Z * Y = R, solved exactly at the level of dual
-    PBW coordinates; result in dual canonical coordinates."""
+    """The unique Z with Z * Y = R, solved exactly on E*-coordinates
+    (over Q(q), then checked Laurent); result in dual canonical
+    coordinates."""
     rc = _coords_of(r)
     yc = _coords_of(y)
     if not yc:
         raise ValueError("no solution")
     if not rc:
         return DualElement((0,) * ctx.datum.rank, {})
-    wr = _coords_weight(ctx, rc)
-    wy = _coords_weight(ctx, yc)
-    if wr == "mixed" or wy == "mixed":
-        raise ValueError("no solution")
+    pbw = ctx.ctx
+    try:
+        wr, wy = pbw.element_weight(rc), pbw.element_weight(yc)
+    except ValueError as e:
+        raise ValueError("no solution") from e
     wz = tuple(a - b for a, b in zip(wr, wy))
     if any(x < 0 for x in wz):
         raise ValueError("no solution")
 
-    def pbw(coords):
-        acc = {}
-        for label, c in coords.items():
-            accumulate(acc, ctx.dual_pbw_coords(label), RatFunc(c))
-        return acc
-
-    rp = pbw(rc)
-    yp = pbw(yc)
+    yp = _estar_coords(ctx, yc)
+    rp = _estar_coords(ctx, rc)
     unknowns = ctx.labels_of_weight(wz)
     support = ctx.labels_of_weight(wr)
-    columns = [ctx.ctx.mul({c: RatFunc(1)}, yp) for c in unknowns]
-    mat = [[col.get(d, RatFunc(0)) for col in columns] for d in support]
-    rhs = [rp.get(d, RatFunc(0)) for d in support]
+    columns = [pbw.dual_mul({c: LaurentPoly.one()}, yp) for c in unknowns]
+    zero = LaurentPoly.zero()
+    mat = [[RatFunc(col.get(d, zero)) for col in columns] for d in support]
+    rhs = [RatFunc(rp.get(d, zero)) for d in support]
     try:
         z = solve(mat, rhs)
     except ValueError as e:
         if "underdetermined" in str(e):
             raise ValueError("non-unique solution") from e
         raise ValueError("no solution") from e
-    zp = {c: v for c, v in zip(unknowns, z) if v}
-    return ctx.expand_dual(zp)
+    for c, v in zip(unknowns, z):
+        if not v.is_laurent():
+            raise AssertionError(f"right quotient not Laurent at E*{c}: {v}")
+    return ctx.expand_dual({c: v.to_laurent() for c, v in zip(unknowns, z)
+                            if v})
 
 
 def _k_plus(word, k):
@@ -276,10 +273,8 @@ def _single_label(coords):
     if len(coords) != 1:
         return None
     (label, coeff), = coords.items()
-    m = _q_power_of(coeff)
-    if m is None:
-        return None
-    return label, m
+    m = coeff.min_exp()
+    return (label, m) if coeff == LaurentPoly.q_power(m) else None
 
 
 def _mutate_logged(seed, k):

@@ -16,7 +16,8 @@ are astronomically large.  RatFunc stays in the bridge and the bilinear
 form; a caller's rational coefficients promote products to RatFunc.
 """
 
-from .laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
+from .laurent import (LaurentPoly, RatFunc, accumulate, quantum_factorial,
+                      quantum_int)
 from .wordalg import PAIRING_HEIGHT_CAP, WordElement, kostant_dimension
 from .braid import root_vectors, pbw_monomial
 # unused here; kept bound because perfbench/tracing.py patches these aliases
@@ -116,7 +117,6 @@ class PBWContext:
         self._monomials_cache = {}
         self._dfact_cache = {}
         self._bar_mono = {}
-        self._bar_power = {}
         self._star_mono = {}
         self._eprime_mono = {}
         self._fmult_mono = {}
@@ -399,17 +399,20 @@ class PBWContext:
         if hit is None:
             if not any(c):
                 return self.one()
-            # bar is a ring map and L(c) = L(c') E_p^(c_p) for the last
-            # p with c_p > 0, where c' is c with c_p set to 0
+            # bar is a ring map and L(c) = L(c') E_p^(m) for the last p
+            # with m = c_p > 0, where c' is c with c_p set to 0; and
+            # E_p^(m) = E_p^(m-1) E_p / [m]
             p = max(k for k, m in enumerate(c) if m)
-            key = (p, c[p])
-            power = self._bar_power.get(key)
-            if power is None:
-                power = self._bar_power[key] = self.divided_power(
-                    self.bar_letter(p), c[p])
-            prefix = c[:p] + (0,) * (self.n - p)
-            hit = self._bar_mono[c] = self.mul(self._bar_monomial(prefix),
-                                               power)
+            m = c[p]
+            power = (0,) * p + (m,) + (0,) * (self.n - p - 1)
+            if c != power:
+                hit = self.mul(self._bar_monomial(c[:p] + (0,) * (self.n - p)),
+                               self._bar_monomial(power))
+            else:
+                lower = self._bar_monomial(c[:p] + (m - 1,) + c[p + 1:])
+                hit = _divide(self.mul(lower, self.bar_letter(p)),
+                              quantum_int(m), "divided power", (p, m))
+            self._bar_mono[c] = hit
         return hit
 
     def star(self, f):

@@ -2,6 +2,7 @@
 and the routes to the subsets attached to Weyl group elements."""
 
 import random
+import re
 
 import pytest
 
@@ -26,6 +27,13 @@ def a2():
 def a3():
     p = load_preset("A3")
     return get_canonical(p["datum"], p["longest_word"])
+
+
+def _l_coords(ctx, label):
+    """b^up(label) over L(d), derived from its E*-coordinates:
+    E*(d) = L(d) / (L(d), L(d))."""
+    return {d: RatFunc(v) / ctx.ctx.norm(d)
+            for d, v in ctx.dual_estar_coords(label).items()}
 
 
 def test_get_canonical_shared(a2):
@@ -148,7 +156,7 @@ def test_identify_rejects_non_lattice(a2):
 def test_dual_pairs_to_delta(a2):
     for wt in [(1, 1), (2, 1), (2, 2)]:
         for c in a2.labels_of_weight(wt):
-            up = a2.dual_pbw_coords(c)
+            up = _l_coords(a2, c)
             for d in a2.labels_of_weight(wt):
                 v = a2.ctx.pairing(up, a2.canonical_coords(d))
                 assert v == RatFunc(1 if c == d else 0)
@@ -213,7 +221,7 @@ def test_dual_mul_two_routes(name, height, count):
                 continue
             fast = pbw.dual_mul(ctx.dual_estar_coords(a),
                                 ctx.dual_estar_coords(b))
-            slow = pbw.mul(ctx.dual_pbw_coords(a), ctx.dual_pbw_coords(b))
+            slow = pbw.mul(_l_coords(ctx, a), _l_coords(ctx, b))
             assert all(isinstance(v, LaurentPoly) for v in fast.values())
             assert ({d: RatFunc(v) for d, v in fast.items()}
                     == {d: v * pbw.norm(d) for d, v in slow.items()}), (a, b)
@@ -494,7 +502,22 @@ def test_table_json_shape(a2):
     assert js["transition"][1][0] == Q.to_json()
 
 
+@pytest.mark.parametrize("label", [(1, 0), (1, 0, 0, 0), (-1, 1, 0)])
+def test_malformed_labels_raise(a2, label):
+    """Short, long and negative labels are refused, naming the label,
+    by every crystal entry point that moves labels between words."""
+    calls = [lambda: a2.transport(label, (2, 1, 2)),
+             lambda: a2.bw_contains((1, 2), label),
+             lambda: a2.epsilon(1, label),
+             lambda: a2.star(label),
+             lambda: a2.ftilde(1, label),
+             lambda: a2.etilde(1, label)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"label {label}")):
+            call()
+
+
 def test_expand_dual_of_dual_is_unit(a2):
     for c in a2.labels_of_weight((2, 1)):
-        out = a2.expand_dual(a2.dual_pbw_coords(c))
+        out = a2.expand_dual(a2.dual_estar_coords(c))
         assert out.coords == {c: LaurentPoly.one()}

@@ -5,11 +5,12 @@ import copy
 import itertools
 import json
 import random
+import time
 
 import pytest
 
 from qbases import canonical, cluster, pbwalg
-from qbases.laurent import LaurentPoly
+from qbases.laurent import LaurentPoly, RatFunc
 from qbases.quiver import load_preset
 from qbases.canonical import get_canonical
 from qbases.preproj import mutate_rigid, module_label, preproj_preset
@@ -90,13 +91,103 @@ def test_quasi_commutation(a2, monkeypatch):
     for k in range(3):
         for l in range(3):
             assert a2.lam[k][l] == -a2.lam[l][k]
-    # Y1 Y2 = (1 + q) Y2 Y1: same support and lowest exponents, but the
-    # ratio is not a q-power
-    monkeypatch.setattr(cluster, "dual_product", lambda ctx, a, b: {
-        (1, 0, 1): LaurentPoly({0: 1, 1: 1}) if (1, 0, 0) in a
+    # Y1 Y2 = (1 + q) Y2 Y1 over E*: same support and lowest exponents,
+    # but the ratio is not a q-power
+    monkeypatch.setattr(pbwalg.PBWContext, "dual_mul", lambda self, f, g: {
+        (1, 0, 1): LaurentPoly({0: 1, 1: 1}) if (1, 0, 0) in f
         else LaurentPoly.one()})
     with pytest.raises(ValueError, match="not quasi-commuting"):
         quasi_commutation(ctx, (1, 0, 0), (0, 0, 1))
+
+
+def _lam_via_constants(ctx, y1, y2):
+    """The reference route of quasi_commutation: both products expanded
+    in the dual canonical basis through the structure constants."""
+    a, b = _unit_coords(y1), _unit_coords(y2)
+    p12, p21 = dual_product(ctx, a, b), dual_product(ctx, b, a)
+    assert p12 and set(p12) == set(p21), (y1, y2)
+    (lam,) = {v.min_exp() - p21[d].min_exp() for d, v in p12.items()}
+    assert all(v == p21[d] * LaurentPoly.q_power(lam)
+               for d, v in p12.items()), (y1, y2)
+    return lam
+
+
+@pytest.mark.parametrize("preset, depth, count", [
+    ("A2", 2, 2), ("A3", 8, 14), ("A4", 0, 1)])
+def test_quasi_commutation_two_routes(preset, depth, count):
+    """q-commutation on E*-coordinates equals the structure-constant
+    route on every variable pair of every seed of the graph."""
+    seeds, _ = reachable_seeds(preset, depth)
+    assert len(seeds) == count
+    for seed in seeds:
+        ctx = seed.context
+        for k, l in itertools.combinations(range(seed.size()), 2):
+            y1, y2 = seed.labels[k], seed.labels[l]
+            lam = quasi_commutation(ctx, y1, y2)
+            assert lam == seed.lam[k][l]
+            assert lam == _lam_via_constants(ctx, y1, y2), (seed.history,
+                                                            k, l)
+
+
+def test_dual_side_constructs_no_ratfunc(a3, monkeypatch):
+    """Once the seed's tables and straightening memos are warm,
+    quasi_commutation, structure_constants and expand_dual run in
+    Z[q, q^-1] only: recomputing them constructs no RatFunc."""
+    ctx = a3.context
+    pairs = list(itertools.combinations(range(a3.size()), 2))
+    want = {(k, l): ctx.structure_constants(a3.labels[k], a3.labels[l])
+            for k, l in pairs}
+    monkeypatch.setattr(ctx, "_sc", {})
+    monkeypatch.setattr(ctx.ctx, "_dual_sc", {})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("RatFunc constructed on the dual side")
+
+    # every RatFunc is built by __init__, _raw or shift
+    for name in ("__init__", "_raw", "shift"):
+        monkeypatch.setattr(RatFunc, name, refuse)
+    for k, l in pairs:
+        y1, y2 = a3.labels[k], a3.labels[l]
+        assert quasi_commutation(ctx, y1, y2) == a3.lam[k][l]
+        assert ctx.structure_constants(y1, y2) == want[k, l]
+        assert (ctx.expand_dual(ctx.dual_estar_coords(y1)).coords
+                == {y1: LaurentPoly.one()})
+
+
+@pytest.fixture(scope="module", params=["A2", "A3", "A4", "D4"])
+def fresh_seed(request):
+    """(seed, tables built, seconds) of the initial seed built on empty
+    PBW and canonical caches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pbwalg, "_CONTEXTS", {})
+        mp.setattr(canonical, "_CANONICAL", {})
+        t0 = time.time()
+        seed = initial_seed(request.param)
+        elapsed = time.time() - t0
+        yield seed, set(seed.context._tables), elapsed
+
+
+def test_initial_seed_tables_only_at_variable_weights(fresh_seed):
+    seed, tables, _ = fresh_seed
+    assert tables == {seed.context.label_weight(l) for l in seed.labels}
+
+
+def test_initial_lambda_closed_form(fresh_seed):
+    """Second route for the initial seed's Lambda: for k < l,
+    lam_kl = (wt_k, wt_l) - 2 (wt_k)_{i_l}, wt_k the weight of variable
+    k and (wt)_i its alpha_i coefficient; minus the quantum-minor
+    formula (varpi_{i_k} - w_{<=k} varpi_{i_k},
+    varpi_{i_l} + w_{<=l} varpi_{i_l}) of GLS."""
+    seed, _, elapsed = fresh_seed
+    form = seed.context.datum.bilinear
+    wt = [seed.context.label_weight(l) for l in seed.labels]
+    n = seed.size()
+    for k in range(n):
+        for l in range(k + 1, n):
+            i_l = seed.word[l]
+            assert seed.lam[k][l] == (form(wt[k], wt[l])
+                                      - 2 * wt[k][i_l - 1]), (k, l)
+    assert elapsed < 30
 
 
 def test_divide_right_examples(a2):
