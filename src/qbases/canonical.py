@@ -249,7 +249,7 @@ class CanonicalContext:
         return (0,) * len(self.word)
 
     def label_weight(self, label):
-        return self.ctx.weight_of(label)
+        return self.ctx.weight_of(self._check_label(label))
 
     def _check_label(self, label):
         """The label as a tuple; ValueError naming it unless it has one

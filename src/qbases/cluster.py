@@ -6,16 +6,16 @@ relation and re-validates every seed invariant.  The harness walks the
 exchange graph and checks that every cluster monomial is a q-power
 multiple of a dual canonical basis element.
 
-q-commutation, right division and the cluster-monomial certificate
-multiply Laurent coordinates over the dual PBW basis E*(d) (see
-``canonical``), so they need canonical tables only at the variables'
-weights; exchange monomials still use the structure constants.
+q-commutation, exchange monomials, right division and the
+cluster-monomial certificate multiply Laurent coordinates over the dual
+PBW basis E*(d) (see ``canonical``), so they need canonical tables only
+at the variables' weights; the structure constants only explain a
+rejected certificate.
 """
 
 import itertools
 
-from .laurent import LaurentPoly, RatFunc, accumulate
-from .linalg import solve
+from .laurent import LaurentPoly, accumulate
 from .canonical import DualElement, get_canonical
 from .quiver import load_preset
 
@@ -84,44 +84,48 @@ def quasi_commutation(ctx, y1, y2):
     return lam
 
 
-def divide_right(ctx, r, y):
-    """The unique Z with Z * Y = R, solved exactly on E*-coordinates
-    (over Q(q), then checked Laurent); result in dual canonical
-    coordinates."""
-    rc = _coords_of(r)
-    yc = _coords_of(y)
-    if not yc:
+def _divide_estar(pbw, r, y):
+    """The Z with Z Y = R on E*-coordinates, by long division in lex
+    order: take the lex-largest term E*(t) of the remainder, subtract
+    c E*(d) Y for d = t - lead Y, and repeat.  Convexity of the dual
+    PBW basis (Levendorskii-Soibelman) makes E*(d) Y lead with
+    q^s E*(d + lead Y), which is asserted for every d, so any Z Y leads
+    with lead Z + lead Y and a remainder whose lead is not of that form
+    has no solution."""
+    if not y:
         raise ValueError("no solution")
-    if not rc:
-        return DualElement((0,) * ctx.datum.rank, {})
+    lead = max(y)
+    rest, z = dict(r), {}
+    while rest:
+        t = max(rest)
+        d = tuple(a - b for a, b in zip(t, lead))
+        if min(d) < 0:
+            raise ValueError("no solution")
+        prod = pbw.dual_mul({d: LaurentPoly.one()}, y)
+        top = max(prod)
+        s = prod[top].min_exp()
+        if top != t or prod[top].c != {s: 1}:
+            raise AssertionError(
+                f"right division: E*{d} Y does not lead with a q-power at "
+                f"E*{t}; its lex-largest term is {prod[top]!r} E*{top}")
+        z[d] = c = rest[t] * LaurentPoly.q_power(-s)
+        accumulate(rest, prod, -c)
+    return z
+
+
+def divide_right(ctx, r, y):
+    """The unique Z with Z * Y = R, by exact long division on
+    E*-coordinates (``_divide_estar``); arguments and result in dual
+    canonical coordinates."""
+    rc = _estar_coords(ctx, _coords_of(r))
+    yc = _estar_coords(ctx, _coords_of(y))
     pbw = ctx.ctx
     try:
-        wr, wy = pbw.element_weight(rc), pbw.element_weight(yc)
+        pbw.element_weight(rc)
+        pbw.element_weight(yc)
     except ValueError as e:
         raise ValueError("no solution") from e
-    wz = tuple(a - b for a, b in zip(wr, wy))
-    if any(x < 0 for x in wz):
-        raise ValueError("no solution")
-
-    yp = _estar_coords(ctx, yc)
-    rp = _estar_coords(ctx, rc)
-    unknowns = ctx.labels_of_weight(wz)
-    support = ctx.labels_of_weight(wr)
-    columns = [pbw.dual_mul({c: LaurentPoly.one()}, yp) for c in unknowns]
-    zero = LaurentPoly.zero()
-    mat = [[RatFunc(col.get(d, zero)) for col in columns] for d in support]
-    rhs = [RatFunc(rp.get(d, zero)) for d in support]
-    try:
-        z = solve(mat, rhs)
-    except ValueError as e:
-        if "underdetermined" in str(e):
-            raise ValueError("non-unique solution") from e
-        raise ValueError("no solution") from e
-    for c, v in zip(unknowns, z):
-        if not v.is_laurent():
-            raise AssertionError(f"right quotient not Laurent at E*{c}: {v}")
-    return ctx.expand_dual({c: v.to_laurent() for c, v in zip(unknowns, z)
-                            if v})
+    return ctx.expand_dual(_divide_estar(pbw, rc, yc))
 
 
 def _k_plus(word, k):
@@ -257,26 +261,6 @@ def initial_seed(preset, word=None):
     return QuantumSeed(ctx, word, labels, mutable, bmat)
 
 
-def _monomial_coords(ctx, seed, pairs):
-    """Ordered product of variable powers, as dual canonical coords;
-    pairs is a list of (position, exponent)."""
-    out = _unit_coords((0,) * seed.size())
-    for k, e in pairs:
-        unit = _unit_coords(seed.labels[k - 1])
-        for _ in range(e):
-            out = dual_product(ctx, out, unit)
-    return out
-
-
-def _single_label(coords):
-    """(label, m) when coords = q^m * unit(label), else None."""
-    if len(coords) != 1:
-        return None
-    (label, coeff), = coords.items()
-    m = coeff.min_exp()
-    return (label, m) if coeff == LaurentPoly.q_power(m) else None
-
-
 def _mutate_logged(seed, k):
     """One mutation with its exchange record; returns (seed, entry)."""
     if k not in seed.mutable:
@@ -284,58 +268,51 @@ def _mutate_logged(seed, k):
     ctx = seed.context
     col = seed.mutable.index(k)
     n = seed.size()
-    pos = [(p, seed.bmat[p - 1][col]) for p in range(1, n + 1)
-           if seed.bmat[p - 1][col] > 0]
-    neg = [(p, -seed.bmat[p - 1][col]) for p in range(1, n + 1)
-           if seed.bmat[p - 1][col] < 0]
-    mplus = _monomial_coords(ctx, seed, pos)
-    mminus = _monomial_coords(ctx, seed, neg)
-    plus_one = _single_label(mplus)
-    minus_one = _single_label(mminus)
-    if plus_one is None or minus_one is None:
-        raise ExchangeFailure(
-            "result not dual canonical: exchange monomial has support "
-            f"{sorted(mplus) if plus_one is None else sorted(mminus)}")
-    # the exchange relation is stated between the normalized basis
-    # elements; the monomials' own q-normalizations are absorbed into
-    # the empirically extracted exponent
-    yplus = _unit_coords(plus_one[0])
-    yminus = _unit_coords(minus_one[0])
-    yk = _unit_coords(seed.labels[k - 1])
+    # the exchange monomials, certified as cluster monomials; the
+    # relation is stated between their basis elements b^up = q^-p x
+    ends = []
+    for sign in (1, -1):
+        rep, x = _normalize(seed, [max(sign * row[col], 0)
+                                   for row in seed.bmat])
+        if not rep.passed():
+            raise ExchangeFailure(
+                f"result not dual canonical: exchange monomial "
+                f"{rep.exponents}: {rep.status}")
+        ends.append((rep.label, _scale_coords(
+            x, LaurentPoly.q_power(rep.q_power))))
+    (plus, bplus), (minus, bminus) = ends
+    yk = ctx.dual_estar_coords(seed.labels[k - 1])
     qinv = LaurentPoly.q_power(-1)
 
     candidates = []
     near_miss = None
     for placement, r in (
-            ("plus", accumulate(_scale_coords(yplus, qinv), yminus)),
-            ("minus", accumulate(dict(yplus), _scale_coords(yminus, qinv)))):
+            ("plus", accumulate(_scale_coords(bplus, qinv), bminus)),
+            ("minus", accumulate(dict(bplus), _scale_coords(bminus, qinv)))):
         try:
-            z = divide_right(ctx, r, yk)
+            z = _divide_estar(ctx.ctx, r, yk)
         except ValueError:
             continue
-        one = _single_label(z.coords)
-        if one is None:
-            near_miss = dict(z.coords)
+        # the quotient must be q^m b^up(label), label its leading term
+        label = max(z)
+        m = z[label].min_exp()
+        if z != _scale_coords(ctx.dual_estar_coords(label),
+                              LaurentPoly.q_power(m)):
+            near_miss = z
             continue
-        candidates.append((placement, one[0], one[1], r))
+        candidates.append((placement, label, m))
     if not candidates:
         if near_miss is not None:
             raise ExchangeFailure(
                 f"result not dual canonical: quotient support "
-                f"{sorted(near_miss)}")
+                f"{sorted(ctx.expand_dual(near_miss).coords)}")
         raise ValueError("division has no solution")
     if len(candidates) > 1:
         raise AssertionError("ambiguous exchange placement")
-    placement, new_label, m, r = candidates[0]
-
-    # the exchange identity, re-expanded through the structure constants
-    check = _scale_coords(
-        ctx.structure_constants(new_label, seed.labels[k - 1]),
-        LaurentPoly.q_power(m))
-    if check != r:
-        raise AssertionError("exchange validation failed: identity broken")
-    shadow = sorted(sum(v.c.values()) for v in check.values())
-    if shadow != [1, 1]:
+    placement, new_label, m = candidates[0]
+    # a zero remainder makes q^m b^up(new) Y_k = R exact; its classical
+    # shadow is the sum of two distinct basis elements
+    if plus == minus:
         raise AssertionError("exchange validation failed: classical shadow")
 
     new_labels = list(seed.labels)
@@ -352,7 +329,7 @@ def _mutate_logged(seed, k):
                                               + bpk * abs(bkj)) // 2
     out = QuantumSeed(ctx, seed.word, new_labels, seed.mutable, bm,
                       seed.history + (k,))
-    pair = sorted((plus_one[0], minus_one[0]))
+    pair = sorted((plus, minus))
     entry = {
         "labels": [list(l) for l in seed.labels],
         "k": k,
@@ -365,8 +342,10 @@ def _mutate_logged(seed, k):
 
 
 def mutate(seed, k):
-    """Mutation at a mutable index: exact division through the exchange
-    relation, exchange-matrix update, full revalidation."""
+    """Mutation at a mutable index: the exchange monomials certified on
+    E*-coordinates, the new variable by exact long division of the
+    exchange relation by Y_k, exchange-matrix update, full
+    revalidation."""
     return _mutate_logged(seed, k)[0]
 
 
@@ -394,10 +373,10 @@ class ClusterMonomialReport:
 
 
 def _certificate(seed, exponents):
-    """(label, p) when the ordered product X of the seed variables has
+    """(label, p, x) when the ordered product X of the seed variables has
     coordinates over the dual PBW basis E*(d) = L(d) / (L(d), L(d))
     equal to q^p at the label and with a higher lowest exponent
-    everywhere else; otherwise None.
+    everywhere else, x those coordinates; otherwise None.
 
     The product runs in Z[q, q^-1] on the variables' E*-coordinates
     (``PBWContext.dual_mul``), so it needs canonical tables only at the
@@ -421,7 +400,7 @@ def _certificate(seed, exponents):
     (label, v), = lowest[p]
     if v.c != {p: 1}:
         return None
-    return label, p
+    return label, p, x
 
 
 def _sigma_exponent(seed, exponents):
@@ -447,22 +426,25 @@ def _structure_constant_report(seed, exponents):
     product expanded in the dual canonical basis, with canonical tables
     at every intermediate and final weight.  The explainer of a
     certificate rejection, and the reference route of the tests."""
-    coords = _monomial_coords(seed.context, seed,
-                              [(k, e) for k, e in
-                               enumerate(exponents, start=1) if e])
-    one = _single_label(coords)
-    if one is None:
-        detail = {str(list(l)): repr(v) for l, v in sorted(coords.items())}
-        return ClusterMonomialReport(
-            exponents, None, None,
-            f"fail: not a q-power of a dual canonical element: {detail}")
-    label, p = one
-    return ClusterMonomialReport(exponents, label, -p, "pass")
+    coords = _unit_coords((0,) * seed.size())
+    for label, e in zip(seed.labels, exponents):
+        for _ in range(e):
+            coords = dual_product(seed.context, coords, _unit_coords(label))
+    if len(coords) == 1:
+        (label, v), = coords.items()
+        p = v.min_exp()
+        if v.c == {p: 1}:
+            return ClusterMonomialReport(exponents, label, -p, "pass")
+    detail = {str(list(l)): repr(v) for l, v in sorted(coords.items())}
+    return ClusterMonomialReport(
+        exponents, None, None,
+        f"fail: not a q-power of a dual canonical element: {detail}")
 
 
-def cluster_monomial(seed, exponents):
-    """Normalize the ordered product of the seed variables with the
-    given exponents: find m with q^m * product a basis element.
+def _normalize(seed, exponents):
+    """(report, x) for the ordered product X of the seed variables with
+    the given exponents, x its E*-coordinates (None on a failing
+    report).
 
     Certified by Lusztig's lemma.  The dual bar involution is a twisted
     anti-automorphism, the variables are invariant under it and pairwise
@@ -475,15 +457,6 @@ def cluster_monomial(seed, exponents):
     q^p.  It is explained by the structure-constant route, whose failure
     text is the report.
     """
-    exponents = tuple(exponents)
-    if len(exponents) != seed.size():
-        raise ValueError("exponent vector length mismatch")
-    if any(e < 0 for e in exponents):
-        raise ValueError("negative exponent")
-    height = sum(e * sum(seed.context.label_weight(label))
-                 for label, e in zip(seed.labels, exponents))
-    if height > CLUSTER_HEIGHT_CAP:
-        raise ValueError("product exceeds height bound")
     hit = _certificate(seed, exponents)
     if hit is None:
         rep = _structure_constant_report(seed, exponents)
@@ -493,15 +466,31 @@ def cluster_monomial(seed, exponents):
                 f"{list(seed.history)}, exponents {list(exponents)}: the "
                 f"certificate rejects, the structure constants give "
                 f"{list(rep.label)} with q-power {rep.q_power}")
-        return rep
-    label, p = hit
+        return rep, None
+    label, p, x = hit
     want = _sigma_exponent(seed, exponents)
     if 2 * p != want:
         raise AssertionError(
             f"q-power of the cluster monomial is not the sigma-invariant one "
             f"at seed history {list(seed.history)}, exponents "
             f"{list(exponents)}: 2p = {2 * p}, expected {want}")
-    return ClusterMonomialReport(exponents, label, -p, "pass")
+    return ClusterMonomialReport(exponents, label, -p, "pass"), x
+
+
+def cluster_monomial(seed, exponents):
+    """Normalize the ordered product of the seed variables with the
+    given exponents: find m with q^m * product a basis element
+    (certified as in ``_normalize``)."""
+    exponents = tuple(exponents)
+    if len(exponents) != seed.size():
+        raise ValueError("exponent vector length mismatch")
+    if any(e < 0 for e in exponents):
+        raise ValueError("negative exponent")
+    height = sum(e * sum(seed.context.label_weight(label))
+                 for label, e in zip(seed.labels, exponents))
+    if height > CLUSTER_HEIGHT_CAP:
+        raise ValueError("product exceeds height bound")
+    return _normalize(seed, exponents)[0]
 
 
 def reachable_seeds(preset, depth):

@@ -517,6 +517,14 @@ def test_malformed_labels_raise(a2, label):
             call()
 
 
+@pytest.mark.parametrize("label", [(1, 0), (-1, 2, 0), (0, 0, 0, 1)])
+def test_label_weight_refuses_malformed_labels(a2, label):
+    """A short, a negative and a long label: label_weight names each
+    instead of reading a weight off it."""
+    with pytest.raises(ValueError, match=re.escape(f"label {label}")):
+        a2.label_weight(label)
+
+
 def test_expand_dual_of_dual_is_unit(a2):
     for c in a2.labels_of_weight((2, 1)):
         out = a2.expand_dual(a2.dual_estar_coords(c))

@@ -5,12 +5,14 @@ import copy
 import itertools
 import json
 import random
+import re
 import time
 
 import pytest
 
 from qbases import canonical, cluster, pbwalg
-from qbases.laurent import LaurentPoly, RatFunc
+from qbases.laurent import LaurentPoly, RatFunc, accumulate
+from qbases.linalg import solve
 from qbases.quiver import load_preset
 from qbases.canonical import get_canonical
 from qbases.preproj import mutate_rigid, module_label, preproj_preset
@@ -190,6 +192,44 @@ def test_initial_lambda_closed_form(fresh_seed):
     assert elapsed < 30
 
 
+def ref_divide_right(ctx, r, y):
+    """Reference route of divide_right: Z * Y = R solved as one linear
+    system over Q(q) on the whole quotient weight space of E*-coordinates,
+    then checked Laurent; result in dual canonical coordinates."""
+    rc, yc = cluster._coords_of(r), cluster._coords_of(y)
+    if not yc:
+        raise ValueError("no solution")
+    if not rc:
+        return canonical.DualElement((0,) * ctx.datum.rank, {})
+    pbw = ctx.ctx
+    try:
+        wr, wy = pbw.element_weight(rc), pbw.element_weight(yc)
+    except ValueError as e:
+        raise ValueError("no solution") from e
+    wz = tuple(a - b for a, b in zip(wr, wy))
+    if any(x < 0 for x in wz):
+        raise ValueError("no solution")
+    yp = cluster._estar_coords(ctx, yc)
+    rp = cluster._estar_coords(ctx, rc)
+    unknowns = ctx.labels_of_weight(wz)
+    support = ctx.labels_of_weight(wr)
+    columns = [pbw.dual_mul({c: LaurentPoly.one()}, yp) for c in unknowns]
+    zero = LaurentPoly.zero()
+    mat = [[RatFunc(col.get(d, zero)) for col in columns] for d in support]
+    rhs = [RatFunc(rp.get(d, zero)) for d in support]
+    try:
+        z = solve(mat, rhs)
+    except ValueError as e:
+        if "underdetermined" in str(e):
+            raise ValueError("non-unique solution") from e
+        raise ValueError("no solution") from e
+    for c, v in zip(unknowns, z):
+        if not v.is_laurent():
+            raise AssertionError(f"right quotient not Laurent at E*{c}: {v}")
+    return ctx.expand_dual({c: v.to_laurent() for c, v in zip(unknowns, z)
+                            if v})
+
+
 def test_divide_right_examples(a2):
     ctx = a2.context
     r = dual_product(ctx, _unit_coords((0, 0, 1)), _unit_coords((1, 0, 0)))
@@ -201,6 +241,133 @@ def test_divide_right_examples(a2):
     assert u.coords == r
     with pytest.raises(ValueError, match="no solution"):
         divide_right(ctx, _unit_coords((1, 0, 1)), (0, 0, 1))
+    # the same answers from the Q(q) solve
+    assert ref_divide_right(ctx, r, (1, 0, 0)) == z
+    assert ref_divide_right(ctx, r, (0, 0, 0)) == u
+    with pytest.raises(ValueError, match="no solution"):
+        ref_divide_right(ctx, _unit_coords((1, 0, 1)), (0, 0, 1))
+
+
+@pytest.mark.parametrize("break_lead", [
+    lambda out, top: out.update({top: out[top] * LaurentPoly({0: 1, 1: 1})}),
+    lambda out, top: out.pop(top)], ids=["coefficient", "term"])
+def test_division_lead_check_is_loud(a2, monkeypatch, break_lead):
+    """A product E*(d) Y whose lex-largest term is not a q-power at
+    d + lead Y stops the division with an AssertionError naming d; it is
+    never read as "no solution"."""
+    ctx = a2.context
+    r = ctx.structure_constants((0, 0, 1), (1, 0, 0))
+    original = pbwalg.PBWContext.dual_constants
+
+    def broken(self, a, b):
+        out = dict(original(self, a, b))
+        break_lead(out, max(out))
+        return out
+
+    monkeypatch.setattr(pbwalg.PBWContext, "dual_constants", broken)
+    with pytest.raises(AssertionError,
+                       match=re.escape("E*(0, 0, 1) Y does not lead")):
+        divide_right(ctx, r, (1, 0, 0))
+
+
+def ref_mutate_logged(seed, k):
+    """Reference route of a mutation: exchange monomials expanded through
+    the structure constants, the quotient from ref_divide_right, and the
+    exchange identity re-expanded through the structure constants.
+    Returns the new seed, the exchange entry and the two right-hand
+    sides R, one per placement."""
+    ctx = seed.context
+    col = seed.mutable.index(k)
+
+    def monomial(sign):
+        out = _unit_coords((0,) * seed.size())
+        for label, row in zip(seed.labels, seed.bmat):
+            for _ in range(max(sign * row[col], 0)):
+                out = dual_product(ctx, out, _unit_coords(label))
+        (label, v), = out.items()
+        assert v == LaurentPoly.q_power(v.min_exp())
+        return label
+
+    plus, minus = monomial(1), monomial(-1)
+    qinv = LaurentPoly.q_power(-1)
+    sides = {"plus": accumulate({plus: qinv}, _unit_coords(minus)),
+             "minus": accumulate(_unit_coords(plus), {minus: qinv})}
+    found = []
+    for placement, r in sides.items():
+        try:
+            z = ref_divide_right(ctx, r, seed.labels[k - 1])
+        except ValueError:
+            continue
+        if len(z.coords) == 1:
+            (label, v), = z.coords.items()
+            if v == LaurentPoly.q_power(v.min_exp()):
+                found.append((placement, label, v.min_exp(), r))
+    (placement, new_label, m, r), = found
+    check = ctx.structure_constants(new_label, seed.labels[k - 1])
+    assert {d: v * LaurentPoly.q_power(m) for d, v in check.items()} == r
+    labels = list(seed.labels)
+    labels[k - 1] = new_label
+    b = seed.bmat
+    bmat = [[-b[p][j] if k in (p + 1, kj) else
+             b[p][j] + (abs(b[p][col]) * b[k - 1][j]
+                        + b[p][col] * abs(b[k - 1][j])) // 2
+             for j, kj in enumerate(seed.mutable)] for p in range(len(b))]
+    new = QuantumSeed(ctx, seed.word, labels, seed.mutable, bmat,
+                      seed.history + (k,))
+    entry = {"labels": [list(l) for l in seed.labels], "k": k,
+             "new_label": list(new_label), "q_power": -m,
+             "pair": [list(p) for p in sorted((plus, minus))],
+             "placement": placement}
+    return new, entry, sides
+
+
+@pytest.mark.parametrize("preset, depth, sources, exchanges", [
+    ("A2", 2, None, 2), ("A3", 8, None, 42), ("A4", 1, 1, 6)])
+def test_mutation_two_routes(preset, depth, sources, exchanges):
+    """Mutation by long division on E*-coordinates equals the reference
+    route (structure constants, Q(q) solve) on every exchange: same
+    entry, same seed, and the same right quotient for both placements.
+    The seeds of the graph all take the q^-1 on M-; each exchange is
+    run again with the exchange matrix negated, which swaps M+ and M-
+    and so the placement, but not the new variable."""
+    seeds, _ = reachable_seeds(preset, depth)
+    placements = []
+    for seed in seeds[:sources]:
+        ctx = seed.context
+        flipped = QuantumSeed(ctx, seed.word, seed.labels, seed.mutable,
+                              [[-b for b in row] for row in seed.bmat],
+                              seed.history)
+        for k in seed.mutable:
+            for s in (seed, flipped):
+                new, entry = cluster._mutate_logged(s, k)
+                ref, want, sides = ref_mutate_logged(s, k)
+                assert entry == want, (s.history, k)
+                assert new.to_json() == ref.to_json(), (s.history, k)
+                for r in sides.values():
+                    try:
+                        z = ref_divide_right(ctx, r, s.labels[k - 1])
+                    except ValueError:
+                        with pytest.raises(ValueError, match="no solution"):
+                            divide_right(ctx, r, s.labels[k - 1])
+                        continue
+                    assert divide_right(ctx, r, s.labels[k - 1]) == z
+                placements.append(entry["placement"])
+            assert new.labels == mutate(seed, k).labels
+    assert placements == ["minus", "plus"] * exchanges
+
+
+def test_quotient_not_dual_canonical_is_logged(a2, monkeypatch):
+    """A quotient that is not a q-power of one dual canonical element
+    fails the exchange, naming the quotient's support; it is logged."""
+    exact = cluster._divide_estar
+    monkeypatch.setattr(cluster, "_divide_estar", lambda pbw, r, y: {
+        d: v * LaurentPoly({0: 1, 1: 1}) for d, v in exact(pbw, r, y).items()})
+    with pytest.raises(cluster.ExchangeFailure,
+                       match=re.escape("quotient support [(0, 0, 1)]")):
+        mutate(a2, 1)
+    _, log = reachable_seeds(a2, 1)
+    assert log[0]["status"] == ("fail: result not dual canonical: quotient "
+                                "support [(0, 0, 1)]")
 
 
 def test_mutation_a2(a2):
@@ -302,6 +469,48 @@ def test_route_disagreement_is_loud(a2, monkeypatch):
     monkeypatch.setattr(cluster, "_certificate", lambda seed, exps: None)
     with pytest.raises(AssertionError, match="routes disagree"):
         cluster_monomial(a2, (1, 1, 0))
+
+
+def test_exchange_monomial_route_disagreement_is_loud(a2, monkeypatch):
+    """A certificate rejecting an exchange monomial that the structure
+    constants accept stops the mutation; nothing is logged as a failed
+    exchange."""
+    monkeypatch.setattr(cluster, "_certificate", lambda seed, exps: None)
+    with pytest.raises(AssertionError, match="routes disagree.*exponents "
+                                             r"\[0, 0, 1\]"):
+        mutate(a2, 1)
+    with pytest.raises(AssertionError, match="routes disagree"):
+        reachable_seeds(a2, 1)
+
+
+def test_exchange_monomial_rejection_is_logged(a2, monkeypatch):
+    """When both routes reject an exchange monomial, the exchange is
+    logged as failed, with the explainer's report."""
+    monkeypatch.setattr(cluster, "_certificate", lambda seed, exps: None)
+    monkeypatch.setattr(
+        cluster, "_structure_constant_report",
+        lambda seed, exps: cluster.ClusterMonomialReport(
+            exps, None, None, "fail: planted"))
+    _, log = reachable_seeds(a2, 1)
+    assert log == [{"labels": [[1, 0, 0], [0, 1, 0], [1, 0, 1]], "k": 1,
+                    "status": "fail: result not dual canonical: exchange "
+                              "monomial (0, 0, 1): fail: planted"}]
+
+
+@pytest.mark.parametrize("preset, depth, count", [
+    ("A2", 2, 3), ("A3", 8, 7), ("A4", 1, 9)])
+def test_mutation_builds_tables_only_at_variable_weights(
+        monkeypatch, preset, depth, count):
+    """From cold caches, walking the exchange graph (mutations and their
+    involutivity checks) builds canonical tables exactly at the seeds'
+    variable weights: none at an exchange monomial's or R's weight."""
+    monkeypatch.setattr(pbwalg, "_CONTEXTS", {})
+    monkeypatch.setattr(canonical, "_CANONICAL", {})
+    seeds, _ = reachable_seeds(preset, depth)
+    ctx = seeds[0].context
+    weights = {ctx.label_weight(l) for s in seeds for l in s.labels}
+    assert set(ctx._tables) == weights
+    assert len(weights) == count
 
 
 def test_reachable_seeds_a2(a2):
