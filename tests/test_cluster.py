@@ -250,7 +250,8 @@ def test_divide_right_examples(a2):
 
 @pytest.mark.parametrize("break_lead", [
     lambda out, top: out.update({top: out[top] * LaurentPoly({0: 1, 1: 1})}),
-    lambda out, top: out.pop(top)], ids=["coefficient", "term"])
+    lambda out, top: out.pop(top),
+    lambda out, top: out.clear()], ids=["coefficient", "term", "all-terms"])
 def test_division_lead_check_is_loud(a2, monkeypatch, break_lead):
     """A product E*(d) Y whose lex-largest term is not a q-power at
     d + lead Y stops the division with an AssertionError naming d; it is
