@@ -1,10 +1,16 @@
 """Dense exact linear algebra over any field-like coefficient type.
 
-Entries must support +, -, *, / and truthiness (nonzero test); both
-fractions.Fraction and RatFunc qualify.  Matrices are lists of lists.
+Entries must support +, -, *, / and truthiness (nonzero test);
+fractions.Fraction and RatFunc qualify, and so do Python ints, which
+are promoted to Fraction wherever a pivot divides.  Matrices are lists
+of lists.  rank divides only exactly, so an int matrix keeps int
+entries throughout; rref, nullspace, solve and inverse return exact
+rationals, never floats.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def mat_mul(a, b):
@@ -44,7 +50,11 @@ def rref(mat):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        if inv != 1:
+            if isinstance(inv, int):
+                # int / int is a float
+                inv = Fraction(inv)
+            rows[r] = [x / inv for x in rows[r]]
         for i in range(n):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -57,9 +67,34 @@ def rref(mat):
 
 
 def rank(mat):
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat)[1])
+    """Rank by fraction-free (Bareiss) elimination.
+
+    Each row below the pivot p becomes (p row - f pivot row) / p', with
+    p' the previous pivot.  Every entry stays a minor of mat, so the
+    quotient is exact: ints divide with // and stay ints, other entries
+    divide with /.
+    """
+    rows = [list(row) for row in mat]
+    r, prev = 0, None
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p, top = rows[r][c], rows[r][c + 1:]
+        for row in rows[r + 1:]:
+            f = row[c]
+            new = [p * x - f * y for x, y in zip(row[c + 1:], top)]
+            if prev is not None:
+                # an int minor has an int previous pivot
+                new = [x // prev if type(x) is int else x / prev
+                       for x in new]
+            row[c + 1:] = new
+        prev = p
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 def nullspace(mat, one, zero):

@@ -576,15 +576,6 @@ class PBWContext:
             hit = self._gram[weight] = (inds, mat)
         return hit
 
-    def pairing(self, f, g):
-        """Kashiwara bilinear form: sum_c f_c g_c (L(c), L(c))."""
-        val = RatFunc(0)
-        for c, fc in f.items():
-            gc = g.get(c)
-            if gc is not None:
-                val = val + fc * gc * self.norm(c)
-        return val
-
 
 _CONTEXTS = {}
 

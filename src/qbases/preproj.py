@@ -1,8 +1,10 @@
 """Nilpotent representations of the preprojective algebra at desk scale.
 
-Modules are matrix tuples over Q for the doubled quiver, subject to the
-moment-map relations and nilpotency.  Everything here is exact linear
-algebra: Hom spaces by solving intertwiner equations, Ext^1 through the
+Modules are matrix tuples for the doubled quiver, subject to the
+moment-map relations and nilpotency.  Entries are Python ints; a
+fractions.Fraction appears only where a kernel or an inverse divides
+and leaves a non-integer.  Everything here is exact linear algebra:
+Hom spaces by solving intertwiner equations, Ext^1 through the
 homological dimension formula, rigidity and open-orbit tests, exhaustive
 enumeration of isomorphism classes for the representation-finite
 presets, and mutation of maximal rigid collections via minimal left
@@ -16,26 +18,33 @@ from fractions import Fraction
 from .linalg import inverse, nullspace, rank, rref
 from .quiver import load_preset
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 # enumeration stays exhaustive only on representation-finite presets,
 # and only below these per-vertex dimension bounds
 ENUM_BOUNDS = {"A2": (2, 2), "A3": (1, 1, 1), "A4": (1, 1, 1, 1)}
 
 
 def _zeros(r, c):
-    return tuple((_F0,) * c for _ in range(r))
+    return tuple((0,) * c for _ in range(r))
+
+
+def _entry(x):
+    """x as an exact entry: an int when integral, else a Fraction.  Equal
+    values hash and print alike in both types."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _freeze(mat):
-    return tuple(tuple(Fraction(x) for x in row) for row in mat)
+    return tuple(tuple(_entry(x) for x in row) for row in mat)
 
 
 def _mat_mul(a, b):
     if not a or not b:
         return ()
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(len(b))), _F0)
+    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b)))
                        for j in range(len(b[0]))) for i in range(len(a)))
 
 
@@ -55,7 +64,8 @@ def double_arrows(orientation):
 
 
 class PreprojModule:
-    """A representation of the doubled quiver with rational matrices.
+    """A representation of the doubled quiver with rational matrices,
+    held as ints wherever an entry is integral.
 
     The matrix for the arrow a -> b maps V_a to V_b and has shape
     (dim_b, dim_a).  Missing arrows are zero.  Whether the moment-map
@@ -125,8 +135,7 @@ class PreprojModule:
         arrows = {}
         for key, mat in obj.get("arrows", {}).items():
             a, b = key.split("->")
-            arrows[(int(a), int(b))] = [[Fraction(x) for x in row]
-                                        for row in mat]
+            arrows[(int(a), int(b))] = mat
         return cls(datum, orientation, obj["dim"], arrows)
 
 
@@ -160,8 +169,7 @@ def moment_residual(module):
 def is_nilpotent(module):
     """Do all long enough arrow composites vanish?  Tracks the radical
     chain of vertexwise column spans, which cannot cancel."""
-    spans = {i: [tuple(_F1 if r == c else _F0
-                       for r in range(module.dim[i - 1]))
+    spans = {i: [tuple(int(r == c) for r in range(module.dim[i - 1]))
                  for c in range(module.dim[i - 1])]
              for i in range(1, module.datum.rank + 1)}
     for _ in range(module.total_dim() + 1):
@@ -170,8 +178,8 @@ def is_nilpotent(module):
         nxt = {i: [] for i in spans}
         for (a, b), mat in module.arrows.items():
             for v in spans[a]:
-                img = tuple(sum((mat[r][c] * v[c] for c in range(len(v))),
-                                _F0) for r in range(module.dim[b - 1]))
+                img = tuple(sum(mat[r][c] * v[c] for c in range(len(v)))
+                            for r in range(module.dim[b - 1]))
                 if any(img):
                     nxt[b].append(img)
         spans = {i: _independent(vs) for i, vs in nxt.items()}
@@ -202,9 +210,9 @@ def direct_sum(left, right):
         lw = left.dim[a - 1]
         rw = right.dim[a - 1]
         for r in range(left.dim[b - 1]):
-            rows.append(tuple(la[r]) + (_F0,) * rw)
+            rows.append(tuple(la[r]) + (0,) * rw)
         for r in range(right.dim[b - 1]):
-            rows.append((_F0,) * lw + tuple(ra[r]))
+            rows.append((0,) * lw + tuple(ra[r]))
         arrows[h] = tuple(rows)
     dim = tuple(x + y for x, y in zip(left.dim, right.dim))
     return PreprojModule(left.datum, left.orientation, dim, arrows)
@@ -232,7 +240,7 @@ def _hom_system(src, dst):
         # phi_b B^M_h - B^N_h phi_a = 0, entry (r, c)
         for r in range(dst.dim[b - 1]):
             for c in range(src.dim[a - 1]):
-                row = [_F0] * total
+                row = [0] * total
                 for s in range(src.dim[b - 1]):
                     if bm[s][c]:
                         row[offs[b] + r * src.dim[b - 1] + s] += bm[s][c]
@@ -257,17 +265,16 @@ def hom_basis(src, dst):
     if total == 0:
         return []
     if rows:
-        vecs = nullspace(rows, _F1, _F0)
+        vecs = nullspace(rows, 1, 0)
     else:
-        vecs = [[_F1 if k == j else _F0 for k in range(total)]
-                for j in range(total)]
+        vecs = [[int(k == j) for k in range(total)] for j in range(total)]
     out = []
     for v in vecs:
         mats = {}
         for i in range(1, src.datum.rank + 1):
             r, c = dst.dim[i - 1], src.dim[i - 1]
             base = offs[i]
-            mats[i] = tuple(tuple(v[base + rr * c + cc]
+            mats[i] = tuple(tuple(_entry(v[base + rr * c + cc])
                                   for cc in range(c)) for rr in range(r))
         out.append(mats)
     return out
@@ -339,7 +346,8 @@ def _coefficient_schedule(n):
     if n <= 4:
         return itertools.product((-2, -1, 0, 1, 2), repeat=n)
     rng = random.Random(1729)
-    return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(64)]
+    # drawn lazily: the search usually stops at the first vector
+    return ([rng.randint(-5, 5) for _ in range(n)] for _ in range(64))
 
 
 def _det_vanishes(mats, d):
@@ -353,7 +361,7 @@ def _det_vanishes(mats, d):
 
     def minor(row, cols):
         if row == d:
-            return {(): _F1}
+            return {(): 1}
         acc = {}
         for j, col in enumerate(cols):
             if not forms[row][col]:
@@ -362,7 +370,7 @@ def _det_vanishes(mats, d):
             for m1, x in forms[row][col].items():
                 for m2, y in sub.items():
                     mono = tuple(sorted(m1 + m2))
-                    acc[mono] = acc.get(mono, _F0) + (-1) ** j * x * y
+                    acc[mono] = acc.get(mono, 0) + (-1) ** j * x * y
         return {m: v for m, v in acc.items() if v}
 
     return not minor(0, tuple(range(d)))
@@ -394,9 +402,8 @@ def _intertwiner_search(left, right, basis):
         good = True
         for i in range(1, left.datum.rank + 1):
             d = left.dim[i - 1]
-            mat = [[sum((Fraction(c) * b[i][r][s] for c, b in
-                         zip(coeffs, basis)), _F0) for s in range(d)]
-                   for r in range(d)]
+            mat = [[sum(c * b[i][r][s] for c, b in zip(coeffs, basis))
+                    for s in range(d)] for r in range(d)]
             if d and rank(mat) != d:
                 good = False
                 break
@@ -444,8 +451,8 @@ def enumerate_modules(datum, orientation, dim):
         for h, (r, c) in zip(arrows, shapes):
             chunk = bits[pos:pos + r * c]
             pos += r * c
-            mats[h] = tuple(tuple(Fraction(chunk[rr * c + cc])
-                                  for cc in range(c)) for rr in range(r))
+            mats[h] = tuple(tuple(chunk[rr * c + cc] for cc in range(c))
+                            for rr in range(r))
         return PreprojModule(datum, orientation, dim, mats)
 
     classes = []
@@ -582,12 +589,12 @@ def _factors_through(src, mid, fmap, target, phi0):
     """Does phi0: src -> target factor as psi . fmap with psi a module
     map mid -> target?  One linear solve in the unknowns of psi."""
     rows, offs, total = _hom_system(mid, target)
-    rhs = [_F0] * len(rows)
+    rhs = [0] * len(rows)
     # composition constraints (psi . fmap)_i = phi0_i
     for i in range(1, src.datum.rank + 1):
         for r in range(target.dim[i - 1]):
             for c in range(src.dim[i - 1]):
-                row = [_F0] * total
+                row = [0] * total
                 for s in range(mid.dim[i - 1]):
                     if fmap[i][s][c]:
                         row[offs[i] + r * mid.dim[i - 1] + s] += \
@@ -619,7 +626,7 @@ def _cokernel(src, dst, fmap):
         im_rank = len(basis)
         ext = []
         for j in range(d):
-            e = [_F1 if k == j else _F0 for k in range(d)]
+            e = [int(k == j) for k in range(d)]
             if rank(basis + ext + [e]) > len(basis) + len(ext):
                 ext.append(e)
         q = len(ext)
@@ -629,7 +636,7 @@ def _cokernel(src, dst, fmap):
             sect[i] = ()
             continue
         change = [[(basis + ext)[c][r] for c in range(d)] for r in range(d)]
-        inv = inverse(change, _F1, _F0)
+        inv = inverse(change, 1, 0)
         proj[i] = tuple(tuple(inv[im_rank + r]) for r in range(q))
         sect[i] = tuple(tuple(ext[c][r] for c in range(q))
                         for r in range(d))
@@ -814,7 +821,7 @@ def preproj_preset(name):
     datum, orientation = p["datum"], p["orientation"]
     if datum.name != "A2":
         raise ValueError(f"no preprojective preset for {name!r}")
-    one = [[Fraction(1)]]
+    one = [[1]]
     s1 = simple_module(datum, orientation, 1)
     p2 = PreprojModule(datum, orientation, (1, 1), {(2, 1): one})
     p1 = PreprojModule(datum, orientation, (1, 1), {(1, 2): one})

@@ -24,6 +24,7 @@ from qbases.preproj import (ENUM_BOUNDS, PreprojModule, all_dims_up_to,
                             is_open_orbit, is_rigid, module_label,
                             mutate_rigid, preproj_preset, simple_module)
 from qbases.quiver import load_preset
+from oracles import pairing
 from test_pbw import ref_gram
 
 A2 = load_preset("A2")
@@ -149,7 +150,7 @@ def _build_integrity():
                         assert all(co.denominator == 1
                                    for co in entry.c.values()), (wt, a, b)
                 for b in range(a, k):
-                    diff = ctx.ctx.pairing(coords[a], coords[b]) - (
+                    diff = pairing(ctx.ctx, coords[a], coords[b]) - (
                         RatFunc(1) if a == b else RatFunc(0))
                     if diff:
                         assert diff.regular_at_zero(), (wt, a, b)

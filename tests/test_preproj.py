@@ -2,6 +2,7 @@
 enumeration, isomorphism certificates, mutation, the component-containment
 lemma check, and components against crystal labels."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -330,3 +331,58 @@ def test_half_dimension_identity(a2):
         for m in enumerate_modules(d, om, dim):
             if is_rigid(m):
                 assert orbit_dim(m) == e
+
+
+def _entries(module):
+    return [x for mat in module.arrows.values() for row in mat for x in row]
+
+
+def test_int_and_fraction_modules_agree(a2):
+    # int entries and integral Fractions give one module: equal, same
+    # hash and JSON, same Hom dimensions, rigidity and isomorphism class
+    d, om = a2["datum"], a2["orientation"]
+    for m in enumerate_modules(d, om, (2, 1)) + enumerate_modules(
+            d, om, (1, 2)):
+        frac = PreprojModule(d, om, m.dim,
+                             {h: [[Fraction(x) for x in row] for row in mat]
+                              for h, mat in m.arrows.items()})
+        assert frac == m and hash(frac) == hash(m)
+        assert frac.to_json() == m.to_json()
+        assert all(type(x) is int for x in _entries(frac))
+        for other in (a2["s1"], a2["p1"], a2["p2"], m):
+            assert hom_dim(frac, other) == hom_dim(m, other)
+            assert hom_dim(other, frac) == hom_dim(other, m)
+        assert is_rigid(frac) == is_rigid(m)
+        assert is_isomorphic(frac, m) and is_isomorphic(m, frac)
+    half = PreprojModule(d, om, (2, 1),
+                         {(1, 2): [[Fraction(1, 2), Fraction(4, 2)]]})
+    (row,) = half.arrow(1, 2)
+    assert row == (Fraction(1, 2), 2) and type(row[1]) is int
+
+
+def test_enumerated_entries_are_ints(a2):
+    d, om = a2["datum"], a2["orientation"]
+    classes = enumerate_modules(d, om, (2, 2))
+    assert classes
+    for m in classes:
+        assert all(type(x) is int for x in _entries(m)), m
+    # Hom bases between them stay exact: ints, or Fractions that are not
+    # integers, never floats
+    for m in classes:
+        for n in classes:
+            for phi in hom_basis(m, n):
+                for mat in phi.values():
+                    for x in (x for row in mat for x in row):
+                        assert type(x) is int or (
+                            type(x) is Fraction and x.denominator != 1), x
+
+
+def test_coefficient_schedule_is_lazy_and_unchanged():
+    # the eager list of 64 seeded vectors, drawn one at a time instead
+    rng = random.Random(1729)
+    eager = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(64)]
+    sched = preproj._coefficient_schedule(6)
+    assert iter(sched) is sched
+    assert next(sched) == eager[0]
+    assert [eager[0]] + list(sched) == eager
+    assert len(list(preproj._coefficient_schedule(2))) == 25
