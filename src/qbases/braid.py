@@ -160,11 +160,6 @@ class TriangularElement:
             _rescale(other.terms, _INV_Q_MINUS_QINV)), _Q_MINUS_QINV)
         return out
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly, RatFunc)):
-            return self.scale(other)
-        return NotImplemented
-
     # -- projection back to the negative half
 
     def to_word_element(self):

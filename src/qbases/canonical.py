@@ -207,32 +207,11 @@ class DualElement:
         return f"DualElement({self.weight}, {self.coords})"
 
 
-class EpsilonBoundSet:
-    """Labels b' up to a height with eps_i(b') >= eps_i(b) for all i."""
-
-    __slots__ = ("base", "height", "members")
-
-    def __init__(self, base, height, members):
-        self.base = tuple(base)
-        self.height = height
-        self.members = frozenset(tuple(m) for m in members)
-        if self.base not in self.members:
-            raise AssertionError("epsilon bound set must contain its base")
-
-    def __contains__(self, label):
-        return tuple(label) in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-
 class CanonicalContext:
     """Canonical-basis computations for one datum and one fixed reduced
     word of the longest element (the global labelling word)."""
 
-    def __init__(self, datum, word=None):
-        if word is None:
-            word = datum.longest_word()
+    def __init__(self, datum, word):
         self.datum = datum
         self.word = tuple(word)
         if len(self.word) != len(datum.positive_roots()):
@@ -569,17 +548,19 @@ class CanonicalContext:
     # -- epsilon dominance diagnostics
 
     def epsilon_bound_set(self, label, height):
+        """Labels b' up to the height with eps_i(b') >= eps_i(label) for
+        all i, as a frozenset of tuples."""
         label = tuple(label)
         if sum(self.label_weight(label)) > height:
             raise ValueError("height bound below the base label")
-        base = [self.epsilon(i, label)
-                for i in range(1, self.datum.rank + 1)]
-        members = []
-        for cand in self.labels_up_to_height(height):
-            if all(self.epsilon(i, cand) >= base[i - 1]
-                   for i in range(1, self.datum.rank + 1)):
-                members.append(cand)
-        return EpsilonBoundSet(label, height, members)
+        rng = range(1, self.datum.rank + 1)
+        base = [self.epsilon(i, label) for i in rng]
+        members = frozenset(
+            c for c in self.labels_up_to_height(height)
+            if all(self.epsilon(i, c) >= base[i - 1] for i in rng))
+        if label not in members:
+            raise AssertionError("epsilon bound set must contain its base")
+        return members
 
     # -- dual basis and structure constants
 
@@ -667,7 +648,8 @@ _CANONICAL = {}
 
 
 def get_canonical(datum, word=None):
-    """Shared CanonicalContext per (datum, labelling word)."""
+    """Shared CanonicalContext per (datum, labelling word); the word
+    defaults to the greedy datum.longest_word(), not the preset's."""
     word = tuple(word) if word is not None else datum.longest_word()
     key = (datum.cartan, word)
     ctxt = _CANONICAL.get(key)

@@ -300,17 +300,14 @@ def _cmd_ss_bound(args):
     box = _load(args.type)
     datum = box["datum"]
     ctx = get_canonical(datum, box["longest_word"])
-    label = _parse_word(args.label)
-    if len(label) != len(box["longest_word"]) or any(x < 0 for x in label):
-        raise UsageError(f"malformed label {args.label!r}")
     try:
-        bound = ctx.epsilon_bound_set(label, args.height)
+        bound = ctx.epsilon_bound_set(_parse_word(args.label), args.height)
     except ValueError as e:
         raise UsageError(str(e)) from None
     rng = range(1, datum.rank + 1)
     items = [{"label": list(m),
               "epsilon": [ctx.epsilon(i, m) for i in rng]}
-             for m in sorted(bound.members)]
+             for m in sorted(bound)]
     return items, []
 
 

@@ -204,14 +204,6 @@ class QuantumSeed:
     def size(self):
         return len(self.labels)
 
-    def variable(self, k):
-        label = self.labels[k - 1]
-        return DualElement(self.context.label_weight(label),
-                           _unit_coords(label))
-
-    def variables(self):
-        return [self.variable(k) for k in range(1, self.size() + 1)]
-
     def is_mutable(self, k):
         return k in self.mutable
 
@@ -239,7 +231,8 @@ def _normalize_preset(name):
 def initial_seed(preset, word=None):
     """The standard initial seed of a longest word: variable k is the
     dual canonical element of the 0/1 Lusztig datum supported on the
-    prior occurrences of the letter at k."""
+    prior occurrences of the letter at k.  A preset name defaults the
+    word to the preset's; a CartanDatum needs the word."""
     if isinstance(preset, str):
         box = load_preset(_normalize_preset(preset))
         datum = box["datum"]
@@ -247,8 +240,6 @@ def initial_seed(preset, word=None):
             word = box["longest_word"]
     else:
         datum = preset
-        if word is None:
-            word = datum.longest_word()
     word = tuple(word)
     if not datum.is_reduced(word):
         raise ValueError(f"word {word} is not reduced")

@@ -239,9 +239,6 @@ class LaurentPoly:
         """Evaluate at q = 1 (classical shadow)."""
         return sum(self.c.values())
 
-    def q_valuation(self):
-        return self.min_exp()
-
     def __eq__(self, other):
         other = _as_laurent(other)
         if other is NotImplemented:
@@ -340,10 +337,6 @@ class RatFunc:
     def one(cls):
         return cls(1)
 
-    @classmethod
-    def from_laurent(cls, p):
-        return cls(p.c if isinstance(p, LaurentPoly) else p)
-
     def is_laurent(self):
         return self.den == _L_ONE
 
@@ -354,9 +347,6 @@ class RatFunc:
 
     def is_zero(self):
         return not self.num
-
-    def is_one(self):
-        return self.num == {0: 1} and self.den == _L_ONE
 
     # -- arithmetic
 
@@ -461,12 +451,6 @@ class RatFunc:
         if not self.regular_at_zero():
             raise ValueError(f"pole at q = 0: {self}")
         return Fraction(self.num.get(0, 0), self.den[0])
-
-    def at_one(self):
-        dv = sum(self.den)
-        if dv == 0:
-            raise ZeroDivisionError("denominator vanishes at q = 1")
-        return Fraction(sum(self.num.values()), dv)
 
     def __eq__(self, other):
         other = _as_rat(other)

@@ -29,10 +29,6 @@ def mat_mul(a, b):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [list(r) for r in mat]
@@ -97,7 +93,7 @@ def rank(mat):
     return r
 
 
-def nullspace(mat, one, zero):
+def nullspace(mat):
     """Basis of the right kernel, one vector per free column."""
     if not mat:
         return []
@@ -106,10 +102,10 @@ def nullspace(mat, one, zero):
     free = [c for c in range(m) if c not in pivots]
     basis = []
     for fc in free:
-        v = [zero] * m
-        v[fc] = one
+        v = [0] * m
+        v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = zero - rows[r][fc]
+            v[pc] = -rows[r][fc]
         basis.append(v)
     return basis
 
@@ -134,9 +130,9 @@ def solve(mat, rhs):
     return x
 
 
-def inverse(mat, one, zero):
+def inverse(mat):
     n = len(mat)
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(mat)]
     rows, pivots = rref(aug)
     if pivots != list(range(n)):

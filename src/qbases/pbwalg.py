@@ -580,10 +580,8 @@ class PBWContext:
 _CONTEXTS = {}
 
 
-def get_context(datum, word=None):
-    """Shared PBWContext per (datum, word); word defaults to the
-    longest-word preset of the datum."""
-    word = tuple(word) if word is not None else datum.longest_word()
+def get_context(datum, word):
+    word = tuple(word)
     key = (datum.cartan, word)
     ctx = _CONTEXTS.get(key)
     if ctx is None:

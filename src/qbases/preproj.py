@@ -265,7 +265,7 @@ def hom_basis(src, dst):
     if total == 0:
         return []
     if rows:
-        vecs = nullspace(rows, 1, 0)
+        vecs = nullspace(rows)
     else:
         vecs = [[int(k == j) for k in range(total)] for j in range(total)]
     out = []
@@ -306,8 +306,14 @@ def orbit_dim(module):
 
 
 def is_open_orbit(module):
-    """The orbit is open in the nilpotent variety iff its dimension
-    equals dim E_V, the lagrangian component dimension."""
+    """Is the orbit dimension dim E_V, the dimension of every component
+    of the nilpotent variety?
+
+    Both this and is_rigid read dim End M: ext1(M, M) =
+    2 (dim E_V - orbit_dim(M)) by the homological formula, so "rigid iff
+    open orbit" holds identically and checks no mathematics.  What a
+    check of it still catches is a negative Ext^1 (ext1_dim raises),
+    that is, an orbit larger than dim E_V."""
     return orbit_dim(module) == ambient_dim(module.datum,
                                             module.orientation, module.dim)
 
@@ -456,10 +462,15 @@ def enumerate_modules(datum, orientation, dim):
         return PreprojModule(datum, orientation, dim, mats)
 
     classes = []
+    # ranks are isomorphism invariants: compare only within a signature
+    by_signature = {}
     for bits in itertools.product((0, 1), repeat=entries):
         m = build(bits)
-        if is_module(m) and not any(is_isomorphic(m, seen)
-                                    for seen in classes):
+        if not is_module(m):
+            continue
+        same = by_signature.setdefault(_rank_signature(m), [])
+        if not any(is_isomorphic(m, seen) for seen in same):
+            same.append(m)
             classes.append(m)
     _ENUM_CACHE[key] = tuple(classes)
     return _ENUM_CACHE[key]
@@ -548,24 +559,15 @@ class RigidCollection:
         return [m for j, m in enumerate(self.modules, start=1) if j != k]
 
 
-def maximal_rigid_check(collection, datum=None, orientation=None, word=None):
+def maximal_rigid_check(collection):
     """Is the collection maximal rigid among all nilpotent modules?
-    Enumeration-based, valid for the longest-word presets only."""
-    if collection.modules:
-        datum = collection.modules[0].datum
-        orientation = collection.modules[0].orientation
-    elif datum is None:
-        raise ValueError("empty collection needs an explicit datum")
-    if word is not None:
-        word = tuple(word)
-        if not datum.is_reduced(word) or \
-                len(word) != len(datum.positive_roots()):
-            raise NotImplementedError(
-                "general C_w membership not implemented")
+    Enumeration-based, valid for the longest-word presets only; an empty
+    collection is not."""
     if not collection.modules:
         return False
+    first = collection.modules[0]
     total = collection.total()
-    for x in indecomposables(datum, orientation):
+    for x in indecomposables(first.datum, first.orientation):
         if any(is_isomorphic(x, t) for t in collection.modules):
             continue
         if ext1_dim(total, x) + ext1_dim(x, x) == 0:
@@ -585,30 +587,6 @@ def _stack_map(maps):
     return out
 
 
-def _factors_through(src, mid, fmap, target, phi0):
-    """Does phi0: src -> target factor as psi . fmap with psi a module
-    map mid -> target?  One linear solve in the unknowns of psi."""
-    rows, offs, total = _hom_system(mid, target)
-    rhs = [0] * len(rows)
-    # composition constraints (psi . fmap)_i = phi0_i
-    for i in range(1, src.datum.rank + 1):
-        for r in range(target.dim[i - 1]):
-            for c in range(src.dim[i - 1]):
-                row = [0] * total
-                for s in range(mid.dim[i - 1]):
-                    if fmap[i][s][c]:
-                        row[offs[i] + r * mid.dim[i - 1] + s] += \
-                            fmap[i][s][c]
-                rows.append(row)
-                rhs.append(phi0[i][r][c])
-    if total == 0:
-        return all(not x for x in rhs)
-    if not rows:
-        return all(not x for x in rhs)
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    return rank(rows) == rank(aug)
-
-
 def _cokernel(src, dst, fmap):
     """Quotient module dst / im(fmap), with the projection per vertex."""
     datum, orientation = dst.datum, dst.orientation
@@ -616,29 +594,17 @@ def _cokernel(src, dst, fmap):
     sect = {}
     qdim = []
     for i in range(1, datum.rank + 1):
-        d = dst.dim[i - 1]
-        cols = [[fmap[i][r][c] for r in range(d)]
-                for c in range(src.dim[i - 1])]
-        basis = []
-        for v in cols:
-            if rank(basis + [v]) > len(basis):
-                basis.append(v)
-        im_rank = len(basis)
-        ext = []
-        for j in range(d):
-            e = [int(k == j) for k in range(d)]
-            if rank(basis + ext + [e]) > len(basis) + len(ext):
-                ext.append(e)
-        q = len(ext)
+        d, s = dst.dim[i - 1], src.dim[i - 1]
+        # the pivots of [F | I] are the greedy basis of the image among
+        # the columns of F, then its completion among the unit vectors
+        aug = [list(fmap[i][r]) + [int(r == j) for j in range(d)]
+               for r in range(d)]
+        _, pivots = rref(aug)
+        q = sum(c >= s for c in pivots)
         qdim.append(q)
-        if d == 0:
-            proj[i] = ()
-            sect[i] = ()
-            continue
-        change = [[(basis + ext)[c][r] for c in range(d)] for r in range(d)]
-        inv = inverse(change, 1, 0)
-        proj[i] = tuple(tuple(inv[im_rank + r]) for r in range(q))
-        sect[i] = tuple(tuple(ext[c][r] for c in range(q))
+        inv = inverse([[row[c] for c in pivots] for row in aug])
+        proj[i] = tuple(tuple(row) for row in inv[d - q:])
+        sect[i] = tuple(tuple(int(r == c - s) for c in pivots[d - q:])
                         for r in range(d))
     arrows = {}
     for (a, b) in double_arrows(orientation):
@@ -656,6 +622,35 @@ def _cokernel(src, dst, fmap):
     return quot, proj
 
 
+def _factor_images(src, targets, pieces):
+    """images[p][j]: the maps psi . phi for psi over a basis of
+    Hom(targets[idx], targets[j]), where pieces[p] = (idx, phi), as flat
+    vectors in the unknowns of Hom(src, targets[j]).  They span the maps
+    src -> targets[j] that factor through phi."""
+    homs = {}
+    images = []
+    for idx, phi in pieces:
+        row = []
+        for j, t in enumerate(targets):
+            if (idx, j) not in homs:
+                homs[idx, j] = hom_basis(targets[idx], t)
+            row.append([[sum(psi[i][r][k] * phi[i][k][c]
+                             for k in range(len(phi[i])))
+                         for i in phi for r in range(t.dim[i - 1])
+                         for c in range(src.dim[i - 1])]
+                        for psi in homs[idx, j]])
+        images.append(row)
+    return images
+
+
+def _onto(images, need, kept):
+    """Is precomposition Hom(mid, t_j) -> Hom(src, t_j) onto for every
+    target, mid the sum of the kept pieces' targets?  need[j] is
+    dim Hom(src, t_j); one rank per target."""
+    return all(rank([v for p in kept for v in images[p][j]]) == n
+               for j, n in enumerate(need))
+
+
 def minimal_left_approximation(src, targets):
     """Minimal left add(+targets)-approximation of src.
 
@@ -663,39 +658,28 @@ def minimal_left_approximation(src, targets):
     then greedily drops summands while every map to every target still
     factors.  Returns (mid module, map, list of (target index, phi)).
     """
-    pieces = []
-    for idx, t in enumerate(targets):
-        for phi in hom_basis(src, t):
-            pieces.append((idx, phi))
-
-    def assemble(kept):
-        mods = [targets[idx] for idx, _ in kept]
-        mid = sum_of(mods, src.datum, src.orientation)
-        fmap = _stack_map([(targets[idx], phi) for idx, phi in kept])
-        if not kept:
-            fmap = {i: _zeros(0, src.dim[i - 1])
-                    for i in range(1, src.datum.rank + 1)}
-        return mid, fmap
-
-    def is_approximation(kept):
-        mid, fmap = assemble(kept)
-        for t in targets:
-            for phi in hom_basis(src, t):
-                if not _factors_through(src, mid, fmap, t, phi):
-                    return False
-        return True
-
-    kept = list(pieces)
+    bases = [hom_basis(src, t) for t in targets]
+    pieces = [(idx, phi) for idx, basis in enumerate(bases)
+              for phi in basis]
+    images = _factor_images(src, targets, pieces)
+    need = [len(basis) for basis in bases]
+    kept = list(range(len(pieces)))
     changed = True
     while changed:
         changed = False
         for j in range(len(kept)):
             trial = kept[:j] + kept[j + 1:]
-            if is_approximation(trial):
+            if _onto(images, need, trial):
                 kept = trial
                 changed = True
                 break
-    mid, fmap = assemble(kept)
+    kept = [pieces[p] for p in kept]
+    mid = sum_of([targets[idx] for idx, _ in kept], src.datum,
+                 src.orientation)
+    fmap = _stack_map([(targets[idx], phi) for idx, phi in kept])
+    if not kept:
+        fmap = {i: _zeros(0, src.dim[i - 1])
+                for i in range(1, src.datum.rank + 1)}
     return mid, fmap, kept
 
 

@@ -61,9 +61,6 @@ class CartanDatum:
             v = self.simple_reflection(i, v)
         return v
 
-    def height(self, v) -> int:
-        return sum(v)
-
     # -- root system
 
     def positive_roots(self):

@@ -104,10 +104,6 @@ class WordElement:
             return None
         return word_content(self.datum, next(iter(self.terms)))
 
-    def height(self):
-        w = self.weight
-        return 0 if w is None else sum(w)
-
     def coeff(self, word):
         return self.terms.get(tuple(word), RatFunc.zero())
 
@@ -348,18 +344,6 @@ class TensorElement:
                 if not c.is_zero():
                     t[(tuple(w1), tuple(w2))] = c
         self.terms = t
-
-    def __add__(self, other):
-        return TensorElement(self.datum,
-                             accumulate(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = _as_coeff(c)
-        return TensorElement(self.datum,
-                             {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         """Twisted product: (a x b)(c x d) = q^{-(wt b, wt c)} ac x bd."""

@@ -372,13 +372,13 @@ def _build_desk_checks():
     labels = ctx.labels_up_to_height(6)
     for lab in labels:
         assert lab in ctx.epsilon_bound_set(lab, sum(
-            ctx.label_weight(lab))).members
+            ctx.label_weight(lab)))
     base = (1, 0, 0)
     bound = ctx.epsilon_bound_set(base, 6)
     cut = {lab for lab in labels if ctx.epsilon(1, lab) >= 1}
-    assert set(bound.members) == cut
+    assert bound == cut
     return {"components": hits,
-            "cut_members": sorted(list(c) for c in bound.members)}
+            "cut_members": sorted(list(c) for c in bound)}
 
 
 def test_criterion_09_desk_checks():

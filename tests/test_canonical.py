@@ -466,13 +466,13 @@ def test_crystal_step_weight_check_is_loud(a2, monkeypatch):
 
 def test_epsilon_bound_set_unit_is_everything(a2):
     s = a2.epsilon_bound_set(a2.unit_label(), 3)
-    assert s.members == frozenset(a2.labels_up_to_height(3))
+    assert s == frozenset(a2.labels_up_to_height(3))
 
 
 def test_epsilon_bound_set_generator(a2):
     s = a2.epsilon_bound_set((1, 0, 0), 3)
     expect = {c for c in a2.labels_up_to_height(3) if a2.epsilon(1, c) >= 1}
-    assert s.members == frozenset(expect)
+    assert s == frozenset(expect)
     assert (1, 0, 0) in s
     assert a2.unit_label() not in s
 

@@ -36,6 +36,11 @@ def test_usage_errors(tmp_path, capsys):
                  ("bw", "--type", "A2", "--word", "1,", "--height", "2"),
                  ("ss-bound", "--type", "A2", "--label", ",1,0,0",
                   "--height", "4"),
+                 # a label of the wrong length or with a negative entry
+                 ("ss-bound", "--type", "A2", "--label", "1,0",
+                  "--height", "4"),
+                 ("ss-bound", "--type", "A2", "--label", "1,-1,0",
+                  "--height", "4"),
                  # above the word-level cap, refused before any table
                  ("basis", "--type", "A2", "--height", "30"),
                  ("bw", "--type", "A2", "--word", "1", "--height", "15"),

@@ -151,7 +151,7 @@ class TestQuantumIntegers:
 
 class TestRatFunc:
     def test_laurent_embedding(self):
-        r = RatFunc.from_laurent(q + qi)
+        r = RatFunc(q + qi)
         assert r.is_laurent()
         assert r.to_laurent() == q + qi
 

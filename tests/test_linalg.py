@@ -115,14 +115,14 @@ def test_int_input_never_gives_floats():
             rows, pivots = rref(mat)
             assert not any(isinstance(x, float) for x in _entries(rows))
             assert (rows, pivots) == rref(frac)
-            kernel = nullspace(mat, 1, 0)
+            kernel = nullspace(mat)
             assert not any(isinstance(x, float) for x in _entries(kernel))
-            assert kernel == nullspace(frac, Fraction(1), Fraction(0))
+            assert kernel == nullspace(frac)
             if n == m and len(pivots) == n:
-                inv = inverse(mat, 1, 0)
+                inv = inverse(mat)
                 assert not any(isinstance(x, float)
                                for x in _entries(inv))
-                assert inv == inverse(frac, Fraction(1), Fraction(0))
+                assert inv == inverse(frac)
                 rhs = [rng.randint(-3, 3) for _ in range(n)]
                 x = solve(mat, rhs)
                 assert not any(isinstance(v, float) for v in x)
@@ -130,7 +130,7 @@ def test_int_input_never_gives_floats():
 
 
 def test_int_inverse_is_exact():
-    inv = inverse([[2, 1], [1, 1]], 1, 0)
+    inv = inverse([[2, 1], [1, 1]])
     assert inv == [[1, -1], [-1, 2]]
-    inv = inverse([[3]], 1, 0)
+    inv = inverse([[3]])
     assert inv == [[Fraction(1, 3)]] and type(inv[0][0]) is Fraction
