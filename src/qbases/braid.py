@@ -23,10 +23,28 @@ and fixes E_j, F_j for a_ij = 0.  With this choice the braid relations
 hold and composites along a reduced word send simple generators to
 elements of the negative half on the nose, e.g. T_1 T_2 (F_1) = F_2.
 
-TriangularElement and braid_apply are the full algebra over Q(q).  Root
-vectors and PBW monomials run on F-words over Z[q, q^-1], with one exact
-division per T_i and one division per PBW word coefficient; tests
-compare them with the full-algebra route.
+TriangularElement and braid_apply are the full algebra over Q(q); only
+they use the commutation table above (_times).  Root vectors run on a
+rank-one kernel over Z[q, q^-1] instead.  Under T_i the letter images
+bring in only K_i^-1 and Ebar_i, so (q - q^-1)^(letters i in u) T_i(F_u)
+is a sum of states (w, k, m), read F_w K_i^k Ebar_i^m, and right
+multiplication of a state follows three rules:
+
+    by -K_i^-1 Ebar_i = (q - q^-1) T_i(F_i):
+                    -q^{2m} F_w K_i^{k-1} Ebar_i^{m+1},
+    by F_l, l != i:  q^{-k a_il} F_{wl} K_i^k Ebar_i^m,
+    by F_i:          q^{-2k} F_{wi} K_i^k Ebar_i^m
+                     + (sum_{t<m} q^{-2t}) F_w K_i^{k+1} Ebar_i^{m-1}
+                     - (sum_{t<m} q^{2t}) F_w K_i^{k-1} Ebar_i^{m-1}.
+
+Each T_i ends with a check that no K/E remainder survives and one exact
+division by (q - q^-1)^k; each root vector ends with a weight check.  A
+position whose inversion root is a simple root a_j gives F_j directly:
+T_w(F_i) = F_j when w(a_i) = a_j (Jantzen, Lectures on Quantum Groups,
+Prop. 8.20), and the weight a_j has the single word (j,).  PBW monomials
+multiply root vectors over Z[q, q^-1] with one division per word
+coefficient.  Tests compare root vectors with braid_word_apply; the two
+routes share no multiplication code.
 """
 
 from __future__ import annotations
@@ -262,30 +280,16 @@ def _times(datum, x, y):
 # braid action
 
 
-def _image_f(datum, i, j):
-    """T_i(F_j) as {(F-word, K-vector, E-word): LaurentPoly}.  Read with
-    Ebar for E it is (q - q^-1)^{delta_ij} T_i(F_j): -K_i^-1 Ebar_i for
-    j = i, the same pure-F image otherwise."""
-    a, zero_mu = datum.cartan[i - 1][j - 1], (0,) * datum.rank
-    if j == i:
-        return {((), tuple(-x for x in datum.simple_root(i)), (i,)):
-                LaurentPoly({0: -1})}
-    if a == 0:
-        return {((j,), zero_mu, ()): LaurentPoly.one()}
-    if a != -1:
-        raise ValueError("braid action implemented for simply-laced data only")
-    return {((j, i), zero_mu, ()): LaurentPoly.one(),
-            ((i, j), zero_mu, ()): LaurentPoly({1: -1})}
-
-
 def _braid_image_f(datum, i, j, inverse):
     """Image of F_j under T_i (or its inverse)."""
-    if not inverse:
-        return TriangularElement(datum, _image_f(datum, i, j))
     if j == i:
         ei = TriangularElement.e_gen(datum, i)
-        ki = TriangularElement.k_power(datum, datum.simple_root(i))
-        return (ei * ki).scale(-1)           # -E_i K_i
+        if inverse:
+            ki = TriangularElement.k_power(datum, datum.simple_root(i))
+            return (ei * ki).scale(-1)       # -E_i K_i
+        kin = TriangularElement.k_power(
+            datum, tuple(-x for x in datum.simple_root(i)))
+        return (kin * ei).scale(-1)          # -K_i^-1 E_i
     a = datum.cartan[i - 1][j - 1]
     if a == 0:
         return TriangularElement.f_gen(datum, j)
@@ -293,7 +297,9 @@ def _braid_image_f(datum, i, j, inverse):
         raise ValueError("braid action implemented for simply-laced data only")
     fi = TriangularElement.f_gen(datum, i)
     fj = TriangularElement.f_gen(datum, j)
-    return fi * fj - (fj * fi).scale(LaurentPoly.q_power(1))
+    if inverse:
+        return fi * fj - (fj * fi).scale(LaurentPoly.q_power(1))
+    return fj * fi - (fi * fj).scale(LaurentPoly.q_power(1))
 
 
 def _braid_image_e(datum, i, j, inverse):
@@ -351,15 +357,63 @@ def braid_word_apply(word, x, inverse=False):
 # PBW root vectors, over Z[q, q^-1]
 
 
+_ONE = LaurentPoly.one()
+
+
+def _letter_image(datum, i, l):
+    """(q - q^-1)^{delta_il} T_i(F_l) as states {(F-word, k, m): coefficient}:
+    -K_i^-1 Ebar_i for l = i, the pure-F image otherwise."""
+    if l == i:
+        return {((), -1, 1): LaurentPoly({0: -1})}
+    a = datum.cartan[i - 1][l - 1]
+    if a == 0:
+        return {((l,), 0, 0): _ONE}
+    if a != -1:
+        raise ValueError("braid action implemented for simply-laced data only")
+    return {((l, i), 0, 0): _ONE, ((i, l), 0, 0): LaurentPoly({1: -1})}
+
+
+def _times_letter(x, i, l, a):
+    """x F_l for states x = {(w, k, m): c} of T_i, a = a_il.  K_i^k moves
+    past F_l with q^{-k a}; Ebar_i commutes with F_l for l != i, and
+
+        Ebar_i^m F_i = F_i Ebar_i^m + (sum_{t<m} q^{-2t}) K_i Ebar_i^{m-1}
+                                    - (sum_{t<m} q^{2t}) K_i^-1 Ebar_i^{m-1}.
+    """
+    if l != i:
+        return {(w + (l,), k, m): c.shift(-k * a)
+                for (w, k, m), c in x.items()}
+    out = {}
+    for (w, k, m), c in x.items():
+        terms = {(w + (i,), k, m): c.shift(-k * a)}
+        if m:
+            plus = minus = c
+            if m > 1:
+                plus = c * LaurentPoly({-2 * t: 1 for t in range(m)})
+                minus = c * LaurentPoly({2 * t: 1 for t in range(m)})
+            terms[w, k + 1, m - 1] = plus
+            terms[w, k - 1, m - 1] = -minus
+        accumulate(out, terms)
+    return out
+
+
 def _image_word(datum, i, w, memo):
-    """(q - q^-1)^(letters i in w) T_i(F_w) for a nonempty F-word w, in
-    F K Ebar normal form, built on the image of its prefix; memo maps
-    (i, w) to images."""
+    """(q - q^-1)^(letters i in w) T_i(F_w) for a nonempty F-word w, as
+    states of T_i: the image of its prefix times that of its last letter;
+    memo maps (i, w) to images."""
     hit = memo.get((i, w))
     if hit is None:
-        hit = _image_f(datum, i, w[-1])
-        if len(w) > 1:
-            hit = _times(datum, _image_word(datum, i, w[:-1], memo), hit)
+        x = (_image_word(datum, i, w[:-1], memo) if len(w) > 1
+             else {((), 0, 0): _ONE})
+        row, hit = datum.cartan[i - 1], {}
+        for (w2, k2, m2), c2 in _letter_image(datum, i, w[-1]).items():
+            cur = x
+            for j in w2:
+                cur = _times_letter(cur, i, j, row[j - 1])
+            # Ebar_i^m K_i^k2 = q^{-2 m k2} K_i^k2 Ebar_i^m
+            accumulate(hit, {(v, k + k2, m + m2): c.shift(-2 * m * k2)
+                             for (v, k, m), c in cur.items()},
+                       None if c2.is_one() else c2)
         memo[i, w] = hit
     return hit
 
@@ -367,37 +421,47 @@ def _image_word(datum, i, w, memo):
 def root_vector(datum, word, p):
     """The p-th PBW root vector of a reduced word (1-based position):
     T_{i_1}...T_{i_{p-1}} applied to F_{i_p}, as a word element.  Raises
-    AssertionError naming the word, the position and the letter i if a
-    K/E remainder survives a T_i or a division is inexact, and naming the
-    expected root and the weight found if they differ."""
-    return _root_vector(datum, tuple(word), p, {})
+    ValueError if word[:p] is not reduced, and AssertionError naming the
+    word, the position and the letter i if a K/E remainder survives a T_i
+    or a division is inexact, and naming the expected root and the
+    weight found if they differ."""
+    word = tuple(word)
+    if 1 <= p <= len(word) and not datum.is_reduced(word[:p]):
+        raise ValueError(f"word {word} is not reduced up to position {p}")
+    return _root_vector(datum, word, p, {})
 
 
 def _root_vector(datum, word, p, memo):
     if not (1 <= p <= len(word)):
         raise ValueError(f"position {p} out of range")
-    x = {(word[p - 1],): LaurentPoly.one()}
+    beta = datum.act(word[:p - 1], datum.simple_root(word[p - 1]))
+    if sum(beta) == 1:
+        # T_w(F_i) = F_j when w(a_i) = a_j (Jantzen, Prop. 8.20); the
+        # weight a_j has the single word (j,)
+        return WordElement(datum, {(beta.index(1) + 1,): 1})
+    x = {(word[p - 1],): _ONE}
     for i in reversed(word[:p - 1]):
         # T_i(x) on (q - q^-1)^k x, k the most letters i in a word of x:
         # T_i(F_i) = -K_i^-1 Ebar_i / (q - q^-1) is its only denominator
         k = max((w.count(i) for w in x), default=0)
         img = {}
         for w, c in x.items():
+            d = k - w.count(i)
             accumulate(img, _image_word(datum, i, w, memo),
-                       c * _Q_MINUS_QINV ** (k - w.count(i)))
+                       c * _Q_MINUS_QINV ** d if d else c)
         where = f"T_{i} at position {p} of word {word}"
-        for (w, mu, v), c in img.items():
-            if v or any(mu):
+        for (w, kk, m), c in img.items():
+            if kk or m:
                 raise AssertionError(f"{where} leaves the remainder ({c}) "
-                                     f"F{list(w)} K{list(mu)} E{list(v)}")
+                                     f"F{list(w)} K_{i}^{kk} Ebar_{i}^{m}")
+        den = _Q_MINUS_QINV ** k
         try:
-            x = {w: c.exact_div(_Q_MINUS_QINV ** k)
+            x = {w: c.exact_div(den) if k else c
                  for (w, _, _), c in img.items()}
         except ValueError as e:
             raise AssertionError(f"{where}: a coefficient is not divisible "
                                  f"by (q - q^-1)^{k}") from e
     out = WordElement(datum, x)
-    beta = datum.act(word[:p - 1], datum.simple_root(word[p - 1]))
     if out.weight != beta:
         raise AssertionError(
             f"root vector at position {p} of word {word} has weight "

@@ -215,6 +215,12 @@ class LaurentPoly:
         """The bar involution q -> q^-1."""
         return LaurentPoly({-e: v for e, v in self.c.items()})
 
+    def shift(self, k):
+        """self * q^k."""
+        if not k:
+            return self
+        return LaurentPoly({e + k: v for e, v in self.c.items()})
+
     def exact_div(self, other):
         """Exact division in Z[q, q^-1]; raises ValueError if inexact."""
         other = _as_laurent(other)

@@ -173,6 +173,12 @@ class TestRootVectors:
             root_vectors(A2, (1, 1, 2))
         with pytest.raises(ValueError):
             root_vector(A2, (1, 2, 1), 9)
+        for p in (2, 3):
+            with pytest.raises(ValueError, match=r"word \(1, 1, 2\) is not "
+                                                 r"reduced"):
+                root_vector(A2, (1, 1, 2), p)
+        assert root_vector(A2, (1, 1, 2), 1).equals(
+            WordElement.generator(A2, 1))
 
     def test_other_reduced_word(self):
         vecs = root_vectors(A2, (2, 1, 2))
@@ -184,15 +190,17 @@ class TestRootVectors:
 
 
 def _two_route_words():
-    """Every reduced word of w0 in A2 and A3, the preset words of A4 and
-    D4, and the non-longest words of the CLI and CI runs."""
+    """Every reduced word of w0 in A2 and A3, the preset and greedy
+    (lex-minimal) words of A4 and D4, and the non-longest words of the CLI
+    and CI runs."""
     out = []
     for name, datum in (("A2", A2), ("A3", A3)):
         w0 = load_preset(name)["longest_word"]
         out += [(name, w) for w in sorted(reduced_word_paths(datum, w0))]
-    out += [("A4", load_preset("A4")["longest_word"]),
-            ("D4", load_preset("D4")["longest_word"]),
-            ("A3", (1, 2, 3)), ("D4", (2, 1, 3, 4, 2))]
+    for name, datum in (("A4", A4), ("D4", D4)):
+        out += [(name, load_preset(name)["longest_word"]),
+                (name, datum.longest_word())]
+    out += [("A3", (1, 2, 3)), ("D4", (2, 1, 3, 4, 2))]
     return out
 
 
@@ -215,55 +223,88 @@ class TestRootVectorRoutes:
     def test_all_reduced_words_covered(self):
         names = [name for name, _ in TWO_ROUTE_WORDS]
         assert names.count("A2") == 2 and names.count("A3") == 17
+        assert ("A4", (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)) in TWO_ROUTE_WORDS
+        assert ("D4", (1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 2, 4)) in TWO_ROUTE_WORDS
+
+    @pytest.mark.parametrize("name,word", TWO_ROUTE_WORDS, ids=[
+        name + "-" + "".join(map(str, w)) for name, w in TWO_ROUTE_WORDS])
+    def test_simple_root_positions_give_the_generator(self, name, word):
+        # T_w(F_i) = F_j when w(a_i) = a_j, coefficient 1 on both routes
+        datum = {"A2": A2, "A3": A3, "A4": A4, "D4": D4}[name]
+        vecs = root_vectors(datum, word)
+        simple = 0
+        for p, beta in enumerate(datum.inversion_sequence(word), 1):
+            if sum(beta) != 1:
+                continue
+            want = {(beta.index(1) + 1,): RatFunc(1)}
+            x = TriangularElement.f_gen(datum, word[p - 1])
+            slow = braid_word_apply(word[:p - 1], x).to_word_element()
+            assert vecs[p - 1].terms == want == slow.terms, (word, p)
+            simple += 1
+        # a longest word inverts every simple root
+        full = len(word) == len(datum.positive_roots())
+        assert simple == datum.rank if full else simple >= 1
 
     def test_remainder_is_loud(self, monkeypatch):
-        # -K_i Ebar_i in place of -K_i^-1 Ebar_i: the K/E terms of
-        # T_1(F_1 F_2 - q F_2 F_1) no longer cancel
-        right = braid._image_f
+        # -K_i Ebar_i in place of -K_i^-1 Ebar_i: the K/E terms of T_2 on
+        # the root vector of a_1 + a_2 + a_3 no longer cancel
+        right = braid._letter_image
 
-        def wrong(datum, i, j):
-            if j != i:
-                return right(datum, i, j)
-            return {((), datum.simple_root(i), (i,)): LaurentPoly({0: -1})}
+        def wrong(datum, i, l):
+            if l != i:
+                return right(datum, i, l)
+            return {((), 1, 1): LaurentPoly({0: -1})}
 
-        monkeypatch.setattr(braid, "_image_f", wrong)
-        with pytest.raises(AssertionError, match=r"T_1 at position 3 of word "
-                                                 r"\(1, 2, 1\) leaves the "
-                                                 r"remainder"):
-            root_vector(A2, (1, 2, 1), 3)
+        monkeypatch.setattr(braid, "_letter_image", wrong)
+        with pytest.raises(AssertionError, match=r"T_2 at position 5 of word "
+                                                 r"\(1, 2, 1, 3, 2, 1\) leaves "
+                                                 r"the remainder"):
+            root_vector(A3, (1, 2, 1, 3, 2, 1), 5)
 
     def test_inexact_division_is_loud(self, monkeypatch):
         # an extra pure-F term F_i in the image of F_i is not divisible
         # by q - q^-1
-        right = braid._image_f
+        right = braid._letter_image
 
-        def wrong(datum, i, j):
-            img = dict(right(datum, i, j))
-            if j == i:
-                img[((i,), (0,) * datum.rank, ())] = LaurentPoly.one()
+        def wrong(datum, i, l):
+            img = dict(right(datum, i, l))
+            if l == i:
+                img[((i,), 0, 0)] = LaurentPoly.one()
             return img
 
-        monkeypatch.setattr(braid, "_image_f", wrong)
-        with pytest.raises(AssertionError, match=r"T_1 at position 3 of word "
-                                                 r"\(1, 2, 1\): a coefficient "
-                                                 r"is not divisible"):
-            root_vector(A2, (1, 2, 1), 3)
+        monkeypatch.setattr(braid, "_letter_image", wrong)
+        with pytest.raises(AssertionError, match=r"T_2 at position 5 of word "
+                                                 r"\(1, 2, 1, 3, 2, 1\): a "
+                                                 r"coefficient is not "
+                                                 r"divisible"):
+            root_vector(A3, (1, 2, 1, 3, 2, 1), 5)
 
     def test_wrong_weight_is_loud(self, monkeypatch):
         # T_i(F_j) = F_j for adjacent i, j keeps the weight a_j
-        right = braid._image_f
+        right = braid._letter_image
 
-        def wrong(datum, i, j):
-            if datum.cartan[i - 1][j - 1] != -1:
-                return right(datum, i, j)
-            return {((j,), (0,) * datum.rank, ()): LaurentPoly.one()}
+        def wrong(datum, i, l):
+            if datum.cartan[i - 1][l - 1] != -1:
+                return right(datum, i, l)
+            return {((l,), 0, 0): LaurentPoly.one()}
 
-        monkeypatch.setattr(braid, "_image_f", wrong)
+        monkeypatch.setattr(braid, "_letter_image", wrong)
         with pytest.raises(AssertionError, match=r"position 2 of word "
                                                  r"\(1, 2, 1\) has weight "
                                                  r"\(0, 1\), expected the "
                                                  r"root \(1, 1\)"):
             root_vector(A2, (1, 2, 1), 2)
+
+    def test_rank_one_rule_is_loud(self, monkeypatch):
+        # q^{+2k} for q^{-2k} in K_i^k F_i = q^{-2k} F_i K_i^k, the first
+        # term of the F_i rule
+        right = braid._times_letter
+        monkeypatch.setattr(braid, "_times_letter", lambda x, i, l, a: right(
+            x, i, l, -a if l == i else a))
+        with pytest.raises(AssertionError, match=r"T_2 at position 5 of word "
+                                                 r"\(1, 2, 1, 3, 2, 1\) leaves "
+                                                 r"the remainder"):
+            root_vector(A3, (1, 2, 1, 3, 2, 1), 5)
 
 
 def _product_route(datum, vectors, c):

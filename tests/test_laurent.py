@@ -72,6 +72,12 @@ class TestLaurentPoly:
         with pytest.raises(ZeroDivisionError):
             one.exact_div(LaurentPoly.zero())
 
+    def test_shift_matches_q_power_product(self):
+        rng = random.Random(3)
+        for x in [LaurentPoly.zero()] + [rand_laurent(rng) for _ in range(20)]:
+            for k in (-3, -1, 0, 1, 4):
+                assert x.shift(k) == x * LaurentPoly.q_power(k), (x, k)
+
     def test_exact_div_random(self):
         rng = random.Random(7)
         for _ in range(60):
