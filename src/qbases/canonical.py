@@ -499,9 +499,9 @@ class CanonicalContext:
         word = tuple(word)
         roots = self.datum.inversion_sequence(word)
         vectors = root_vectors(self.datum, word)
-        out = set()
+        out, suffixes = set(), {}
         for wt in weights_up_to_height(self.datum.rank, height):
-            for c in pbw_indices(roots, wt):
+            for c in pbw_indices(roots, wt, suffixes):
                 x = pbw_monomial(self.datum, word, c, vectors=vectors)
                 label, _ = self.identify(x)
                 out.add(label)

@@ -6,11 +6,19 @@ den an ordinary polynomial with nonzero constant term (powers of q are
 always pulled out of the denominator into the numerator's exponents).
 Reduction runs in Z[q] on Python ints: a fraction-free gcd and exact
 division, with no field arithmetic.  No floating point is used anywhere.
+
+Most products in the PBW and canonical engines have a one-term factor.
+LaurentPoly multiplies by c q^k as a shift and a scaling (by 1 it
+returns the other operand: no code writes to a LaurentPoly's dict).
+RatFunc multiplies by a unit +-q^k, and negates, with no gcd: the
+denominator has a nonzero constant term, so q^k shares no factor with
+it, and a sign or a shift of the numerator keeps lowest terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd as _int_gcd
 
 
@@ -195,6 +203,14 @@ class LaurentPoly:
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
+        x, y = (other, self) if len(other.c) == 1 else (self, other)
+        if len(x.c) == 1:
+            # x = c q^k: 1 gives y itself (no code writes to .c), anything
+            # else a shifted, scaled copy of y
+            ((k, c),) = x.c.items()
+            if k == 0 and c == 1:
+                return y
+            return _wrap({e + k: c * v for e, v in y.c.items()})
         return _wrap(_ldict_mul(self.c, other.c))
 
     __rmul__ = __mul__
@@ -369,7 +385,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw({e: -v for e, v in self.num.items()}, self.den)
+        return _rat({e: -v for e, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
         other = _as_rat(other)
@@ -387,6 +403,11 @@ class RatFunc:
         other = _as_rat(other)
         if other is NotImplemented:
             return NotImplemented
+        x, y = (other, self) if _is_unit(other) else (self, other)
+        if _is_unit(x):
+            # x = +-q^k: the shift and the sign keep y in lowest terms
+            ((k, c),) = x.num.items()
+            return _rat({e + k: c * v for e, v in y.num.items()}, y.den)
         if self.den == _L_ONE and other.den == _L_ONE:
             return RatFunc._raw(_ldict_mul(self.num, other.num), _L_ONE)
         return RatFunc._raw(_ldict_mul(self.num, other.num),
@@ -430,11 +451,7 @@ class RatFunc:
     def shift(self, k):
         """self * q^k: q is a unit and den has nonzero constant term, so
         moving the numerator's exponents keeps lowest terms (no gcd)."""
-        r = RatFunc.__new__(RatFunc)
-        r.num = {e + k: v for e, v in self.num.items()}
-        r.den = self.den
-        r._hash = None
-        return r
+        return _rat({e + k: v for e, v in self.num.items()}, self.den)
 
     def bar(self):
         """q -> q^-1 on a rational function."""
@@ -497,6 +514,21 @@ class RatFunc:
         num = {i: int(v) for i, v in enumerate(obj["num"]) if int(v)}
         den = tuple(int(v) for v in obj["den"])
         return cls(num, den)
+
+
+def _rat(num, den):
+    """A RatFunc from num/den already in lowest terms, unnormalized."""
+    r = RatFunc.__new__(RatFunc)
+    r.num, r.den, r._hash = num, den, None
+    return r
+
+
+def _is_unit(x):
+    """True when the RatFunc x is +-q^k."""
+    if len(x.num) != 1 or x.den != _L_ONE:
+        return False
+    (c,) = x.num.values()
+    return c == 1 or c == -1
 
 
 def _as_rat(x):
@@ -606,6 +638,7 @@ def _rat_normalize(num, den):
 # quantum integers
 
 
+@cache
 def quantum_int(n):
     """[n] = (q^n - q^-n)/(q - q^-1) as a Laurent polynomial; n >= 0."""
     if n < 0:
@@ -613,6 +646,7 @@ def quantum_int(n):
     return LaurentPoly({n - 1 - 2 * k: 1 for k in range(n)})
 
 
+@cache
 def quantum_factorial(n):
     if n < 0:
         raise ValueError(f"quantum factorial needs n >= 0, got {n}")

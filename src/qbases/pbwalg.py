@@ -14,6 +14,11 @@ seed shifts by q-powers exactly (RatFunc.shift, no gcd).  That keeps
 weight spaces of height 20 tractable even though their word expansions
 are astronomically large.  RatFunc stays in the bridge and the bilinear
 form; a caller's rational coefficients promote products to RatFunc.
+
+PBW indices come from one suffix table per context, keyed by (position,
+remaining weight), so weights share the enumeration of their common
+suffixes.  The closed-form norm depends on c only through the signature
+(ht wt(c) - sum c, the sorted parts c_p > 1), and is memoized by it.
 """
 
 from .laurent import (LaurentPoly, RatFunc, accumulate, quantum_factorial,
@@ -59,27 +64,33 @@ def pbw_norm(c, height):
     return RatFunc(num, den)
 
 
-def pbw_indices(roots, weight):
+def pbw_indices(roots, weight, table=None):
     """Exponent vectors c >= 0 with sum c_p beta_p = weight for the
-    inversion sequence roots of a reduced word, in ascending lex order."""
+    inversion sequence roots of a reduced word, in ascending lex order.
+
+    table maps (p, rem) to the suffixes (c_p, ..., c_n-1) of weight rem,
+    in ascending lex order; pass one dict per roots to share suffixes
+    across weights."""
+    if table is None:
+        table = {}
     n = len(roots)
-    out = []
-    c = [0] * n
 
-    def extend(p, rem):
-        if p == n:
-            if not any(rem):
-                out.append(tuple(c))
-            return
-        beta = roots[p]
-        top = min(rem[t] // beta[t] for t in range(len(rem)) if beta[t])
-        for m in range(top + 1):
-            c[p] = m
-            extend(p + 1, tuple(r - m * b for r, b in zip(rem, beta)))
-        c[p] = 0
+    def suffixes(p, rem):
+        hit = table.get((p, rem))
+        if hit is None:
+            if p == n:
+                hit = () if any(rem) else ((),)
+            else:
+                beta = roots[p]
+                top = min(rem[t] // beta[t] for t in range(len(rem))
+                          if beta[t])
+                hit = tuple((m,) + s for m in range(top + 1)
+                            for s in suffixes(p + 1, tuple(
+                                r - m * b for r, b in zip(rem, beta))))
+            table[p, rem] = hit
+        return hit
 
-    extend(0, tuple(weight))
-    return tuple(out)
+    return suffixes(0, tuple(weight))
 
 
 def _first_descent(seq):
@@ -111,7 +122,7 @@ class PBWContext:
             support = [t for t, v in enumerate(beta) if v]
             if len(support) == 1 and beta[support[0]] == 1:
                 self.simple_pos[support[0] + 1] = p
-        self._indices = {}
+        self._suffixes = {}
         self._straight = {}
         self._seeds = {}
         self._monomials_cache = {}
@@ -152,12 +163,16 @@ class PBWContext:
         return weights.pop()
 
     def indices(self, weight):
-        """PBW exponent vectors of the weight, in ascending lex order."""
+        """PBW exponent vectors of the weight, in ascending lex order;
+        ValueError naming the weight unless it has one nonnegative integer
+        per vertex."""
         weight = tuple(weight)
-        cached = self._indices.get(weight)
-        if cached is None:
-            cached = self._indices[weight] = pbw_indices(self.roots, weight)
-        return cached
+        rank = self.datum.rank
+        if len(weight) != rank or any(
+                not isinstance(m, int) or m < 0 for m in weight):
+            raise ValueError(f"weight {weight} is not a weight of rank "
+                             f"{rank}: it needs {rank} nonnegative integers")
+        return pbw_indices(self.roots, weight, self._suffixes)
 
     def _raw(self, c):
         seq = []
@@ -552,10 +567,14 @@ class PBWContext:
     # -- bilinear form
 
     def norm(self, c):
-        """(L(c), L(c)) by the closed form, with the height read off c."""
-        hit = self._norm.get(c)
+        """(L(c), L(c)) by the closed form, with the height read off c.
+        The form depends on c only through ht - sum c and the parts
+        c_p > 1, so the memo is keyed by that signature."""
+        height = sum(self.weight_of(c))
+        key = (height - sum(c), tuple(sorted(m for m in c if m > 1)))
+        hit = self._norm.get(key)
         if hit is None:
-            hit = self._norm[c] = pbw_norm(c, sum(self.weight_of(c)))
+            hit = self._norm[key] = pbw_norm(c, height)
         return hit
 
     def gram(self, weight):

@@ -4,8 +4,8 @@ import pytest
 
 from qbases import braid
 from qbases.canonical import reduced_word_paths, weights_up_to_height
-from qbases.laurent import LaurentPoly, RatFunc, quantum_factorial
-from qbases.pbwalg import pbw_indices
+from qbases.laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
+from qbases.pbwalg import pbw_indices, pbw_norm
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, words_of_content
 from qbases.braid import (
@@ -245,6 +245,34 @@ class TestRootVectorRoutes:
         full = len(word) == len(datum.positive_roots())
         assert simple == datum.rank if full else simple >= 1
 
+    @pytest.mark.parametrize("name,word", TWO_ROUTE_WORDS, ids=[
+        name + "-" + "".join(map(str, w)) for name, w in TWO_ROUTE_WORDS])
+    def test_root_vector_norms(self, name, word):
+        # (E_p, E_p) = (1 - q^2)^(ht beta_p - 1), the closed form at the
+        # unit exponent vector of p (Kimura 2012)
+        datum = {"A2": A2, "A3": A3, "A4": A4, "D4": D4}[name]
+        assert _norm_mismatches(datum, word) == []
+
+    def test_root_vector_norms_see_the_k_term(self, monkeypatch):
+        # q^-2 c for c in the K_i term of Ebar_i F_i = F_i Ebar_i + K_i -
+        # K_i^-1: the kernel's own checks pass, the norms do not
+        right = braid._times_letter
+
+        def wrong(x, i, l, a):
+            out = right(x, i, l, a)
+            if l == i:
+                accumulate(out, {(w, k + 1, 0): c.shift(-2) - c
+                                 for (w, k, m), c in x.items() if m == 1})
+            return out
+
+        monkeypatch.setattr(braid, "_times_letter", wrong)
+        bad = sum(len(_norm_mismatches(datum, word))
+                  for name, datum in (("A2", A2), ("A3", A3), ("A4", A4),
+                                      ("D4", D4))
+                  for word in (load_preset(name)["longest_word"],
+                               datum.longest_word()))
+        assert bad == 21
+
     def test_remainder_is_loud(self, monkeypatch):
         # -K_i Ebar_i in place of -K_i^-1 Ebar_i: the K/E terms of T_2 on
         # the root vector of a_1 + a_2 + a_3 no longer cancel
@@ -305,6 +333,18 @@ class TestRootVectorRoutes:
                                                  r"\(1, 2, 1, 3, 2, 1\) leaves "
                                                  r"the remainder"):
             root_vector(A3, (1, 2, 1, 3, 2, 1), 5)
+
+
+def _norm_mismatches(datum, word):
+    """Positions p whose root vector E_p has (E_p, E_p) other than
+    pbw_norm at the unit exponent vector of p."""
+    out = []
+    for p, (vec, beta) in enumerate(zip(root_vectors(datum, word),
+                                        datum.inversion_sequence(word))):
+        unit = (0,) * p + (1,) + (0,) * (len(word) - p - 1)
+        if vec.pairing(vec) != pbw_norm(unit, sum(beta)):
+            out.append(p)
+    return out
 
 
 def _product_route(datum, vectors, c):

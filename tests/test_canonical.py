@@ -530,3 +530,16 @@ def test_expand_dual_of_dual_is_unit(a2):
     for c in a2.labels_of_weight((2, 1)):
         out = a2.expand_dual(a2.dual_estar_coords(c))
         assert out.coords == {c: LaurentPoly.one()}
+
+
+@pytest.mark.parametrize("weight", [(1,), (1, 1, 1), (-1, 2), (1, -1)])
+def test_malformed_weights_raise(a2, weight):
+    """A short, a long and two negative weights are refused, naming the
+    weight and the rank, before any PBW index is enumerated."""
+    calls = [lambda: a2.canonical_basis(weight),
+             lambda: a2.labels_of_weight(weight),
+             lambda: a2.ctx.gram(weight)]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight {weight} is not a weight of rank 2")):
+            call()

@@ -9,6 +9,7 @@ from qbases.laurent import (
     LaurentPoly,
     RatFunc,
     _L_ONE,
+    _ldict_mul,
     _pol_divexact,
     _pol_gcd,
     _pol_mul,
@@ -462,6 +463,33 @@ class TestKernelTwoRoutes:
         for route in (_pol_divexact, ref_pol_divexact):
             with pytest.raises(ZeroDivisionError):
                 route((1, 1), (0,))
+
+    def test_unit_products_match_generic_routes(self):
+        # one-term and +-q^k operands take the shift paths of __mul__;
+        # the convolution and the normalizing product are the references
+        terms = [{}, {0: 1}, {0: -1}, {3: 1}, {-2: 1}, {4: -1}, {-1: -1},
+                 {2: 2}, {-3: -2}]
+        polys = [L(t) for t in terms] + [
+            q + qi, L({-2: 3, 0: -1, 5: 2}), L({1: 1, 0: 1})]
+        for x in polys:
+            for y in polys:
+                want = _ldict_mul(x.c, y.c)
+                assert list((x * y).c.items()) == list(want.items()), (x, y)
+        rats = [RatFunc(t) for t in terms] + [
+            RatFunc({-2: 1, 1: 3}, (2, 0, 1)), RatFunc({3: -4}, (1, 1)),
+            RatFunc({0: 1, 2: -1}) / RatFunc({0: 1, 2: 1, 4: 1}),
+            RatFunc({0: 2}, (3,)), RatFunc({1: 1, -1: 1})]
+        assert sum(x.den != _L_ONE for x in rats) == 4
+        for x in rats:
+            for y in rats:
+                want = RatFunc._raw(_ldict_mul(x.num, y.num),
+                                    _pol_mul(x.den, y.den))
+                got = x * y
+                assert list(got.num.items()) == list(want.num.items()), (x, y)
+                assert got.den == want.den, (x, y)
+            want = RatFunc._raw({e: -v for e, v in x.num.items()}, x.den)
+            assert list((-x).num.items()) == list(want.num.items())
+            assert (-x).den == want.den
 
     def test_ratfunc_normal_form_random(self):
         rng = random.Random(41)

@@ -15,7 +15,7 @@ from qbases.pbwalg import (PBWContext, get_context, accumulate, pbw_norm,
                            scaled)
 from qbases.canonical import weights_up_to_height
 
-from oracles import pairing
+from oracles import pairing, ref_pbw_indices
 
 A2 = load_preset("A2")
 A3 = load_preset("A3")
@@ -68,6 +68,21 @@ def test_indices_sorted_and_counted():
     assert len(weights) == 70
     for wt in weights:
         assert len(ctx4.indices(wt)) == kostant_dimension(d4, wt), wt
+
+
+@pytest.mark.parametrize("preset,height,count", [
+    ("A2", 8, 45), ("A3", 6, 84), ("A4", 5, 126), ("D4", 5, 126)])
+def test_suffix_table_matches_search(preset, height, count):
+    # one suffix table shared by every weight, as in PBWContext.indices,
+    # against a depth-first search per weight: same tuples, same order
+    datum = load_preset(preset)["datum"]
+    weights = weights_up_to_height(datum.rank, height)
+    assert len(weights) == count
+    for word in (load_preset(preset)["longest_word"], datum.longest_word()):
+        roots, table = datum.inversion_sequence(word), {}
+        for wt in weights:
+            assert (pbwalg.pbw_indices(roots, wt, table)
+                    == ref_pbw_indices(roots, wt)), (word, wt)
 
 
 def test_weight_of_and_element_weight():
