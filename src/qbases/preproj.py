@@ -9,6 +9,10 @@ homological dimension formula, rigidity and open-orbit tests, exhaustive
 enumeration of isomorphism classes for the representation-finite
 presets, and mutation of maximal rigid collections via minimal left
 approximations with both exchange sequences validated.
+
+The enumeration runs over 0/1 matrix entries and checks the moment map
+on a candidate's bits, compiled into (bit, bit, sign) terms per entry,
+before it builds a module; moment_residual is the general check.
 """
 
 import itertools
@@ -73,7 +77,7 @@ class PreprojModule:
     (is_module), so that near-misses can be inspected.
     """
 
-    __slots__ = ("datum", "orientation", "dim", "arrows")
+    __slots__ = ("datum", "orientation", "dim", "arrows", "_signature")
 
     def __init__(self, datum, orientation, dim, arrows=None):
         self.datum = datum
@@ -103,6 +107,8 @@ class PreprojModule:
         if arrows:
             raise ValueError(f"unknown arrows {sorted(arrows)}")
         self.arrows = full
+        # the arrow ranks, filled by _rank_signature on first use
+        self._signature = None
 
     def total_dim(self):
         return sum(self.dim)
@@ -283,8 +289,9 @@ def hom_basis(src, dst):
 def ext1_dim(src, dst):
     """dim Ext^1 via the homological formula; symmetric in its
     arguments."""
-    val = (hom_dim(src, dst) + hom_dim(dst, src)
-           - src.datum.bilinear(src.dim, dst.dim))
+    there = hom_dim(src, dst)
+    back = there if src is dst else hom_dim(dst, src)
+    val = there + back - src.datum.bilinear(src.dim, dst.dim)
     if val < 0:
         raise AssertionError(
             f"negative Ext^1 = {val}: input is not a preprojective module")
@@ -319,7 +326,10 @@ def is_open_orbit(module):
 
 
 def _rank_signature(module):
-    return tuple(rank(m) for _, m in sorted(module.arrows.items()))
+    if module._signature is None:
+        module._signature = tuple(rank(m)
+                                  for _, m in sorted(module.arrows.items()))
+    return module._signature
 
 
 def is_isomorphic(left, right):
@@ -421,6 +431,36 @@ def _intertwiner_search(left, right, basis):
         f"{len(basis)} Hom basis maps found no invertible combination")
 
 
+def _moment_forms(orientation, dim):
+    """The moment map compiled for the 0/1 candidates of one dimension
+    vector.
+
+    A candidate is a bit tuple holding the matrices of double_arrows
+    block after block, each block row-major.  Entry (r, s) of
+    sum_h eps(h) B_h B_hbar at vertex i becomes (i, triples), the entry
+    being sum sign * bits[p] * bits[q] over the (p, q, sign) in triples;
+    entries with no terms are left out.
+    """
+    # eps(h) tests membership, so list-valued arrows must become tuples
+    orientation = tuple(tuple(h) for h in orientation)
+    offset, pos = {}, 0
+    for a, b in double_arrows(orientation):
+        offset[a, b] = pos
+        pos += dim[b - 1] * dim[a - 1]
+    forms = []
+    for i, d in enumerate(dim, start=1):
+        # B_h for h = (a, i) has shape (d, w), B_hbar shape (w, d)
+        into = [(a, dim[a - 1], 1 if (a, i) in orientation else -1)
+                for a, b in double_arrows(orientation) if b == i]
+        for r, s in itertools.product(range(d), repeat=2):
+            triples = tuple((offset[a, i] + r * w + t,
+                             offset[i, a] + t * d + s, sign)
+                            for a, w, sign in into for t in range(w))
+            if triples:
+                forms.append((i, triples))
+    return tuple(forms)
+
+
 _ENUM_CACHE = {}
 
 
@@ -430,7 +470,10 @@ def enumerate_modules(datum, orientation, dim):
 
     Candidates run over 0/1 matrix entries; at the configured bounds
     every isomorphism class has such a representative (each class is a
-    sum of indecomposables that admit 0/1 normal forms there).
+    sum of indecomposables that admit 0/1 normal forms there).  A
+    candidate's bits meet the compiled _moment_forms first, entry by
+    entry up to the first nonzero one; only the survivors are built as
+    modules and go on to the nilpotency and isomorphism tests.
     """
     dim = tuple(int(d) for d in dim)
     if len(dim) != datum.rank or any(d < 0 for d in dim):
@@ -450,6 +493,7 @@ def enumerate_modules(datum, orientation, dim):
     arrows = double_arrows(orientation)
     shapes = [(dim[b - 1], dim[a - 1]) for a, b in arrows]
     entries = sum(r * c for r, c in shapes)
+    forms = _moment_forms(orientation, dim)
 
     def build(bits):
         mats = {}
@@ -465,8 +509,11 @@ def enumerate_modules(datum, orientation, dim):
     # ranks are isomorphism invariants: compare only within a signature
     by_signature = {}
     for bits in itertools.product((0, 1), repeat=entries):
+        if any(sum(sign for p, q, sign in triples if bits[p] and bits[q])
+               for _, triples in forms):
+            continue
         m = build(bits)
-        if not is_module(m):
+        if not is_nilpotent(m):
             continue
         same = by_signature.setdefault(_rank_signature(m), [])
         if not any(is_isomorphic(m, seen) for seen in same):
@@ -757,7 +804,8 @@ def components(datum, orientation, dim):
     for m in classes:
         dominated = False
         for n in classes:
-            if n is m or is_isomorphic(m, n):
+            # enumerated classes are pairwise non-isomorphic
+            if n is m:
                 continue
             if hom_leq(m, n, probes):
                 dominated = True

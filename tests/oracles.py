@@ -1,6 +1,10 @@
 """Reference routes shared by several test modules."""
 
+import itertools
+
 from qbases.laurent import RatFunc
+from qbases.preproj import (PreprojModule, _rank_signature, double_arrows,
+                            is_isomorphic, is_module)
 
 
 def pairing(ctx, f, g):
@@ -37,3 +41,36 @@ def ref_pbw_indices(roots, weight):
 
     extend(0, tuple(weight))
     return tuple(out)
+
+
+def ref_candidate(datum, orientation, dim, bits):
+    """The 0/1 candidate module whose matrices, one per arrow of
+    double_arrows, are read off bits block after block, each block
+    row-major."""
+    mats, pos = {}, 0
+    for a, b in double_arrows(orientation):
+        r, c = dim[b - 1], dim[a - 1]
+        mats[a, b] = [list(bits[pos + k * c:pos + (k + 1) * c])
+                      for k in range(r)]
+        pos += r * c
+    return PreprojModule(datum, orientation, dim, mats)
+
+
+def ref_enumerate_modules(datum, orientation, dim):
+    """One module per isomorphism class by building every 0/1 candidate,
+    in itertools.product order, and testing it with is_module before
+    comparing it within its rank signature.  No bounds, no cache."""
+    dim = tuple(dim)
+    entries = sum(dim[a - 1] * dim[b - 1]
+                  for a, b in double_arrows(orientation))
+    classes = []
+    by_signature = {}
+    for bits in itertools.product((0, 1), repeat=entries):
+        m = ref_candidate(datum, orientation, dim, bits)
+        if not is_module(m):
+            continue
+        same = by_signature.setdefault(_rank_signature(m), [])
+        if not any(is_isomorphic(m, seen) for seen in same):
+            same.append(m)
+            classes.append(m)
+    return tuple(classes)

@@ -2,6 +2,7 @@
 enumeration, isomorphism certificates, mutation, the component-containment
 lemma check, and components against crystal labels."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from qbases.preproj import (ENUM_BOUNDS, PreprojModule, RigidCollection,
                             moment_residual, mutate_rigid, orbit_dim,
                             preproj_preset, simple_module, zero_module)
 from qbases.wordalg import kostant_dimension
+
+from oracles import ref_candidate, ref_enumerate_modules
 
 ONE = [[Fraction(1)]]
 
@@ -117,6 +120,134 @@ def test_enumeration_deterministic_on_cold_rerun(a2):
     again = enumerate_modules(d, om, (2, 1))
     assert again is not first
     assert [m.to_json() for m in first] == [m.to_json() for m in again]
+
+
+# every ENUM_BOUNDS dimension, then two beyond the preset bounds: A3 at
+# (1, 2, 1) and D4 at its imaginary root (1, 2, 1, 1)
+WIDE = {"A3": (1, 2, 1), "D4": (1, 2, 1, 1)}
+ENUM_CASES = ([(name, dim) for name in sorted(ENUM_BOUNDS)
+               for dim in all_dims_up_to(ENUM_BOUNDS[name])]
+              + sorted(WIDE.items()))
+
+
+@pytest.fixture
+def wide_bounds(monkeypatch):
+    """ENUM_BOUNDS widened to the dimensions of WIDE, with a private
+    enumeration cache that no other test sees."""
+    for name, dim in WIDE.items():
+        monkeypatch.setitem(ENUM_BOUNDS, name, dim)
+    monkeypatch.setattr(preproj, "_ENUM_CACHE", {})
+
+
+def _enumeration_mismatches():
+    """The cases where enumerate_modules and the build-every-candidate
+    route give different representatives or a different order."""
+    bad = []
+    for name, dim in ENUM_CASES:
+        p = load_preset(name)
+        d, om = p["datum"], p["orientation"]
+        got = [m.to_json() for m in enumerate_modules(d, om, dim)]
+        if got != [m.to_json() for m in ref_enumerate_modules(d, om, dim)]:
+            bad.append((name, dim))
+    return bad
+
+
+def _form_mismatches(name, dim):
+    """(bits, vertex) for every 0/1 candidate and vertex where the
+    compiled moment forms and moment_residual disagree on whether the
+    moment map vanishes there."""
+    p = load_preset(name)
+    d, om = p["datum"], p["orientation"]
+    forms = preproj._moment_forms(om, dim)
+    entries = sum(dim[a - 1] * dim[b - 1]
+                  for a, b in preproj.double_arrows(om))
+    bad = []
+    for bits in itertools.product((0, 1), repeat=entries):
+        res = moment_residual(ref_candidate(d, om, dim, bits))
+        for i in range(1, d.rank + 1):
+            compiled = any(sum(sign * bits[p] * bits[q]
+                               for p, q, sign in triples)
+                           for v, triples in forms if v == i)
+            if compiled != any(x for row in res[i] for x in row):
+                bad.append((bits, i))
+    return bad
+
+
+def test_enumeration_matches_build_every_candidate(wide_bounds):
+    assert _enumeration_mismatches() == []
+
+
+def test_moment_forms_match_residual():
+    for name, dim in ENUM_CASES:
+        assert _form_mismatches(name, dim) == [], (name, dim)
+
+
+def test_sign_flip_in_one_form_is_caught(wide_bounds, monkeypatch):
+    compile_forms = preproj._moment_forms
+
+    def flipped(orientation, dim):
+        # one sign of entry (1, 0) at vertex 2 of A3 (1, 2, 1), where
+        # B_12 B_21 and B_32 B_23 cancel on some modules
+        forms = list(compile_forms(orientation, dim))
+        if tuple(dim) == (1, 2, 1):
+            i, ((p, q, sign), rest) = forms[3]
+            assert i == 2
+            forms[3] = (i, ((p, q, -sign), rest))
+        return tuple(forms)
+
+    monkeypatch.setattr(preproj, "_moment_forms", flipped)
+    assert _form_mismatches("A3", (1, 2, 1))
+    assert _enumeration_mismatches() == [("A3", (1, 2, 1))]
+
+
+def test_list_orientation_gets_the_signs_right(monkeypatch):
+    # eps(h) is a membership test, so arrows given as lists must compile
+    # to the forms of the tuple orientation
+    monkeypatch.setattr(preproj, "_ENUM_CACHE", {})
+    for name, dim in ENUM_CASES:
+        p = load_preset(name)
+        d, om = p["datum"], p["orientation"]
+        listed = [list(h) for h in om]
+        assert (preproj._moment_forms(listed, dim)
+                == preproj._moment_forms(om, dim)), (name, dim)
+    a3 = load_preset("A3")
+    listed = [list(h) for h in a3["orientation"]]
+    got = enumerate_modules(a3["datum"], listed, (1, 1, 1))
+    assert ([m.to_json() for m in got] == [
+        m.to_json() for m in ref_enumerate_modules(
+            a3["datum"], a3["orientation"], (1, 1, 1))])
+
+
+def test_enumerated_classes_pairwise_non_isomorphic(wide_bounds):
+    # components compares a class only with the others, never with an
+    # isomorphic copy of itself: it relies on this
+    for name, dim in ENUM_CASES:
+        p = load_preset(name)
+        classes = enumerate_modules(p["datum"], p["orientation"], dim)
+        for j, m in enumerate(classes):
+            for n in classes[j + 1:]:
+                assert not is_isomorphic(m, n), (name, dim)
+
+
+def test_ext1_solves_hom_once_on_the_diagonal(monkeypatch):
+    p = load_preset("A3")
+    d, om = p["datum"], p["orientation"]
+    calls = []
+    solve = preproj.hom_dim
+
+    def counting(src, dst):
+        calls.append((src, dst))
+        return solve(src, dst)
+
+    monkeypatch.setattr(preproj, "hom_dim", counting)
+    for m in enumerate_modules(d, om, (1, 1, 1)):
+        calls.clear()
+        assert ext1_dim(m, m) == 2 * solve(m, m) - d.bilinear(m.dim, m.dim)
+        assert calls == [(m, m)]
+        other = simple_module(d, om, 2)
+        calls.clear()
+        assert ext1_dim(m, other) == ext1_dim(other, m)
+        assert len(calls) == 4
 
 
 def _conjugate(module):
