@@ -110,22 +110,27 @@ def _solve_bar_fixed(g):
 class CanonicalTable:
     """Per-weight basis data relative to the fixed reduced word.
 
-    indices are in ascending lex order; transition holds the columns of
-    b(c) over L(c') (unitriangular, off-diagonal in qZ[q]);
-    dual_transition holds the columns of b^up(c) over the dual PBW basis
-    E*(d) = L(d) / (L(d), L(d)) (Laurent); canonical materializes the
-    canonical elements as word elements.
+    indices are in ascending lex order; columns[k] is the sparse column
+    {d: P[d][c]} of b(c) = sum_d P[d][c] L(d), c = indices[k]
+    (unitriangular, off-diagonal in qZ[q]), and transition the same
+    matrix dense; b^up(c) is row c of P^-1 over the dual PBW basis
+    E*(d) = L(d) / (L(d), L(d)), since (b(c'), b^up(c)) = delta and
+    (L(d'), E*(d)) = delta; canonical materializes the canonical
+    elements as word elements.
     """
 
-    def __init__(self, context, weight, indices, pbw_gram, transition):
+    def __init__(self, context, weight, indices, pbw_gram, columns):
         self.context = context
         self.weight = tuple(weight)
         self.indices = tuple(indices)
         self.pbw_gram = pbw_gram
-        self.transition = transition
-        self._place = {c: k for k, c in enumerate(indices)}
+        self.columns = columns
+        zero = LaurentPoly.zero()
+        self.transition = [[col.get(d, zero) for col in columns]
+                           for d in self.indices]
+        self._place = {c: k for k, c in enumerate(self.indices)}
         self._canonical = None
-        self._dual_transition = None
+        self._dual_rows = None
 
     @property
     def word(self):
@@ -133,10 +138,8 @@ class CanonicalTable:
 
     def canonical_coords(self, label):
         """PBW coordinate dict of b(label)."""
-        col = self._place[tuple(label)]
-        return {self.indices[d]: RatFunc(self.transition[d][col])
-                for d in range(len(self.indices))
-                if self.transition[d][col]}
+        return {d: RatFunc(v)
+                for d, v in self.columns[self._place[tuple(label)]].items()}
 
     @property
     def canonical(self):
@@ -147,34 +150,24 @@ class CanonicalTable:
                 for c in self.indices)
         return self._canonical
 
-    @property
-    def dual_transition(self):
-        """Columns of b^up(c) over E*(d): the inverse-transpose of the
-        transition, since (b(c'), b^up(c)) = delta and (L(d'), E*(d)) =
-        delta.  Upper unitriangular over Z[q, q^-1]."""
-        if self._dual_transition is None:
-            dim = len(self.indices)
-            # invert the lower unitriangular transition by forward
-            # substitution; the inverse is again lower unitriangular
-            inv = [[LaurentPoly.one() if a == b else LaurentPoly.zero()
-                    for b in range(dim)] for a in range(dim)]
-            for col in range(dim):
-                for row in range(col + 1, dim):
-                    acc = LaurentPoly.zero()
-                    for mid in range(col, row):
-                        if self.transition[row][mid] and inv[mid][col]:
-                            acc = acc + self.transition[row][mid] * inv[mid][col]
-                    inv[row][col] = -acc
-            self._dual_transition = [[inv[b][a] for b in range(dim)]
-                                     for a in range(dim)]
-        return self._dual_transition
-
     def dual_transition_dict(self, label):
-        """{d: LaurentPoly} coordinates of b^up(label) over E*(d)."""
-        mat = self.dual_transition
-        col = self._place[tuple(label)]
-        return {self.indices[d]: mat[d][col]
-                for d in range(len(self.indices)) if mat[d][col]}
+        """{d: LaurentPoly} coordinates of b^up(label) over E*(d): row
+        label of P^-1, Laurent and lower unitriangular.  The first call
+        builds every row, inverting P column by column by forward
+        substitution: h holds P times the inverse's column so far, and
+        each entry is the one that clears h at its index."""
+        if self._dual_rows is None:
+            rows = [{} for _ in self.indices]
+            for k, c in enumerate(self.indices):
+                rows[k][c] = LaurentPoly.one()
+                h = dict(self.columns[k])
+                for m in range(k + 1, len(self.indices)):
+                    x = h.get(self.indices[m])
+                    if x is not None:
+                        rows[m][c] = x = -x
+                        accumulate(h, self.columns[m], x)
+            self._dual_rows = rows
+        return dict(self._dual_rows[self._place[tuple(label)]])
 
     def to_json(self):
         return {
@@ -258,54 +251,41 @@ class CanonicalContext:
         if table is not None:
             return table
         inds, gram = self.ctx.gram(weight)
-        dim = len(inds)
         place = {c: k for k, c in enumerate(inds)}
-        # bar matrix: bar(L(c)) = sum_d M[d][c] L(d)
-        bar_mat = [[LaurentPoly.zero()] * dim for _ in range(dim)]
-        for ci, c in enumerate(inds):
-            col = self.ctx.bar({c: LaurentPoly.one()})
-            for d, v in col.items():
-                di = place[d]
-                if di < ci:
+        one = LaurentPoly.one()
+        # bar(L(e)) = sum_d M[d][e] L(d), one sparse column per e
+        bars = [self.ctx.bar({c: one}) for c in inds]
+        for k, (c, col) in enumerate(zip(inds, bars)):
+            for d in col:
+                if place[d] < k:
                     raise AssertionError(
                         f"bar transition not triangular at {weight}: "
                         f"bar L{c} hits lower index {d}")
-                bar_mat[di][ci] = v
-            if not bar_mat[ci][ci].is_one():
+            if c not in col or not col[c].is_one():
                 raise AssertionError(
                     f"bar transition diagonal is not 1 at {c}")
-        # unitriangular bar-invariant columns:
-        # P[d][c] - bar(P[d][c]) = sum_{c <= e < d} M[d][e] bar(P[e][c])
-        trans = [[LaurentPoly.one() if a == b else LaurentPoly.zero()
-                  for b in range(dim)] for a in range(dim)]
-        # pbar[c][e] = bar(P[e][c]), each computed once
-        pbar = [[None] * dim for _ in range(dim)]
-        for ci in range(dim):
-            pbar[ci][ci] = LaurentPoly.one()
-            for di in range(ci + 1, dim):
-                g = LaurentPoly.zero()
-                for ei in range(ci, di):
-                    if bar_mat[di][ei] and trans[ei][ci]:
-                        g = g + bar_mat[di][ei] * pbar[ci][ei]
-                kappa = _solve_bar_fixed(g)
-                if kappa and min(kappa.c) < 1:
-                    raise AssertionError(
-                        f"canonical correction not in qZ[q]: {kappa}")
-                trans[di][ci] = kappa
-                pbar[ci][di] = kappa.bar()
-        # verify bar(b(c)) = b(c) exactly: M . bar(P) = P, where M and P
-        # are lower triangular, so only c <= e <= d contributes
-        for ci in range(dim):
-            for di in range(dim):
-                acc = LaurentPoly.zero()
-                for ei in range(ci, di + 1):
-                    if bar_mat[di][ei] and trans[ei][ci]:
-                        acc = acc + bar_mat[di][ei] * pbar[ci][ei]
-                if acc != trans[di][ci]:
-                    raise AssertionError(
-                        f"canonical element not bar invariant at "
-                        f"{weight}, column {inds[ci]}")
-        table = CanonicalTable(self, weight, inds, gram, trans)
+        # b(c) = sum_d P[d][c] L(d) is bar invariant when
+        # P[d][c] = sum_{c <= e <= d} M[d][e] bar(P[e][c]).  Ascending d,
+        # g holds sum_e M[.][e] bar(P[e][c]) over the e below d, so
+        # P[d][c] - bar(P[d][c]) = g[d]; pushing bar(P[d][c]) M[.][d]
+        # leaves g[d] = P[d][c], and g = M bar(P) on the whole column
+        columns = []
+        for k, c in enumerate(inds):
+            col, g = {c: one}, dict(bars[k])
+            for m in range(k + 1, len(inds)):
+                kappa = _solve_bar_fixed(g.get(inds[m], LaurentPoly.zero()))
+                if kappa:
+                    if min(kappa.c) < 1:
+                        raise AssertionError(
+                            f"canonical correction not in qZ[q]: {kappa}")
+                    col[inds[m]] = kappa
+                    accumulate(g, bars[m], kappa.bar())
+            if g != col:
+                raise AssertionError(
+                    f"canonical element not bar invariant at "
+                    f"{weight}, column {c}")
+            columns.append(col)
+        table = CanonicalTable(self, weight, inds, gram, columns)
         self._tables[weight] = table
         return table
 
@@ -438,9 +418,9 @@ class CanonicalContext:
         return self.epsilon(i, self.star(label))
 
     def phi_star(self, i, label):
-        content = self.label_weight(label)
-        pair = self.datum.bilinear(self.datum.simple_root(i), content)
-        return self.epsilon_star(i, label) - pair
+        """phi*_i(b) = phi_i(b*): star swaps eps with eps* and keeps the
+        weight."""
+        return self.phi(i, self.star(label))
 
     def ftilde_star(self, i, label):
         return self.star(self.ftilde(i, self.star(label)))
@@ -454,7 +434,8 @@ class CanonicalContext:
     def saito_reflection(self, i, label, direction="forward"):
         """Saito's crystal reflection:
         forward  (f*_i)^(phi_i) (e_i)^(eps_i) on {eps*_i = 0},
-        inverse  (f_i)^(phi*_i) (e*_i)^(eps*_i) on {eps_i = 0}."""
+        inverse  (f_i)^(phi*_i) (e*_i)^(eps*_i) on {eps_i = 0}, which is
+        star, then forward, then star."""
         label = tuple(label)
         if direction == "forward":
             es = self.epsilon_star(i, label)
@@ -478,17 +459,9 @@ class CanonicalContext:
                 raise ValueError(
                     f"inverse saito reflection needs epsilon_{i}(b) = 0, "
                     f"got {ev}")
-            steps = self.epsilon_star(i, label)
-            power = self.phi_star(i, label)
-            if power < 0:
-                raise AssertionError(
-                    f"negative phi*_{i} = {power} inside a saito reflection")
-            cur = label
-            for _ in range(steps):
-                cur = self.etilde_star(i, cur)
-            for _ in range(power):
-                cur = self.ftilde(i, cur)
-            return cur
+            # star swaps eps with eps* and e with e*, so the inverse is
+            # the forward reflection conjugated by star
+            return self.star(self.saito_reflection(i, self.star(label)))
         raise ValueError(f"unknown direction {direction!r}")
 
     # -- members attached to a Weyl group element, two routes

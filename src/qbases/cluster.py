@@ -240,6 +240,10 @@ def initial_seed(preset, word=None):
             word = box["longest_word"]
     else:
         datum = preset
+        if word is None:
+            raise ValueError(
+                f"initial_seed on a CartanDatum ({datum.name}) needs the "
+                f"word")
     word = tuple(word)
     if not datum.is_reduced(word):
         raise ValueError(f"word {word} is not reduced")

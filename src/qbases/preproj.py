@@ -102,6 +102,10 @@ class PreprojModule:
                     f"arrow {a}->{b} has shape {(rows, cols)}, "
                     f"expected {shape}")
             if shape[0] == 0 or shape[1] == 0:
+                if not _is_zero_mat(mat):
+                    raise ValueError(
+                        f"arrow {a}->{b} has shape {shape} but a nonzero "
+                        f"matrix was given")
                 mat = _zeros(*shape)
             full[h] = mat
         if arrows:
@@ -473,7 +477,9 @@ def enumerate_modules(datum, orientation, dim):
     sum of indecomposables that admit 0/1 normal forms there).  A
     candidate's bits meet the compiled _moment_forms first, entry by
     entry up to the first nonzero one; only the survivors are built as
-    modules and go on to the nilpotency and isomorphism tests.
+    modules and go on to the isomorphism tests.  They are not tested for
+    nilpotency: the preprojective algebra of a Dynkin quiver is
+    finite-dimensional, so every module of it is nilpotent.
     """
     dim = tuple(int(d) for d in dim)
     if len(dim) != datum.rank or any(d < 0 for d in dim):
@@ -513,8 +519,6 @@ def enumerate_modules(datum, orientation, dim):
                for _, triples in forms):
             continue
         m = build(bits)
-        if not is_nilpotent(m):
-            continue
         same = by_signature.setdefault(_rank_signature(m), [])
         if not any(is_isomorphic(m, seen) for seen in same):
             same.append(m)

@@ -2,7 +2,8 @@
 
 import itertools
 
-from qbases.laurent import RatFunc
+from qbases.canonical import _solve_bar_fixed
+from qbases.laurent import LaurentPoly, RatFunc
 from qbases.preproj import (PreprojModule, _rank_signature, double_arrows,
                             is_isomorphic, is_module)
 
@@ -74,3 +75,39 @@ def ref_enumerate_modules(datum, orientation, dim):
             same.append(m)
             classes.append(m)
     return tuple(classes)
+
+
+def ref_table(cctx, weight):
+    """(indices, P, P^-1) at the weight by dense triangles: the bar
+    matrix M with bar(L(c)) = sum_d M[d][c] L(d), the bar-invariant
+    unitriangular solve
+    P[d][c] - bar(P[d][c]) = sum_{c <= e < d} M[d][e] bar(P[e][c]),
+    and the inverse of P by forward substitution, each walking the
+    full triangle with no sparsity."""
+    inds, _ = cctx.ctx.gram(weight)
+    dim = len(inds)
+    place = {c: k for k, c in enumerate(inds)}
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    bar_mat = [[zero] * dim for _ in range(dim)]
+    for ci, c in enumerate(inds):
+        for d, v in cctx.ctx.bar({c: one}).items():
+            bar_mat[place[d]][ci] = v
+    trans = [[one if a == b else zero for b in range(dim)]
+             for a in range(dim)]
+    for ci in range(dim):
+        for di in range(ci + 1, dim):
+            g = zero
+            for ei in range(ci, di):
+                if bar_mat[di][ei] and trans[ei][ci]:
+                    g = g + bar_mat[di][ei] * trans[ei][ci].bar()
+            trans[di][ci] = _solve_bar_fixed(g)
+    inv = [[one if a == b else zero for b in range(dim)]
+           for a in range(dim)]
+    for col in range(dim):
+        for row in range(col + 1, dim):
+            acc = zero
+            for mid in range(col, row):
+                if trans[row][mid] and inv[mid][col]:
+                    acc = acc + trans[row][mid] * inv[mid][col]
+            inv[row][col] = -acc
+    return inds, trans, inv

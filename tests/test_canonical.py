@@ -12,7 +12,7 @@ from qbases.wordalg import WordElement
 from qbases import canonical
 from qbases.canonical import (CanonicalContext, braid_moves, get_canonical,
                               move_label, pbw_indices, weights_up_to_height)
-from oracles import pairing
+from oracles import pairing, ref_table
 
 Q = LaurentPoly({1: 1})
 RQ = RatFunc({1: 1})
@@ -543,3 +543,75 @@ def test_malformed_weights_raise(a2, weight):
         with pytest.raises(ValueError, match=re.escape(
                 f"weight {weight} is not a weight of rank 2")):
             call()
+
+
+@pytest.mark.parametrize("preset, weights", [
+    ("A2", weights_up_to_height(2, 8)),
+    ("A3", weights_up_to_height(3, 6)),
+    ("D4", weights_up_to_height(4, 4) + ((2, 4, 2, 2),)),
+])
+def test_sparse_columns_match_dense_solve(preset, weights):
+    """The one-pass sparse columns and their inverse rows agree with the
+    dense triangular solve and inverse entry for entry, and each dual
+    row lists its E* terms in index order."""
+    p = load_preset(preset)
+    ctx = get_canonical(p["datum"], p["longest_word"])
+    for wt in weights:
+        inds, trans, inv = ref_table(ctx, wt)
+        table = ctx._table(wt)
+        assert table.indices == inds
+        assert table.transition == trans, wt
+        for k, c in enumerate(inds):
+            expect = [(d, inv[k][j]) for j, d in enumerate(inds)
+                      if inv[k][j]]
+            assert list(ctx.dual_estar_coords(c).items()) == expect, (wt, c)
+
+
+class _SelfBar(LaurentPoly):
+    """A correction that is its own bar, so the solve pushes it as is."""
+
+    __slots__ = ()
+
+    def bar(self):
+        return self
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda kappa: kappa * 2,
+    lambda kappa: _SelfBar(kappa.c),
+], ids=["doubled-correction", "push-without-bar"])
+def test_column_check_catches_solve_mutants(monkeypatch, mutant):
+    """A wrong correction or a push without bar leaves g = M bar(P)
+    apart from the column, which the closing comparison reports; the
+    doubled correction still lies in qZ[q], so only that check sees it."""
+    solve = canonical._solve_bar_fixed
+    monkeypatch.setattr(canonical, "_solve_bar_fixed",
+                        lambda g: mutant(solve(g)))
+    p = load_preset("A2")
+    fresh = CanonicalContext(p["datum"], p["longest_word"])
+    with pytest.raises(AssertionError, match=re.escape(
+            "not bar invariant at (1, 1), column (0, 1, 0)")):
+        fresh._table((1, 1))
+
+
+def test_saito_inverse_matches_explicit_formula(a3):
+    """The inverse reflection, computed as star . forward . star, equals
+    (f_i)^(phi*_i) (e*_i)^(eps*_i) on {eps_i = 0}, with
+    phi*_i = eps*_i - <h_i, content>."""
+    d4 = load_preset("D4")
+    for ctx, height in ((a3, 4), (get_canonical(d4["datum"],
+                                                d4["longest_word"]), 3)):
+        datum = ctx.datum
+        for c in ctx.labels_up_to_height(height):
+            for i in range(1, datum.rank + 1):
+                pair = datum.bilinear(datum.simple_root(i),
+                                      ctx.label_weight(c))
+                assert ctx.phi_star(i, c) == ctx.epsilon_star(i, c) - pair
+                if ctx.epsilon(i, c):
+                    continue
+                cur = c
+                for _ in range(ctx.epsilon_star(i, c)):
+                    cur = ctx.etilde_star(i, cur)
+                for _ in range(ctx.phi_star(i, c)):
+                    cur = ctx.ftilde(i, cur)
+                assert ctx.saito_reflection(i, c, "inverse") == cur, (i, c)

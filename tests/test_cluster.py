@@ -55,6 +55,12 @@ def test_initial_seed_word_checks():
         initial_seed(p["datum"], (1, 2))
 
 
+def test_initial_seed_datum_needs_word():
+    p = load_preset("A2")
+    with pytest.raises(ValueError, match="CartanDatum .* needs the word"):
+        initial_seed(p["datum"])
+
+
 def test_initial_seed_a3(a3):
     assert a3.word == (1, 2, 3, 1, 2, 1)
     assert a3.mutable == (1, 2, 4)

@@ -53,6 +53,17 @@ def test_shape_mismatch_rejected(a2):
                       {(1, 2): [[1, 0], [0, 1]]})
 
 
+def test_nonzero_matrix_at_zero_dimensional_vertex_rejected(a2):
+    d, om = a2["datum"], a2["orientation"]
+    with pytest.raises(ValueError, match="arrow 1->2 .* nonzero"):
+        PreprojModule(d, om, (0, 1), {(1, 2): [[5]], (2, 1): [[7, 8]]})
+    with pytest.raises(ValueError, match="arrow 2->1 .* nonzero"):
+        PreprojModule(d, om, (0, 1), {(2, 1): [[7, 8]]})
+    # empty and all-zero matrices there still build the simple module
+    for mats in ({(1, 2): [], (2, 1): []}, {(1, 2): [[0]], (2, 1): [[0]]}):
+        assert PreprojModule(d, om, (0, 1), mats) == simple_module(d, om, 2)
+
+
 def test_moment_residual_examples(a2):
     res = moment_residual(a2["p1"])
     assert all(all(not x for row in m for x in row) for m in res.values())
