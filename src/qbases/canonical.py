@@ -99,12 +99,11 @@ def _solve_bar_fixed(g):
     if g.coeff(0):
         raise AssertionError(
             f"bar recursion has a constant term: {g}")
-    pos = {e: v for e, v in g.c.items() if e > 0}
-    for e, v in pos.items():
+    for e, v in g.c.items():
         if g.coeff(-e) != -v:
             raise AssertionError(
                 f"bar recursion not antisymmetric: {g}")
-    return LaurentPoly(pos)
+    return LaurentPoly({e: v for e, v in g.c.items() if e > 0})
 
 
 class CanonicalTable:
@@ -213,6 +212,11 @@ class CanonicalContext:
         self._tables = {}
         self._bw = {}
         self._sc = {}
+        # E*-coordinates of ordered products of dual canonical elements,
+        # keyed by their (label, exponent) factors (cluster._ordered_product)
+        self._products = {}
+        # words bw_contains has found reduced
+        self._reduced = set()
         self._paths = self._first = self._star_path = None
 
     # -- labels
@@ -369,9 +373,9 @@ class CanonicalContext:
         return tuple(_move(list(self._check_label(label)), path))
 
     def _crystal_step(self, i, label, delta):
-        """etilde_i (delta -1) or ftilde_i (delta +1): shift the first
-        coordinate along a word starting with i, then move back."""
-        label = self._check_label(label)
+        """etilde_i (delta -1) or ftilde_i (delta +1) on a checked label:
+        shift the first coordinate along a word starting with i, then
+        move back."""
         self._words()
         path = self._first[i]
         moved = _move(list(label), path)
@@ -380,19 +384,19 @@ class CanonicalContext:
         moved[0] += delta
         out = tuple(_move(moved, reversed(path)))
         expect = tuple(w + delta * a for w, a in
-                       zip(self.label_weight(label),
+                       zip(self.ctx.weight_of(label),
                            self.datum.simple_root(i)))
-        if self.label_weight(out) != expect:
+        if self.ctx.weight_of(out) != expect:
             raise AssertionError(
                 f"crystal step {delta:+d} at i = {i} on label "
                 f"{tuple(label)} changed the weight wrongly: {out}")
         return out
 
     def ftilde(self, i, label):
-        return self._crystal_step(i, label, 1)
+        return self._crystal_step(i, self._check_label(label), 1)
 
     def etilde(self, i, label):
-        return self._crystal_step(i, label, -1)
+        return self._crystal_step(i, self._check_label(label), -1)
 
     def epsilon(self, i, label):
         """Crystal epsilon: the first coordinate of the label along a
@@ -449,10 +453,12 @@ class CanonicalContext:
                     f"negative phi_{i} = {power} inside a saito reflection")
             cur = label
             for _ in range(steps):
-                cur = self.etilde(i, cur)
+                cur = self._crystal_step(i, cur, -1)
+            # f*_i = star f_i star, and star is an involution
+            cur = self.star(cur)
             for _ in range(power):
-                cur = self.ftilde_star(i, cur)
-            return cur
+                cur = self._crystal_step(i, cur, 1)
+            return self.star(cur)
         if direction == "inverse":
             ev = self.epsilon(i, label)
             if ev:
@@ -493,10 +499,13 @@ class CanonicalContext:
 
     def bw_contains(self, word, label):
         """Per-label membership test for the word's subset of the crystal,
-        usable at any height (nothing is enumerated)."""
+        usable at any height (nothing is enumerated); each word is tested
+        for reducedness once per context."""
         word = tuple(word)
-        if not self.datum.is_reduced(word):
-            raise ValueError(f"word {word} is not reduced")
+        if word not in self._reduced:
+            if not self.datum.is_reduced(word):
+                raise ValueError(f"word {word} is not reduced")
+            self._reduced.add(word)
         return self._bw_member(word, self._check_label(label))
 
     def _bw_member(self, word, label):
@@ -509,7 +518,7 @@ class CanonicalContext:
                 i = word[0]
                 cur = label
                 for _ in range(self.epsilon(i, label)):
-                    cur = self.etilde(i, cur)
+                    cur = self._crystal_step(i, cur, -1)
                 source = self.saito_reflection(i, cur, "inverse")
                 if self.epsilon_star(i, source):
                     raise AssertionError(

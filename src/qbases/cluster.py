@@ -67,14 +67,36 @@ def _estar_coords(ctx, coords):
     return out
 
 
+def _ordered_product(ctx, factors):
+    """E*-coordinates of the ordered product of dual canonical elements,
+    factors its (label, e) pairs with e > 0 (memoized per context, so
+    seeds that share variables share products).  A product is its
+    prefix, with the last exponent lowered by one, times b^up(label):
+    one ``dual_mul``.  Callers must not change the returned dict."""
+    if not factors:
+        return ctx.ctx.one()
+    memo = ctx._products
+    hit = memo.get(factors)
+    if hit is None:
+        label, e = factors[-1]
+        y = ctx.dual_estar_coords(label)
+        prefix = factors[:-1] + (((label, e - 1),) if e > 1 else ())
+        hit = memo[factors] = (ctx.ctx.dual_mul(
+            _ordered_product(ctx, prefix), y) if prefix else y)
+    return hit
+
+
 def quasi_commutation(ctx, y1, y2):
-    """The integer lam with Y1 Y2 = q^lam Y2 Y1, read off both products
-    over the basis E*: every coordinate of Y1 Y2 must be q^lam times
-    that of Y2 Y1."""
-    a = _estar_coords(ctx, _coords_of(y1))
-    b = _estar_coords(ctx, _coords_of(y2))
-    p12 = ctx.ctx.dual_mul(a, b)
-    p21 = ctx.ctx.dual_mul(b, a)
+    """The integer lam with Y1 Y2 = q^lam Y2 Y1 for the dual canonical
+    elements of two labels, read off both products over the basis E*
+    (``_ordered_product``): every coordinate of Y1 Y2 must be q^lam
+    times that of Y2 Y1."""
+    y1, y2 = tuple(y1), tuple(y2)
+    if y1 == y2:
+        p12 = p21 = _ordered_product(ctx, ((y1, 2),))
+    else:
+        p12 = _ordered_product(ctx, ((y1, 1), (y2, 1)))
+        p21 = _ordered_product(ctx, ((y2, 1), (y1, 1)))
     if not p12 or set(p12) != set(p21):
         raise ValueError("not quasi-commuting")
     lam = None
@@ -379,16 +401,12 @@ def _certificate(seed, exponents):
     The product runs in Z[q, q^-1] on the variables' E*-coordinates
     (``PBWContext.dual_mul``), so it needs canonical tables only at the
     variables' own weights; a structure constant that is not Laurent
-    raises there instead of rejecting.
+    raises there instead of rejecting.  The product is read from the
+    context's memo of ordered products (``_ordered_product``).
     """
-    ctx = seed.context
-    pbw = ctx.ctx
-    x = {pbw.zero_index(): LaurentPoly.one()}
-    for label, e in zip(seed.labels, exponents):
-        if e:
-            y = ctx.dual_estar_coords(label)
-            for _ in range(e):
-                x = pbw.dual_mul(x, y)
+    factors = tuple((label, e) for label, e in zip(seed.labels, exponents)
+                    if e)
+    x = _ordered_product(seed.context, factors)
     lowest = {}
     for d, v in x.items():
         lowest.setdefault(v.min_exp(), []).append((d, v))

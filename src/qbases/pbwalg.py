@@ -30,6 +30,9 @@ from .linalg import solve  # noqa: F401
 from .wordalg import weight_basis  # noqa: F401
 
 
+_ONE_MINUS_Q2 = LaurentPoly({0: 1, 2: -1})
+
+
 def scaled(source, scale):
     return accumulate({}, source, scale)
 
@@ -56,7 +59,7 @@ def pbw_norm(c, height):
     those quotients for s >= 2: Laurent unless some c_p > 1, and the
     fraction is reduced with small polynomials.
     """
-    num = LaurentPoly({0: 1, 2: -1}) ** (height - sum(c))
+    num = _ONE_MINUS_Q2 ** (height - sum(c))
     den = LaurentPoly.one()
     for m in c:
         for s in range(2, m + 1):
@@ -345,21 +348,32 @@ class PBWContext:
 
         L(a) L(b) is the straightened E_{raw a + raw b} over
         dfact(a) dfact(b), and L(c) = N(c) E*(c) for the norm N, so
-        s^c_ab = r_c N(c) / (dfact(a) dfact(b) N(a) N(b)) for the
-        coefficient r_c of L(c) in E_{raw a + raw b}.  With the Laurent
-        W(c) = dfact(c) N(c) this is the exact division of r_c W(c) by
-        dfact(c) W(a) W(b) in Z[q, q^-1].  The constants are coproduct
-        coefficients of L(c), integral by Kimura (2012); raises
-        AssertionError naming a, b and c if one is not Laurent.
+        s^c_ab = r_c W(c) / (dfact(c) W(a) W(b)) for the coefficient r_c
+        of L(c) in E_{raw a + raw b} and the Laurent W(c) = dfact(c) N(c)
+        of ``_wnorm``.  Since wt c = wt a + wt b, the heights cancel in
+        W(c) / (W(a) W(b)) = q^k (1-q^2)^m, m = sum a + sum b - sum c,
+        so each constant is one exact division by dfact(c), or by
+        dfact(c) (1-q^2)^-m when m < 0.  The constants are coproduct coefficients
+        of L(c), integral by Kimura (2012); raises AssertionError naming
+        a, b and c if one is not Laurent.
         """
         key = (a, b)
         hit = self._dual_sc.get(key)
         if hit is None:
             hit = {}
+            ka, ma = self._wnorm(a)
+            kb, mb = self._wnorm(b)
             for c, r in self.straighten(self._raw(a) + self._raw(b)).items():
+                kc, mc = self._wnorm(c)
+                m = mc - ma - mb
+                num = r.shift(kc - ka - kb)
+                den = self._dfact(c)
+                if m > 0:
+                    num = num * _ONE_MINUS_Q2 ** m
+                elif m < 0:
+                    den = den * _ONE_MINUS_Q2 ** -m
                 try:
-                    den = self._dfact(c) * self._wnorm(a) * self._wnorm(b)
-                    hit[c] = (r * self._wnorm(c)).exact_div(den)
+                    hit[c] = num if den.is_one() else num.exact_div(den)
                 except ValueError as e:
                     raise AssertionError(
                         f"dual PBW structure constant not Laurent: "
@@ -368,16 +382,15 @@ class PBWContext:
         return hit
 
     def _wnorm(self, c):
-        """W(c) = dfact(c) (L(c), L(c)) in closed form:
-        q^(-sum_p c_p (c_p - 1)/2) (1-q^2)^(ht wt(c) - sum c), since
-        [m]! is q^(-m(m-1)/2) times the denominator of pbw_norm's factor
-        prod_{s<=m} 1/(1 + q^2 + ... + q^{2s-2})."""
+        """(k, m) with W(c) = dfact(c) (L(c), L(c)) = q^k (1-q^2)^m in
+        closed form: k = -sum_p c_p (c_p - 1)/2 and m = ht wt(c) - sum c,
+        since [n]! is q^(-n(n-1)/2) times the denominator of pbw_norm's
+        factor prod_{s<=n} 1/(1 + q^2 + ... + q^{2s-2})."""
         hit = self._wnorm_cache.get(c)
         if hit is None:
-            shift = -sum(m * (m - 1) // 2 for m in c)
-            height = sum(self.weight_of(c))
-            hit = self._wnorm_cache[c] = LaurentPoly.q_power(shift) * (
-                LaurentPoly({0: 1, 2: -1}) ** (height - sum(c)))
+            hit = self._wnorm_cache[c] = (
+                -sum(m * (m - 1) // 2 for m in c),
+                sum(self.weight_of(c)) - sum(c))
         return hit
 
     def divided_power(self, f, m):

@@ -111,3 +111,37 @@ def ref_table(cctx, weight):
                     acc = acc + trans[row][mid] * inv[mid][col]
             inv[row][col] = -acc
     return inds, trans, inv
+
+
+def ref_certificate(seed, exponents):
+    """The cluster-monomial certificate with every product rebuilt from
+    the unit: the seed variables' E*-coordinates multiplied in seed order,
+    one dual_mul per factor, sharing nothing between monomials; then
+    (label, p, x) when the coordinates x are q^p at the label and have a
+    higher lowest exponent everywhere else, and None otherwise."""
+    ctx = seed.context
+    pbw = ctx.ctx
+    x = {pbw.zero_index(): LaurentPoly.one()}
+    for label, e in zip(seed.labels, exponents):
+        y = ctx.dual_estar_coords(label)
+        for _ in range(e):
+            x = pbw.dual_mul(x, y)
+    lows = {d: v.min_exp() for d, v in x.items()}
+    p = min(lows.values())
+    (label, *rest) = [d for d, m in lows.items() if m == p]
+    if rest or x[label] != LaurentPoly.q_power(p):
+        return None
+    return label, p, x
+
+
+def ref_dual_constants(pbw, a, b):
+    """{c: s^c_ab} with E*(a) E*(b) = sum_c s^c_ab E*(c) by dividing
+    Laurent polynomials: r_c W(c) over dfact(c) W(a) W(b), each
+    W = dfact N multiplied out from the Q(q) norm, r_c the coefficient of
+    L(c) in the straightened E_{raw a + raw b}."""
+    def w(c):
+        return (pbw._dfact(c) * pbw.norm(c)).to_laurent()
+
+    den_ab = w(a) * w(b)
+    return {c: (r * w(c)).exact_div(pbw._dfact(c) * den_ab)
+            for c, r in pbw.straighten(pbw._raw(a) + pbw._raw(b)).items()}

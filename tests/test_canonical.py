@@ -512,10 +512,41 @@ def test_malformed_labels_raise(a2, label):
              lambda: a2.epsilon(1, label),
              lambda: a2.star(label),
              lambda: a2.ftilde(1, label),
-             lambda: a2.etilde(1, label)]
+             lambda: a2.etilde(1, label),
+             lambda: a2.saito_reflection(1, label)]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"label {label}")):
             call()
+
+
+def test_bw_contains_checks_each_reduced_word_once(monkeypatch):
+    """bw_contains tests a word for reducedness on its first call only,
+    and still refuses a word that is not reduced on every call."""
+    p = load_preset("A2")
+    fresh = CanonicalContext(p["datum"], p["longest_word"])
+    checked = []
+    right = type(p["datum"]).is_reduced
+    monkeypatch.setattr(type(p["datum"]), "is_reduced",
+                        lambda self, word: checked.append(tuple(word))
+                        or right(self, word))
+    for _ in range(3):
+        assert fresh.bw_contains((1, 2), (1, 0, 0))
+        assert not fresh.bw_contains((1, 2), (0, 0, 1))
+        with pytest.raises(ValueError, match=re.escape(
+                "word (1, 1) is not reduced")):
+            fresh.bw_contains((1, 1), (1, 0, 0))
+    assert checked == [(1, 2)] + [(1, 1)] * 3
+
+
+@pytest.mark.parametrize("g", [
+    LaurentPoly.q_power(-1),
+    LaurentPoly({2: 1, -2: -1, -3: 5})], ids=["q^-1", "q^2-q^-2+5q^-3"])
+def test_solve_bar_fixed_checks_every_term(g):
+    """Antisymmetry is checked on the negative exponents too: a term
+    with no positive partner is not read as zero."""
+    with pytest.raises(AssertionError,
+                       match="bar recursion not antisymmetric"):
+        canonical._solve_bar_fixed(g)
 
 
 @pytest.mark.parametrize("label", [(1, 0), (-1, 2, 0), (0, 0, 0, 1)])
@@ -592,6 +623,25 @@ def test_column_check_catches_solve_mutants(monkeypatch, mutant):
     with pytest.raises(AssertionError, match=re.escape(
             "not bar invariant at (1, 1), column (0, 1, 0)")):
         fresh._table((1, 1))
+
+
+def test_saito_forward_matches_explicit_formula(a3):
+    """The forward reflection, whose f*_i steps run as star, f_i steps,
+    star, equals (f*_i)^(phi_i) (e_i)^(eps_i) on {eps*_i = 0} stepped
+    with etilde and ftilde_star."""
+    d4 = load_preset("D4")
+    for ctx, height in ((a3, 4), (get_canonical(d4["datum"],
+                                                d4["longest_word"]), 3)):
+        for c in ctx.labels_up_to_height(height):
+            for i in range(1, ctx.datum.rank + 1):
+                if ctx.epsilon_star(i, c):
+                    continue
+                cur = c
+                for _ in range(ctx.epsilon(i, c)):
+                    cur = ctx.etilde(i, cur)
+                for _ in range(ctx.phi(i, c)):
+                    cur = ctx.ftilde_star(i, cur)
+                assert ctx.saito_reflection(i, c) == cur, (i, c)
 
 
 def test_saito_inverse_matches_explicit_formula(a3):

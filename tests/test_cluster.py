@@ -21,6 +21,8 @@ from qbases.cluster import (QuantumSeed, cluster_monomial, divide_right,
                             quasi_commutation, reachable_seeds,
                             verify_conjecture, _unit_coords)
 
+from oracles import ref_certificate
+
 
 @pytest.fixture(scope="module")
 def a2():
@@ -100,7 +102,9 @@ def test_quasi_commutation(a2, monkeypatch):
         for l in range(3):
             assert a2.lam[k][l] == -a2.lam[l][k]
     # Y1 Y2 = (1 + q) Y2 Y1 over E*: same support and lowest exponents,
-    # but the ratio is not a q-power
+    # but the ratio is not a q-power; the products memo starts empty, so
+    # the patched dual_mul is the one that runs
+    monkeypatch.setattr(ctx, "_products", {})
     monkeypatch.setattr(pbwalg.PBWContext, "dual_mul", lambda self, f, g: {
         (1, 0, 1): LaurentPoly({0: 1, 1: 1}) if (1, 0, 0) in f
         else LaurentPoly.one()})
@@ -146,6 +150,7 @@ def test_dual_side_constructs_no_ratfunc(a3, monkeypatch):
     want = {(k, l): ctx.structure_constants(a3.labels[k], a3.labels[l])
             for k, l in pairs}
     monkeypatch.setattr(ctx, "_sc", {})
+    monkeypatch.setattr(ctx, "_products", {})
     monkeypatch.setattr(ctx.ctx, "_dual_sc", {})
 
     def refuse(*args, **kwargs):
@@ -271,6 +276,7 @@ def test_division_lead_check_is_loud(a2, monkeypatch, break_lead):
         break_lead(out, max(out))
         return out
 
+    monkeypatch.setattr(ctx, "_products", {})
     monkeypatch.setattr(pbwalg.PBWContext, "dual_constants", broken)
     with pytest.raises(AssertionError,
                        match=re.escape("E*(0, 0, 1) Y does not lead")):
@@ -444,6 +450,40 @@ def test_monomial_two_routes_a3_sample():
     assert len(jobs) == 896
     for seed, exps in random.Random(7).sample(jobs, 40):
         _two_routes(seed, exps)
+
+
+@pytest.mark.parametrize("preset, depth, exp, jobs", [
+    ("A2", 2, 3, 128), ("A3", 8, 1, 896)])
+def test_certificate_two_routes(monkeypatch, preset, depth, exp, jobs):
+    """The certificate read from the memo of ordered products equals the
+    rebuild-from-unit route on every monomial, in shuffled order from an
+    empty memo, and costs one dual_mul per product with a nonempty
+    prefix: each product is its parent's times one variable."""
+    seeds, _ = reachable_seeds(preset, depth)
+    ctx = seeds[0].context
+    todo = [(s, e) for s in seeds
+            for e in itertools.product(range(exp + 1), repeat=s.size())]
+    assert len(todo) == jobs
+    random.Random(23).shuffle(todo)
+    monkeypatch.setattr(ctx, "_products", {})
+    calls = []
+    original = pbwalg.PBWContext.dual_mul
+
+    def counted(self, f, g):
+        calls.append(1)
+        return original(self, f, g)
+
+    monkeypatch.setattr(pbwalg.PBWContext, "dual_mul", counted)
+    for seed, exps in todo:
+        fast = cluster._certificate(seed, exps)
+        assert fast == ref_certificate(seed, exps), (seed.history, exps)
+        calls.clear()
+        assert cluster._certificate(seed, exps) == fast
+        assert not calls, "a repeated monomial recomputed its product"
+    monkeypatch.setattr(ctx, "_products", {})
+    for seed, exps in todo:
+        cluster._certificate(seed, exps)
+    assert len(calls) == sum(sum(e for _, e in f) > 1 for f in ctx._products)
 
 
 def test_certificate_builds_no_product_table(monkeypatch):

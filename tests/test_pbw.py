@@ -15,7 +15,7 @@ from qbases.pbwalg import (PBWContext, get_context, accumulate, pbw_norm,
                            scaled)
 from qbases.canonical import weights_up_to_height
 
-from oracles import pairing, ref_pbw_indices
+from oracles import pairing, ref_dual_constants, ref_pbw_indices
 
 A2 = load_preset("A2")
 A3 = load_preset("A3")
@@ -271,16 +271,40 @@ def test_closed_form_norm_matches_gram(preset, height, labels):
 @pytest.mark.parametrize("preset,height,labels",
                          [("A2", 8, 95), ("A3", 6, 217), ("D4", 4, 137)])
 def test_closed_form_wnorm_matches_product(preset, height, labels):
-    # W(c) = q^(-sum c_p (c_p - 1)/2) (1-q^2)^(ht - sum c) against the
-    # product dfact(c) N(c) in Q(q) it replaces
+    # the exponent pair (k, m) of W(c) = q^k (1-q^2)^m, with
+    # k = -sum c_p (c_p - 1)/2 and m = ht - sum c, against the product
+    # dfact(c) N(c) in Q(q) it replaces
     box = load_preset(preset)
     ctx = PBWContext(box["datum"], box["longest_word"])
     seen = 0
     for wt in weights_up_to_height(box["datum"].rank, height):
         for c in ctx.indices(wt):
-            assert ctx._wnorm(c) == (ctx._dfact(c) * ctx.norm(c)).to_laurent()
+            k, m = ctx._wnorm(c)
+            assert (LaurentPoly.q_power(k) * LaurentPoly({0: 1, 2: -1}) ** m
+                    == (ctx._dfact(c) * ctx.norm(c)).to_laurent())
             seen += 1
     assert seen == labels
+
+
+@pytest.mark.parametrize("preset,height,pairs",
+                         [("A2", 4, 103), ("A3", 4, 346), ("D4", 4, 842)])
+def test_dual_constants_two_routes(preset, height, pairs):
+    """The closed-form E* constants, q-shifts and powers of 1-q^2 with one
+    division by dfact(c), equal the division of r_c W(c) by
+    dfact(c) W(a) W(b) on every pair with ht a + ht b <= height."""
+    box = load_preset(preset)
+    ctx = PBWContext(box["datum"], box["longest_word"])
+    labels = [(c, sum(wt))
+              for wt in weights_up_to_height(box["datum"].rank, height)
+              for c in ctx.indices(wt)]
+    seen = 0
+    for a, ha in labels:
+        for b, hb in labels:
+            if ha + hb <= height:
+                assert (ctx.dual_constants(a, b)
+                        == ref_dual_constants(ctx, a, b)), (a, b)
+                seen += 1
+    assert seen == pairs
 
 
 def test_wrong_norm_fails_reconstruction(monkeypatch):
@@ -297,10 +321,16 @@ def test_wrong_norm_fails_dual_constant(monkeypatch):
     ctx = PBWContext(A2["datum"], A2["longest_word"])
     # E_3 E_1 straightens with the right norm before the norm goes wrong
     assert ctx.straighten((2, 0)) == {(0, 1, 0): RatFunc(1), (1, 0, 1): q()}
-    # the dual constants read the norm through W(c) = dfact(c) N(c)
+    # the dual constants read the norm through the exponents (k, m) of
+    # W(c) = dfact(c) N(c) = q^k (1-q^2)^m; one more 1-q^2 in every W
+    # leaves an extra 1 / (1-q^2) in W(c) / (W(a) W(b))
     right = PBWContext._wnorm
-    monkeypatch.setattr(PBWContext, "_wnorm", lambda self, c: right(self, c)
-                        * LaurentPoly({0: 1, 2: -1}))
+
+    def wrong(self, c):
+        k, m = right(self, c)
+        return k, m + 1
+
+    monkeypatch.setattr(PBWContext, "_wnorm", wrong)
     with pytest.raises(AssertionError,
                        match=r"not Laurent: E\*\(0, 0, 1\) E\*\(1, 0, 0\) "
                              r"at E\*\(1, 0, 1\)"):
