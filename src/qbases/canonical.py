@@ -218,6 +218,8 @@ class CanonicalContext:
         # words bw_contains has found reduced
         self._reduced = set()
         self._paths = self._first = self._star_path = None
+        self._alpha = {i: datum.simple_root(i)
+                       for i in range(1, datum.rank + 1)}
 
     # -- labels
 
@@ -372,6 +374,10 @@ class CanonicalContext:
                 f"element")
         return tuple(_move(list(self._check_label(label)), path))
 
+    # The public operators check the label once, at entry; the routines
+    # with a leading underscore take a checked tuple and call only each
+    # other.
+
     def _crystal_step(self, i, label, delta):
         """etilde_i (delta -1) or ftilde_i (delta +1) on a checked label:
         shift the first coordinate along a word starting with i, then
@@ -384,8 +390,7 @@ class CanonicalContext:
         moved[0] += delta
         out = tuple(_move(moved, reversed(path)))
         expect = tuple(w + delta * a for w, a in
-                       zip(self.ctx.weight_of(label),
-                           self.datum.simple_root(i)))
+                       zip(self.ctx.weight_of(label), self._alpha[i]))
         if self.ctx.weight_of(out) != expect:
             raise AssertionError(
                 f"crystal step {delta:+d} at i = {i} on label "
@@ -401,37 +406,44 @@ class CanonicalContext:
     def epsilon(self, i, label):
         """Crystal epsilon: the first coordinate of the label along a
         reduced word of the longest element that starts with i."""
-        label = self._check_label(label)
+        return self._epsilon(i, self._check_label(label))
+
+    def _epsilon(self, i, label):
         self._words()
         return _move(list(label), self._first[i])[0]
 
     def phi(self, i, label):
         """phi_i = eps_i + <h_i, wt>; wt is minus the content."""
-        content = self.label_weight(label)
-        pair = self.datum.bilinear(self.datum.simple_root(i), content)
-        return self.epsilon(i, label) - pair
+        return self._phi(i, self._check_label(label))
+
+    def _phi(self, i, label):
+        pair = self.datum.bilinear(self.datum.simple_root(i),
+                                   self.ctx.weight_of(label))
+        return self._epsilon(i, label) - pair
 
     def star(self, label):
         """Kashiwara's involution: the reversed label, read along the
         -w0-twisted reversed word and moved back to the labelling word."""
-        label = self._check_label(label)
+        return self._star(self._check_label(label))
+
+    def _star(self, label):
         self._words()
         return tuple(_move(list(reversed(label)), reversed(self._star_path)))
 
     def epsilon_star(self, i, label):
-        return self.epsilon(i, self.star(label))
+        return self._epsilon(i, self.star(label))
 
     def phi_star(self, i, label):
         """phi*_i(b) = phi_i(b*): star swaps eps with eps* and keeps the
         weight."""
-        return self.phi(i, self.star(label))
+        return self._phi(i, self.star(label))
 
     def ftilde_star(self, i, label):
-        return self.star(self.ftilde(i, self.star(label)))
+        return self._star(self._crystal_step(i, self.star(label), 1))
 
     def etilde_star(self, i, label):
-        out = self.etilde(i, self.star(label))
-        return None if out is None else self.star(out)
+        out = self._crystal_step(i, self.star(label), -1)
+        return None if out is None else self._star(out)
 
     # -- Saito reflections
 
@@ -440,14 +452,16 @@ class CanonicalContext:
         forward  (f*_i)^(phi_i) (e_i)^(eps_i) on {eps*_i = 0},
         inverse  (f_i)^(phi*_i) (e*_i)^(eps*_i) on {eps_i = 0}, which is
         star, then forward, then star."""
-        label = tuple(label)
+        return self._saito(i, self._check_label(label), direction)
+
+    def _saito(self, i, label, direction):
         if direction == "forward":
-            es = self.epsilon_star(i, label)
+            es = self._epsilon(i, self._star(label))
             if es:
                 raise ValueError(
                     f"saito reflection needs epsilon*_{i}(b) = 0, got {es}")
-            steps = self.epsilon(i, label)
-            power = self.phi(i, label)
+            steps = self._epsilon(i, label)
+            power = self._phi(i, label)
             if power < 0:
                 raise AssertionError(
                     f"negative phi_{i} = {power} inside a saito reflection")
@@ -455,19 +469,19 @@ class CanonicalContext:
             for _ in range(steps):
                 cur = self._crystal_step(i, cur, -1)
             # f*_i = star f_i star, and star is an involution
-            cur = self.star(cur)
+            cur = self._star(cur)
             for _ in range(power):
                 cur = self._crystal_step(i, cur, 1)
-            return self.star(cur)
+            return self._star(cur)
         if direction == "inverse":
-            ev = self.epsilon(i, label)
+            ev = self._epsilon(i, label)
             if ev:
                 raise ValueError(
                     f"inverse saito reflection needs epsilon_{i}(b) = 0, "
                     f"got {ev}")
             # star swaps eps with eps* and e with e*, so the inverse is
             # the forward reflection conjugated by star
-            return self.star(self.saito_reflection(i, self.star(label)))
+            return self._star(self._saito(i, self._star(label), "forward"))
         raise ValueError(f"unknown direction {direction!r}")
 
     # -- members attached to a Weyl group element, two routes
@@ -517,10 +531,10 @@ class CanonicalContext:
             else:
                 i = word[0]
                 cur = label
-                for _ in range(self.epsilon(i, label)):
+                for _ in range(self._epsilon(i, label)):
                     cur = self._crystal_step(i, cur, -1)
-                source = self.saito_reflection(i, cur, "inverse")
-                if self.epsilon_star(i, source):
+                source = self._saito(i, cur, "inverse")
+                if self._epsilon(i, self._star(source)):
                     raise AssertionError(
                         "inverse saito reflection left its codomain")
                 hit = self._bw_member(word[1:], source)
@@ -532,14 +546,14 @@ class CanonicalContext:
     def epsilon_bound_set(self, label, height):
         """Labels b' up to the height with eps_i(b') >= eps_i(label) for
         all i, as a frozenset of tuples."""
-        label = tuple(label)
-        if sum(self.label_weight(label)) > height:
+        label = self._check_label(label)
+        if sum(self.ctx.weight_of(label)) > height:
             raise ValueError("height bound below the base label")
         rng = range(1, self.datum.rank + 1)
-        base = [self.epsilon(i, label) for i in rng]
+        base = [self._epsilon(i, label) for i in rng]
         members = frozenset(
             c for c in self.labels_up_to_height(height)
-            if all(self.epsilon(i, c) >= base[i - 1] for i in rng))
+            if all(self._epsilon(i, c) >= base[i - 1] for i in rng))
         if label not in members:
             raise AssertionError("epsilon bound set must contain its base")
         return members

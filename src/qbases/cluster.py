@@ -189,10 +189,12 @@ def _initial_btilde(datum, word):
 class QuantumSeed:
     """A quasi-commuting family of dual canonical variables, each a pure
     basis element, with its rectangular exchange matrix.  Both seed
-    invariants are validated at creation."""
+    invariants are validated at creation.  heights and forms are
+    constants of the seed: the height of each variable's weight w_k and
+    the matrix of forms (w_k, w_l)."""
 
     __slots__ = ("context", "word", "labels", "mutable", "bmat", "lam",
-                 "history")
+                 "history", "heights", "forms")
 
     def __init__(self, context, word, labels, mutable, bmat, history=()):
         self.context = context
@@ -205,6 +207,15 @@ class QuantumSeed:
             if len(label) != len(self.word) or any(
                     not isinstance(x, int) or x < 0 for x in label):
                 raise ValueError(f"seed validation failed: bad label {label}")
+        weights = [context.ctx.weight_of(label) for label in self.labels]
+        self.heights = tuple(map(sum, weights))
+        form = context.datum.bilinear
+        n = len(weights)
+        forms = [[0] * n for _ in range(n)]
+        for k in range(n):
+            for l in range(k, n):
+                forms[k][l] = forms[l][k] = form(weights[k], weights[l])
+        self.forms = tuple(map(tuple, forms))
         self.lam = self._validate()
 
     def _validate(self):
@@ -422,18 +433,17 @@ def _certificate(seed, exponents):
 def _sigma_exponent(seed, exponents):
     """2p such that q^{-p} X is invariant under the dual bar involution,
     X the ordered product of the seed variables: fixed by the seed's
-    q-commutation exponents and the weights of its variables."""
-    ctx = seed.context
-    form = ctx.datum.bilinear
-    weights = [ctx.label_weight(l) for l in seed.labels]
+    q-commutation exponents and the forms of its variables' weights."""
+    form, lam = seed.forms, seed.lam
     n = seed.size()
     total = 0
     for k in range(n):
         ek = exponents[k]
-        total -= ek * (ek - 1) // 2 * form(weights[k], weights[k])
+        if not ek:
+            continue
+        total -= ek * (ek - 1) // 2 * form[k][k]
         for l in range(k + 1, n):
-            total += ek * exponents[l] * (
-                seed.lam[k][l] - form(weights[k], weights[l]))
+            total += ek * exponents[l] * (lam[k][l] - form[k][l])
     return total
 
 
@@ -502,8 +512,7 @@ def cluster_monomial(seed, exponents):
         raise ValueError("exponent vector length mismatch")
     if any(e < 0 for e in exponents):
         raise ValueError("negative exponent")
-    height = sum(e * sum(seed.context.label_weight(label))
-                 for label, e in zip(seed.labels, exponents))
+    height = sum(e * h for h, e in zip(seed.heights, exponents))
     if height > CLUSTER_HEIGHT_CAP:
         raise ValueError("product exceeds height bound")
     return _normalize(seed, exponents)[0]

@@ -223,8 +223,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def bar(self):
@@ -444,8 +445,9 @@ class RatFunc:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def shift(self, k):

@@ -19,6 +19,11 @@ PBW indices come from one suffix table per context, keyed by (position,
 remaining weight), so weights share the enumeration of their common
 suffixes.  The closed-form norm depends on c only through the signature
 (ht wt(c) - sum c, the sorted parts c_p > 1), and is memoized by it.
+Weights wt(c) are memoized per context too, since the weight of a label
+depends on the word.  Straightening reads each relation E_x E_y as
+prepared triples (raw d, dfact(d) or None when it is 1, r_d), kept per
+(x, y), so each child sequence is built once; the dual structure
+constants read (1-q^2)^m from a per-context memo of powers.
 """
 
 from .laurent import (LaurentPoly, RatFunc, accumulate, quantum_factorial,
@@ -126,7 +131,9 @@ class PBWContext:
             if len(support) == 1 and beta[support[0]] == 1:
                 self.simple_pos[support[0] + 1] = p
         self._suffixes = {}
+        self._weights = {}
         self._straight = {}
+        self._prepared = {}
         self._seeds = {}
         self._monomials_cache = {}
         self._dfact_cache = {}
@@ -138,6 +145,7 @@ class PBWContext:
         self._gram = {}
         self._dual_sc = {}
         self._wnorm_cache = {}
+        self._omq2_powers = {}
 
     # -- bookkeeping
 
@@ -148,13 +156,20 @@ class PBWContext:
         return {self.zero_index(): LaurentPoly.one()}
 
     def weight_of(self, c):
-        out = [0] * self.datum.rank
-        for p, m in enumerate(c):
-            if m:
-                beta = self.roots[p]
-                for t in range(len(out)):
-                    out[t] += m * beta[t]
-        return tuple(out)
+        """sum_p c_p beta_p for any sequence c of exponents, memoized
+        per context (by tuple(c)): the weight of a label depends on the
+        word."""
+        c = tuple(c)
+        hit = self._weights.get(c)
+        if hit is None:
+            out = [0] * self.datum.rank
+            for p, m in enumerate(c):
+                if m:
+                    beta = self.roots[p]
+                    for t in range(len(out)):
+                        out[t] += m * beta[t]
+            hit = self._weights[c] = tuple(out)
+        return hit
 
     def element_weight(self, f):
         """Common weight of a homogeneous dict, or None when empty."""
@@ -209,33 +224,38 @@ class PBWContext:
         hit = memo.get(seq)
         if hit is not None:
             return hit
-        stack = [seq]
+        # entries (s, children), children None until s is expanded
+        stack = [(seq, None)]
         while stack:
-            s = stack[-1]
+            s, children = stack[-1]
             if s in memo:
                 stack.pop()
                 continue
-            k = _first_descent(s)
-            if k is None:
-                c = [0] * self.n
-                for p in s:
-                    c[p] += 1
-                c = tuple(c)
-                memo[s] = {c: self._dfact(c)}
-                stack.pop()
-                continue
-            rel = self._relation(s[k], s[k + 1])
-            pending = [s[:k] + self._raw(d) + s[k + 2:] for d in rel]
-            todo = [t for t in pending if t not in memo]
-            if todo:
-                stack.extend(todo)
-                continue
+            if children is None:
+                k = _first_descent(s)
+                if k is None:
+                    c = [0] * self.n
+                    for p in s:
+                        c[p] += 1
+                    c = tuple(c)
+                    memo[s] = {c: self._dfact(c)}
+                    stack.pop()
+                    continue
+                head, tail = s[:k], s[k + 2:]
+                children = [(head + raw + tail, den, r) for raw, den, r
+                            in self._prepared_relation(s[k], s[k + 1])]
+                stack[-1] = (s, children)
+                todo = [(t, None) for t, _, _ in children if t not in memo]
+                if todo:
+                    stack.extend(todo)
+                    continue
             # E_child = dfact(d) E_prefix L(d) E_suffix, integral
             total = {}
-            for d, r in rel.items():
-                child = s[:k] + self._raw(d) + s[k + 2:]
-                accumulate(total, _divide(memo[child], self._dfact(d),
-                                          "E_seq", child), r)
+            for child, den, r in children:
+                expn = memo[child]
+                if den is not None:
+                    expn = _divide(expn, den, "E_seq", child)
+                accumulate(total, expn, r)
             memo[s] = total
             stack.pop()
         return memo[seq]
@@ -244,6 +264,18 @@ class PBWContext:
         """E_x E_y in the PBW basis for a descent x > y."""
         return self._seed(("E_{} E_{}", x, y),
                           lambda: self.vectors[x] * self.vectors[y])
+
+    def _prepared_relation(self, x, y):
+        """The relation E_x E_y = sum_d r_d L(d) as triples
+        (raw d, dfact(d) or None when it is 1, r_d), memoized per (x, y)."""
+        key = (x, y)
+        hit = self._prepared.get(key)
+        if hit is None:
+            hit = self._prepared[key] = tuple(
+                (self._raw(d), None if self._dfact(d).is_one()
+                 else self._dfact(d), r)
+                for d, r in self._relation(x, y).items())
+        return hit
 
     # -- word-level bridge (small heights only)
 
@@ -369,9 +401,9 @@ class PBWContext:
                 num = r.shift(kc - ka - kb)
                 den = self._dfact(c)
                 if m > 0:
-                    num = num * _ONE_MINUS_Q2 ** m
+                    num = num * self._one_minus_q2_power(m)
                 elif m < 0:
-                    den = den * _ONE_MINUS_Q2 ** -m
+                    den = den * self._one_minus_q2_power(-m)
                 try:
                     hit[c] = num if den.is_one() else num.exact_div(den)
                 except ValueError as e:
@@ -391,6 +423,13 @@ class PBWContext:
             hit = self._wnorm_cache[c] = (
                 -sum(m * (m - 1) // 2 for m in c),
                 sum(self.weight_of(c)) - sum(c))
+        return hit
+
+    def _one_minus_q2_power(self, m):
+        """(1-q^2)^m, memoized per context."""
+        hit = self._omq2_powers.get(m)
+        if hit is None:
+            hit = self._omq2_powers[m] = _ONE_MINUS_Q2 ** m
         return hit
 
     def divided_power(self, f, m):

@@ -145,3 +145,33 @@ def ref_dual_constants(pbw, a, b):
     den_ab = w(a) * w(b)
     return {c: (r * w(c)).exact_div(pbw._dfact(c) * den_ab)
             for c, r in pbw.straighten(pbw._raw(a) + pbw._raw(b)).items()}
+
+
+def ref_label_weight(datum, word, label):
+    """sum_p c_p beta_p over the inversion sequence of the word, rebuilt
+    on every call: no memo and no context."""
+    roots = datum.inversion_sequence(tuple(word))
+    return tuple(sum(m * beta[t] for m, beta in zip(label, roots))
+                 for t in range(datum.rank))
+
+
+def ref_sigma_exponent(seed, exponents):
+    """2p with q^-p X sigma-invariant, X the ordered product of the seed
+    variables, by reading each variable's weight through label_weight and
+    each form through the datum's bilinear on every call: (w_k, w_l) is
+    needed only where e_k e_l is nonzero (and (w_k, w_k) where
+    e_k > 1)."""
+    ctx = seed.context
+    form = ctx.datum.bilinear
+    weights = [ctx.label_weight(l) for l in seed.labels]
+    n = seed.size()
+    total = 0
+    for k in range(n):
+        ek = exponents[k]
+        if ek > 1:
+            total -= ek * (ek - 1) // 2 * form(weights[k], weights[k])
+        for l in range(k + 1, n):
+            if ek and exponents[l]:
+                total += ek * exponents[l] * (
+                    seed.lam[k][l] - form(weights[k], weights[l]))
+    return total

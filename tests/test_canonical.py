@@ -12,7 +12,7 @@ from qbases.wordalg import WordElement
 from qbases import canonical
 from qbases.canonical import (CanonicalContext, braid_moves, get_canonical,
                               move_label, pbw_indices, weights_up_to_height)
-from oracles import pairing, ref_table
+from oracles import pairing, ref_label_weight, ref_table
 
 Q = LaurentPoly({1: 1})
 RQ = RatFunc({1: 1})
@@ -506,14 +506,21 @@ def test_table_json_shape(a2):
 @pytest.mark.parametrize("label", [(1, 0), (1, 0, 0, 0), (-1, 1, 0)])
 def test_malformed_labels_raise(a2, label):
     """Short, long and negative labels are refused, naming the label,
-    by every crystal entry point that moves labels between words."""
+    by every crystal entry point that moves labels between words: each
+    checks at entry, before any internal routine runs."""
     calls = [lambda: a2.transport(label, (2, 1, 2)),
              lambda: a2.bw_contains((1, 2), label),
              lambda: a2.epsilon(1, label),
+             lambda: a2.phi(1, label),
              lambda: a2.star(label),
+             lambda: a2.epsilon_star(1, label),
+             lambda: a2.phi_star(1, label),
              lambda: a2.ftilde(1, label),
              lambda: a2.etilde(1, label),
-             lambda: a2.saito_reflection(1, label)]
+             lambda: a2.ftilde_star(1, label),
+             lambda: a2.etilde_star(1, label),
+             lambda: a2.saito_reflection(1, label),
+             lambda: a2.saito_reflection(1, label, "inverse")]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"label {label}")):
             call()
@@ -555,6 +562,29 @@ def test_label_weight_refuses_malformed_labels(a2, label):
     instead of reading a weight off it."""
     with pytest.raises(ValueError, match=re.escape(f"label {label}")):
         a2.label_weight(label)
+
+
+def test_weight_memo_is_per_context():
+    """label_weight on the preset and on the greedy A3 word equals the
+    uncached sum_p c_p beta_p of that word for every label of either
+    word up to height 6, each tuple read on both contexts in turn; some
+    tuples have two different weights, so a memo shared between words
+    would answer wrongly.  weight_of still takes any sequence."""
+    p = load_preset("A3")
+    datum = p["datum"]
+    contexts = (get_canonical(datum, p["longest_word"]),
+                get_canonical(datum))
+    assert contexts[0].word != contexts[1].word
+    labels = {c for ctx in contexts for c in ctx.labels_up_to_height(6)}
+    differ = 0
+    for c in sorted(labels):
+        want = [ref_label_weight(datum, ctx.word, c) for ctx in contexts]
+        assert [ctx.label_weight(c) for ctx in contexts] == want, c
+        differ += want[0] != want[1]
+    assert differ
+    for ctx in contexts:
+        c = ctx.labels_up_to_height(6)[-1]
+        assert ctx.ctx.weight_of(list(c)) == ctx.label_weight(c)
 
 
 def test_expand_dual_of_dual_is_unit(a2):

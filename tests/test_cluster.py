@@ -21,7 +21,7 @@ from qbases.cluster import (QuantumSeed, cluster_monomial, divide_right,
                             quasi_commutation, reachable_seeds,
                             verify_conjecture, _unit_coords)
 
-from oracles import ref_certificate
+from oracles import ref_certificate, ref_sigma_exponent
 
 
 @pytest.fixture(scope="module")
@@ -484,6 +484,76 @@ def test_certificate_two_routes(monkeypatch, preset, depth, exp, jobs):
     for seed, exps in todo:
         cluster._certificate(seed, exps)
     assert len(calls) == sum(sum(e for _, e in f) > 1 for f in ctx._products)
+
+
+@pytest.mark.parametrize("preset, depth, exp, count", [
+    ("A2", 2, 3, 2), ("A3", 8, 1, 14), ("D4", 1, 1, 9)])
+def test_sigma_exponent_two_routes(preset, depth, exp, count):
+    """The sigma exponent read from the seed's kept forms equals the
+    label_weight and bilinear route at every seed of the graph and every
+    exponent vector up to the bound (sigma builds no product)."""
+    seeds, _ = reachable_seeds(preset, depth)
+    assert len(seeds) == count
+    for seed in seeds:
+        for exps in itertools.product(range(exp + 1), repeat=seed.size()):
+            assert cluster._sigma_exponent(seed, exps) == \
+                ref_sigma_exponent(seed, exps), (seed.history, exps)
+
+
+def test_warm_monomial_pass_rechecks_nothing(monkeypatch):
+    """The 128 A2 monomials with their bw_contains, as the cluster-a2
+    benchmark runs them: every bw_contains checks its label once, also
+    from an empty membership memo, and a second pass computes no weight
+    and reads no label_weight."""
+    seeds, _ = reachable_seeds("A2", 2)
+    ctx = seeds[0].context
+    word = seeds[0].word
+    todo = [(s, e) for s in seeds
+            for e in itertools.product(range(4), repeat=s.size())]
+    assert len(todo) == 128
+    cls = canonical.CanonicalContext
+    checks, reads, per_entry, stored = [], [], [], []
+    check, read, bw = cls._check_label, cls.label_weight, cls.bw_contains
+
+    def counted_check(self, label):
+        checks.append(1)
+        return check(self, label)
+
+    def counted_read(self, label):
+        reads.append(1)
+        return read(self, label)
+
+    def counted_bw(self, w, label):
+        before = len(checks)
+        out = bw(self, w, label)
+        per_entry.append(len(checks) - before)
+        return out
+
+    class Memo(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(cls, "_check_label", counted_check)
+    monkeypatch.setattr(cls, "label_weight", counted_read)
+    monkeypatch.setattr(cls, "bw_contains", counted_bw)
+    monkeypatch.setattr(ctx, "_bw", {})
+
+    def run():
+        for seed, exps in todo:
+            rep = cluster_monomial(seed, exps)
+            assert rep.passed() and ctx.bw_contains(word, rep.label), \
+                (seed.history, exps)
+
+    run()
+    assert per_entry == [1] * 128
+    monkeypatch.setattr(ctx.ctx, "_weights", Memo(ctx.ctx._weights))
+    per_entry.clear()
+    reads.clear()
+    run()
+    assert per_entry == [1] * 128
+    assert not stored, "the warm pass recomputed a weight"
+    assert not reads, "the warm pass read label_weight"
 
 
 def test_certificate_builds_no_product_table(monkeypatch):

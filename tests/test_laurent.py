@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from qbases import pbwalg
+from qbases import laurent, pbwalg
 from qbases.laurent import (
     LaurentPoly,
     RatFunc,
@@ -536,3 +536,27 @@ def test_accumulate_keeps_type_and_prunes():
         accumulate(target, {"y": b}, -1)
         assert target == {"z": a}
         assert type(target["z"]) is type(a)
+
+
+POW_BASES = [one, q, one - q * q, RatFunc({0: 1, 1: 2}, (1, 1, 1))]
+POW_IDS = ["1", "q", "1-q^2", "(1+2q)/(1+q+q^2)"]
+
+
+@pytest.mark.parametrize("base", POW_BASES, ids=POW_IDS)
+def test_pow_equals_repeated_products(base):
+    """x ** n is the product of n copies of x, for n = 0..6."""
+    acc = type(base).one()
+    for n in range(7):
+        assert base ** n == acc, n
+        acc = acc * base
+
+
+@pytest.mark.parametrize("base", POW_BASES, ids=POW_IDS)
+def test_pow_one_squares_nothing(monkeypatch, base):
+    """x ** 1 stops once the exponent is used up: it squares nothing, so
+    it multiplies no two polynomials."""
+    calls = []
+    monkeypatch.setattr(laurent, "_ldict_mul",
+                        lambda a, b: calls.append(1) or _ldict_mul(a, b))
+    assert base ** 1 == base
+    assert not calls
