@@ -5,8 +5,8 @@ bar-invariant unitriangular solve against the PBW basis of a globally
 fixed reduced word of the longest element.  The labels are Lusztig
 data along that word; the crystal on them (Kashiwara and Saito
 operators) is integer combinatorics: a label is moved to another
-reduced word by Lusztig's braid-move transport, changed there and
-moved back.  On top of these sit the subsets attached to arbitrary
+reduced word by Lusztig's braid-move transport, changed there (a
+whole crystal string at once) and moved back.  On top of these sit the subsets attached to arbitrary
 Weyl group elements by two independent routes, the dual canonical
 basis and the structure constants of the dual product, and the
 epsilon dominance sets used as singular-support diagnostics.
@@ -217,6 +217,8 @@ class CanonicalContext:
         self._products = {}
         # words bw_contains has found reduced
         self._reduced = set()
+        # star of each label, filled by _star
+        self._stars = {}
         self._paths = self._first = self._star_path = None
         self._alpha = {i: datum.simple_root(i)
                        for i in range(1, datum.rank + 1)}
@@ -427,8 +429,12 @@ class CanonicalContext:
         return self._star(self._check_label(label))
 
     def _star(self, label):
-        self._words()
-        return tuple(_move(list(reversed(label)), reversed(self._star_path)))
+        hit = self._stars.get(label)
+        if hit is None:
+            self._words()
+            hit = self._stars[label] = tuple(
+                _move(list(reversed(label)), reversed(self._star_path)))
+        return hit
 
     def epsilon_star(self, i, label):
         return self._epsilon(i, self.star(label))
@@ -451,7 +457,8 @@ class CanonicalContext:
         """Saito's crystal reflection:
         forward  (f*_i)^(phi_i) (e_i)^(eps_i) on {eps*_i = 0},
         inverse  (f_i)^(phi*_i) (e*_i)^(eps*_i) on {eps_i = 0}, which is
-        star, then forward, then star."""
+        star, then forward, then star.  Each string is one crystal step
+        by its length."""
         return self._saito(i, self._check_label(label), direction)
 
     def _saito(self, i, label, direction):
@@ -460,19 +467,7 @@ class CanonicalContext:
             if es:
                 raise ValueError(
                     f"saito reflection needs epsilon*_{i}(b) = 0, got {es}")
-            steps = self._epsilon(i, label)
-            power = self._phi(i, label)
-            if power < 0:
-                raise AssertionError(
-                    f"negative phi_{i} = {power} inside a saito reflection")
-            cur = label
-            for _ in range(steps):
-                cur = self._crystal_step(i, cur, -1)
-            # f*_i = star f_i star, and star is an involution
-            cur = self._star(cur)
-            for _ in range(power):
-                cur = self._crystal_step(i, cur, 1)
-            return self._star(cur)
+            return self._star(self._saito_core(i, label))
         if direction == "inverse":
             ev = self._epsilon(i, label)
             if ev:
@@ -480,9 +475,22 @@ class CanonicalContext:
                     f"inverse saito reflection needs epsilon_{i}(b) = 0, "
                     f"got {ev}")
             # star swaps eps with eps* and e with e*, so the inverse is
-            # the forward reflection conjugated by star
-            return self._star(self._saito(i, self._star(label), "forward"))
+            # the forward reflection conjugated by star: star(forward(b*))
+            # is the core on b*, and its closing star cancels
+            return self._saito_core(i, self._star(label))
         raise ValueError(f"unknown direction {direction!r}")
+
+    def _saito_core(self, i, label):
+        """(f_i)^(phi_i) star (e_i)^(eps_i) on a checked label: the forward
+        reflection before its closing star, since f*_i = star f_i star."""
+        steps = self._epsilon(i, label)
+        power = self._phi(i, label)
+        if power < 0:
+            raise AssertionError(
+                f"negative phi_{i} = {power} inside a saito reflection")
+        cur = self._star(self._crystal_step(i, label, -steps)
+                         if steps else label)
+        return self._crystal_step(i, cur, power) if power else cur
 
     # -- members attached to a Weyl group element, two routes
 
@@ -530,9 +538,8 @@ class CanonicalContext:
                 hit = label == self.unit_label()
             else:
                 i = word[0]
-                cur = label
-                for _ in range(self._epsilon(i, label)):
-                    cur = self._crystal_step(i, cur, -1)
+                steps = self._epsilon(i, label)
+                cur = self._crystal_step(i, label, -steps) if steps else label
                 source = self._saito(i, cur, "inverse")
                 if self._epsilon(i, self._star(source)):
                     raise AssertionError(

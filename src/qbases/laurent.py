@@ -131,12 +131,7 @@ class LaurentPoly:
     __slots__ = ("c", "_hash")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v:
-                    c[int(e)] = int(v)
-        self.c = c
+        self.c = _int_terms(coeffs) if coeffs else {}
         self._hash = None
 
     # -- constructors
@@ -147,7 +142,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return _wrap({0: 1})
 
     @classmethod
     def q_power(cls, k, coeff=1):
@@ -230,13 +225,13 @@ class LaurentPoly:
 
     def bar(self):
         """The bar involution q -> q^-1."""
-        return LaurentPoly({-e: v for e, v in self.c.items()})
+        return _wrap({-e: v for e, v in self.c.items()})
 
     def shift(self, k):
         """self * q^k."""
         if not k:
             return self
-        return LaurentPoly({e + k: v for e, v in self.c.items()})
+        return _wrap({e + k: v for e, v in self.c.items()})
 
     def exact_div(self, other):
         """Exact division in Z[q, q^-1]; raises ValueError if inexact."""
@@ -248,7 +243,7 @@ class LaurentPoly:
         sa, pa = self._poly_parts()
         sb, pb = other._poly_parts()
         quot = _pol_divexact(pa, pb)
-        return LaurentPoly({i + sa - sb: v for i, v in enumerate(quot) if v})
+        return _wrap({i + sa - sb: v for i, v in enumerate(quot) if v})
 
     def _poly_parts(self):
         """Return (shift, dense tuple) with poly[0] != 0."""
@@ -300,6 +295,22 @@ class LaurentPoly:
         return cls({int(e): int(v) for e, v in obj.items()})
 
 
+def _int_terms(terms):
+    """The nonzero terms of an {exponent: coefficient} dict as ints;
+    ValueError unless each is an integer value (int() alone would
+    truncate 1/2 to 0)."""
+    out = {}
+    for e, v in terms.items():
+        if v:
+            if type(e) is not int or type(v) is not int:
+                ie, iv = int(e), int(v)
+                if ie != e or iv != v:
+                    raise ValueError(f"term {v!r} q^{e!r} is not integral")
+                e, v = ie, iv
+            out[e] = v
+    return out
+
+
 def _wrap(c):
     """A LaurentPoly owning the dict c (nonzero int values), uncopied."""
     r = LaurentPoly.__new__(LaurentPoly)
@@ -341,7 +352,7 @@ class RatFunc:
         den = _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
-        num = {int(e): int(v) for e, v in num.items() if v}
+        num = _int_terms(num)
         self.num, self.den = _rat_normalize(num, den)
         self._hash = None
 
@@ -366,7 +377,7 @@ class RatFunc:
     def to_laurent(self):
         if self.den != _L_ONE:
             raise ValueError(f"not a Laurent polynomial: {self}")
-        return LaurentPoly(self.num)
+        return _wrap(dict(self.num))
 
     def is_zero(self):
         return not self.num

@@ -22,12 +22,31 @@ suffixes.  The closed-form norm depends on c only through the signature
 Weights wt(c) are memoized per context too, since the weight of a label
 depends on the word.  Straightening reads each relation E_x E_y as
 prepared triples (raw d, dfact(d) or None when it is 1, r_d), kept per
-(x, y), so each child sequence is built once; the dual structure
-constants read (1-q^2)^m from a per-context memo of powers.
+(x, y), so each child sequence is built once.
+
+The E* side (``dual_mul``, ``dual_constants``) runs on a packed kernel:
+a coefficient q^v sum_k d_k q^k is the pair of v and the Python int
+sum_k d_k 2^(64 k) (Kronecker substitution q -> 2^64, with signed
+digits), plus an L1 bound.  A product is one int multiply, a sum one
+shift and one add, and an exact division by dfact(c) or (1-q^2)^m one
+``divmod``; packing and unpacking go through ``int.from_bytes`` and
+``to_bytes`` on an ``array`` of offset digits, in linear time.  Products
+multiply the bounds and sums add them, so while a bound stays under
+2^63 every digit is a coefficient; decoding raises when one reaches it.
+A Kronecker quotient Q of A by D is kept only when bound(A) and
+||Q||_1 bound(D) are under 2^63, which makes Q D = A as polynomials;
+otherwise the division raises as not Laurent.  The straightening loop
+is one loop, run over either representation (``_rewrite``), with its
+own memo for each.  The bar (``mul``) keeps LaurentPoly coefficients:
+its products are short, and packing them costs more than it saves.
+``LaurentPoly`` stays at the boundary: ``dual_mul`` takes and returns
+LaurentPoly dicts, and ``dual_constants`` decodes.
 """
 
-from .laurent import (LaurentPoly, RatFunc, accumulate, quantum_factorial,
-                      quantum_int)
+from array import array
+
+from .laurent import (LaurentPoly, RatFunc, _wrap, accumulate,
+                      quantum_factorial, quantum_int)
 from .wordalg import PAIRING_HEIGHT_CAP, WordElement, kostant_dimension
 from .braid import root_vectors, pbw_monomial
 # unused here; kept bound because perfbench/tracing.py patches these aliases
@@ -36,6 +55,133 @@ from .wordalg import weight_basis  # noqa: F401
 
 
 _ONE_MINUS_Q2 = LaurentPoly({0: 1, 2: -1})
+
+# -- the packed kernel: (valuation, Kronecker int, L1 bound) per coefficient
+
+_BITS = 64  # digit width: q -> 2^_BITS
+_DIGIT = "Q"  # array typecode of one unsigned digit
+_HALF = 1 << (_BITS - 1)  # digit offset; every bound must stay under it
+_SWAP = array("H", [1]).tobytes()[0] == 0  # big-endian digits
+_OFFSETS = {}
+_UNIT = (0, 1, 1)
+
+
+def _offset(n):
+    """The int whose n digits all equal _HALF."""
+    off = _OFFSETS.get(n)
+    if off is None:
+        off = _OFFSETS[n] = (_HALF * ((1 << _BITS * n) - 1)
+                             // ((1 << _BITS) - 1))
+    return off
+
+
+def _pack(p):
+    """The packed form of a LaurentPoly, bounded by its L1 norm."""
+    c = p.c
+    if len(c) == 1:
+        ((e, x),) = c.items()
+        return e, x, abs(x)
+    if not c:
+        return 0, 0, 0
+    norm = sum(map(abs, c.values()))
+    if norm >= _HALF:
+        raise AssertionError(
+            f"packed coefficient bound {norm} reaches 2^{_BITS - 1}: {p}")
+    lo = min(c)
+    digits = array(_DIGIT, [_HALF]) * (max(c) - lo + 1)
+    for e, x in c.items():
+        digits[e - lo] = x + _HALF
+    if _SWAP:
+        digits.byteswap()
+    return lo, int.from_bytes(digits, "little") - _offset(len(digits)), norm
+
+
+def _digits(x):
+    """The digits of x, lowest first, each offset by _HALF (so _HALF is
+    a zero digit), with at least one zero digit on top."""
+    n = x.bit_length() // _BITS + 2
+    digits = array(_DIGIT)
+    digits.frombytes((x + _offset(n)).to_bytes(n * _BITS // 8, "little"))
+    if _SWAP:
+        digits.byteswap()
+    return digits
+
+
+def _unpack(v, x):
+    """The LaurentPoly q^v sum_k d_k q^k for the signed digits d_k of x."""
+    if -_HALF <= x < _HALF:
+        return _wrap({v: x} if x else {})
+    return _wrap({v + k: u - _HALF for k, u in enumerate(_digits(x))
+                  if u != _HALF})
+
+
+def _decode(packed, where):
+    """The LaurentPoly dict of a packed one, zeros dropped; raises
+    AssertionError naming where and the key when a bound reaches _HALF,
+    since a digit may then have overflowed."""
+    out = {}
+    for c, (v, x, bound) in packed.items():
+        if bound >= _HALF:
+            raise AssertionError(
+                f"packed coefficient bound {bound} reaches 2^{_BITS - 1}: "
+                f"{where} at {c}")
+        if x:
+            out[c] = _unpack(v, x)
+    return out
+
+
+def _kmul(a, b):
+    return a[0] + b[0], a[1] * b[1], a[2] * b[2]
+
+
+def _kdiv(a, d):
+    """The packed quotient a / d, or None unless the Kronecker quotient Q
+    of the ints is exact and certified: bound(a) < _HALF and
+    ||Q||_1 bound(d) < _HALF, so every digit of Q d is a coefficient and
+    Q d = a holds as polynomials (d has a nonzero lowest digit)."""
+    quo, rem = divmod(a[1], d[1])
+    if rem or a[2] >= _HALF:
+        return None
+    norm = sum(abs(u - _HALF) for u in _digits(quo))
+    if norm * d[2] >= _HALF:
+        return None
+    return a[0] - d[0], quo, norm
+
+
+def _kdivide(f, den, what, key):
+    """_divide on packed coefficients, den packed and not 1."""
+    out = {}
+    for c, x in f.items():
+        out[c] = quo = _kdiv(x, den)
+        if quo is None:
+            raise AssertionError(f"PBW coefficient not Laurent: {what} {key} "
+                                 f"over {_unpack(den[0], den[1])}")
+    return out
+
+
+def _kaccumulate(target, source, scale):
+    """accumulate on packed coefficients, scale given: a sum is pruned
+    only when it is zero with a bound under _HALF."""
+    vs, xs, bs = scale
+    for c, (v, x, b) in source.items():
+        v += vs
+        x *= xs
+        b *= bs
+        cur = target.get(c)
+        if cur is not None:
+            w, y, bw = cur
+            if w < v:
+                x <<= _BITS * (v - w)
+                v = w
+            elif w > v:
+                y <<= _BITS * (w - v)
+            x += y
+            b += bw
+            if not x and b < _HALF:
+                del target[c]
+                continue
+        target[c] = v, x, b
+    return target
 
 
 def scaled(source, scale):
@@ -134,6 +280,9 @@ class PBWContext:
         self._weights = {}
         self._straight = {}
         self._prepared = {}
+        self._straight_pk = {}
+        self._prepared_pk = {}
+        self._packed = {}
         self._seeds = {}
         self._monomials_cache = {}
         self._dfact_cache = {}
@@ -214,13 +363,25 @@ class PBWContext:
         """Expansion of a raw product of root vectors in the PBW basis.
 
         seq is a tuple of root-vector positions; the result maps
-        exponent vectors c to coefficients r_c with E_seq = sum r_c L(c).
-        Runs a work stack instead of recursion so long products do not
-        hit the interpreter's depth limit; every intermediate sequence
-        is memoized.
+        exponent vectors c to LaurentPoly coefficients r_c with
+        E_seq = sum r_c L(c), memoized in ``_straight``.
         """
+        return self._rewrite(seq, self._straight, self._prepared_relation,
+                             self._dfact, _divide, accumulate)
+
+    def _straighten_packed(self, seq):
+        """straighten on packed coefficients, memoized in
+        ``_straight_pk``: what the E* side reads."""
+        return self._rewrite(seq, self._straight_pk, self._packed_relation,
+                             self._packed_dfact, _kdivide, _kaccumulate)
+
+    def _rewrite(self, seq, memo, relation, leaf, divide, add):
+        """The straightening loop, on the coefficients that relation,
+        leaf (dfact), divide and add (accumulate) work in.  Runs a work
+        stack instead of recursion so long products do not hit the
+        interpreter's depth limit; every intermediate sequence is
+        memoized."""
         seq = tuple(seq)
-        memo = self._straight
         hit = memo.get(seq)
         if hit is not None:
             return hit
@@ -238,12 +399,12 @@ class PBWContext:
                     for p in s:
                         c[p] += 1
                     c = tuple(c)
-                    memo[s] = {c: self._dfact(c)}
+                    memo[s] = {c: leaf(c)}
                     stack.pop()
                     continue
                 head, tail = s[:k], s[k + 2:]
                 children = [(head + raw + tail, den, r) for raw, den, r
-                            in self._prepared_relation(s[k], s[k + 1])]
+                            in relation(s[k], s[k + 1])]
                 stack[-1] = (s, children)
                 todo = [(t, None) for t, _, _ in children if t not in memo]
                 if todo:
@@ -254,8 +415,8 @@ class PBWContext:
             for child, den, r in children:
                 expn = memo[child]
                 if den is not None:
-                    expn = _divide(expn, den, "E_seq", child)
-                accumulate(total, expn, r)
+                    expn = divide(expn, den, "E_seq", child)
+                add(total, expn, r)
             memo[s] = total
             stack.pop()
         return memo[seq]
@@ -276,6 +437,26 @@ class PBWContext:
                  else self._dfact(d), r)
                 for d, r in self._relation(x, y).items())
         return hit
+
+    def _packed_relation(self, x, y):
+        """_prepared_relation with den and r packed, memoized per (x, y)."""
+        key = (x, y)
+        hit = self._prepared_pk.get(key)
+        if hit is None:
+            hit = self._prepared_pk[key] = tuple(
+                (raw, None if den is None else self._pk(den), self._pk(r))
+                for raw, den, r in self._prepared_relation(x, y))
+        return hit
+
+    def _pk(self, p):
+        """The packed form of a constant LaurentPoly, memoized by value."""
+        hit = self._packed.get(p)
+        if hit is None:
+            hit = self._packed[p] = _pack(p)
+        return hit
+
+    def _packed_dfact(self, c):
+        return self._pk(self._dfact(c))
 
     # -- word-level bridge (small heights only)
 
@@ -368,12 +549,15 @@ class PBWContext:
     def dual_mul(self, f, g):
         """Product of two elements in dual PBW coordinates: dicts of
         LaurentPoly coefficients over E*(c) = L(c) / (L(c), L(c)), which
-        span the integral dual form, so the product stays in Z[q, q^-1]."""
+        span the integral dual form, so the product stays in Z[q, q^-1].
+        Runs packed, on the constants of ``_dual_packed``."""
         out = {}
+        packed = [(b, _pack(gb)) for b, gb in g.items()]
         for a, fa in f.items():
-            for b, gb in g.items():
-                accumulate(out, self.dual_constants(a, b), fa * gb)
-        return out
+            pa = _pack(fa)
+            for b, pb in packed:
+                _kaccumulate(out, self._dual_packed(a, b), _kmul(pa, pb))
+        return _decode(out, "E* product")
 
     def dual_constants(self, a, b):
         """{c: s^c_ab} with E*(a) E*(b) = sum_c s^c_ab E*(c) (memoized).
@@ -387,29 +571,37 @@ class PBWContext:
         so each constant is one exact division by dfact(c), or by
         dfact(c) (1-q^2)^-m when m < 0.  The constants are coproduct coefficients
         of L(c), integral by Kimura (2012); raises AssertionError naming
-        a, b and c if one is not Laurent.
+        a, b and c if one is not Laurent.  Decoded from ``_dual_packed``.
         """
+        return _decode(self._dual_packed(a, b), f"E*{a} E*{b}")
+
+    def _dual_packed(self, a, b):
+        """The constants of ``dual_constants`` packed, memoized in
+        ``_dual_sc``: the table ``dual_mul`` reads.  q^k is a shift of
+        the valuation, and the division one Kronecker quotient."""
         key = (a, b)
         hit = self._dual_sc.get(key)
         if hit is None:
             hit = {}
             ka, ma = self._wnorm(a)
             kb, mb = self._wnorm(b)
-            for c, r in self.straighten(self._raw(a) + self._raw(b)).items():
+            for c, (v, x, bound) in self._straighten_packed(
+                    self._raw(a) + self._raw(b)).items():
                 kc, mc = self._wnorm(c)
                 m = mc - ma - mb
-                num = r.shift(kc - ka - kb)
-                den = self._dfact(c)
+                num = (v + kc - ka - kb, x, bound)
+                den = self._packed_dfact(c)
                 if m > 0:
-                    num = num * self._one_minus_q2_power(m)
+                    num = _kmul(num, self._one_minus_q2_power(m))
                 elif m < 0:
-                    den = den * self._one_minus_q2_power(-m)
-                try:
-                    hit[c] = num if den.is_one() else num.exact_div(den)
-                except ValueError as e:
-                    raise AssertionError(
-                        f"dual PBW structure constant not Laurent: "
-                        f"E*{a} E*{b} at E*{c}") from e
+                    den = _kmul(den, self._one_minus_q2_power(-m))
+                if den != _UNIT:
+                    num = _kdiv(num, den)
+                    if num is None:
+                        raise AssertionError(
+                            f"dual PBW structure constant not Laurent: "
+                            f"E*{a} E*{b} at E*{c}")
+                hit[c] = num
             self._dual_sc[key] = hit
         return hit
 
@@ -426,10 +618,10 @@ class PBWContext:
         return hit
 
     def _one_minus_q2_power(self, m):
-        """(1-q^2)^m, memoized per context."""
+        """(1-q^2)^m packed, memoized per context."""
         hit = self._omq2_powers.get(m)
         if hit is None:
-            hit = self._omq2_powers[m] = _ONE_MINUS_Q2 ** m
+            hit = self._omq2_powers[m] = _pack(_ONE_MINUS_Q2 ** m)
         return hit
 
     def divided_power(self, f, m):

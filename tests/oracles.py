@@ -147,6 +147,42 @@ def ref_dual_constants(pbw, a, b):
             for c, r in pbw.straighten(pbw._raw(a) + pbw._raw(b)).items()}
 
 
+def ref_saito_reflection(ctx, i, label, direction):
+    """Saito's reflection one crystal step at a time through the public
+    operators of the CanonicalContext ctx: forward
+    (f*_i)^(phi_i) (e_i)^(eps_i) on {eps*_i = 0}, inverse
+    star . forward . star on {eps_i = 0}; ValueError off the domain."""
+    if direction == "inverse":
+        if ctx.epsilon(i, label):
+            raise ValueError(f"epsilon_{i} of {label} is not 0")
+        return ctx.star(ref_saito_reflection(ctx, i, ctx.star(label),
+                                             "forward"))
+    if ctx.epsilon_star(i, label):
+        raise ValueError(f"epsilon*_{i} of {label} is not 0")
+    power = ctx.phi(i, label)
+    cur = label
+    for _ in range(ctx.epsilon(i, label)):
+        cur = ctx.etilde(i, cur)
+    for _ in range(power):
+        cur = ctx.ftilde_star(i, cur)
+    return cur
+
+
+def ref_bw_contains(ctx, word, label):
+    """Membership of the label in the crystal subset of the reduced word,
+    by the Saito recursion on single steps with no memo: empty word, the
+    unit only; otherwise strip the e_i-string of the first letter i and
+    recurse on the inverse reflection with the rest of the word."""
+    if not word:
+        return label == ctx.unit_label()
+    i = word[0]
+    cur = label
+    for _ in range(ctx.epsilon(i, label)):
+        cur = ctx.etilde(i, cur)
+    return ref_bw_contains(ctx, word[1:],
+                           ref_saito_reflection(ctx, i, cur, "inverse"))
+
+
 def ref_label_weight(datum, word, label):
     """sum_p c_p beta_p over the inversion sequence of the word, rebuilt
     on every call: no memo and no context."""

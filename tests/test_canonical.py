@@ -12,7 +12,8 @@ from qbases.wordalg import WordElement
 from qbases import canonical
 from qbases.canonical import (CanonicalContext, braid_moves, get_canonical,
                               move_label, pbw_indices, weights_up_to_height)
-from oracles import pairing, ref_label_weight, ref_table
+from oracles import (pairing, ref_bw_contains, ref_label_weight,
+                     ref_saito_reflection, ref_table)
 
 Q = LaurentPoly({1: 1})
 RQ = RatFunc({1: 1})
@@ -672,6 +673,34 @@ def test_saito_forward_matches_explicit_formula(a3):
                 for _ in range(ctx.phi(i, c)):
                     cur = ctx.ftilde_star(i, cur)
                 assert ctx.saito_reflection(i, c) == cur, (i, c)
+
+
+@pytest.mark.parametrize("name, labels", [("A3", 120), ("D4", 321)])
+def test_crystal_strings_two_routes(name, labels):
+    """Saito reflections both ways and bw_contains, which move each
+    crystal string in one transport, equal the single-step reference
+    of oracles on every label up to height 5, in a fresh context; off a
+    reflection's domain both routes raise ValueError.  bw_contains runs
+    on every prefix of the labelling word."""
+    p = load_preset(name)
+    ctx = CanonicalContext(p["datum"], p["longest_word"])
+    found = ctx.labels_up_to_height(5)
+    assert len(found) == labels
+    for c in found:
+        for i in range(1, ctx.datum.rank + 1):
+            for direction in ("forward", "inverse"):
+                try:
+                    want = ref_saito_reflection(ctx, i, c, direction)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        ctx.saito_reflection(i, c, direction)
+                    continue
+                assert ctx.saito_reflection(i, c, direction) == want, (
+                    i, c, direction)
+        for k in range(len(ctx.word) + 1):
+            word = ctx.word[:k]
+            assert ctx.bw_contains(word, c) == ref_bw_contains(
+                ctx, word, c), (word, c)
 
 
 def test_saito_inverse_matches_explicit_formula(a3):

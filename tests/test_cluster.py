@@ -269,15 +269,16 @@ def test_division_lead_check_is_loud(a2, monkeypatch, break_lead):
     never read as "no solution"."""
     ctx = a2.context
     r = ctx.structure_constants((0, 0, 1), (1, 0, 0))
-    original = pbwalg.PBWContext.dual_constants
+    original = pbwalg.PBWContext._dual_packed
 
+    # dual_mul reads the packed constants: break them decoded, then repack
     def broken(self, a, b):
-        out = dict(original(self, a, b))
+        out = pbwalg._decode(original(self, a, b), (a, b))
         break_lead(out, max(out))
-        return out
+        return {c: pbwalg._pack(v) for c, v in out.items()}
 
     monkeypatch.setattr(ctx, "_products", {})
-    monkeypatch.setattr(pbwalg.PBWContext, "dual_constants", broken)
+    monkeypatch.setattr(pbwalg.PBWContext, "_dual_packed", broken)
     with pytest.raises(AssertionError,
                        match=re.escape("E*(0, 0, 1) Y does not lead")):
         divide_right(ctx, r, (1, 0, 0))

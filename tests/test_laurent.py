@@ -42,6 +42,23 @@ class TestLaurentPoly:
         assert 0 not in p.c
         assert p == L({2: 1, -1: 3})
 
+    def test_constructors_refuse_to_truncate(self):
+        """A coefficient or exponent that is not an integer value raises
+        instead of being truncated by int(); integral values of other
+        types are kept as ints, and no zero is ever stored."""
+        bad = [{0: Fraction(1, 2), 1: 2.7}, {0: 2.7}, {Fraction(1, 2): 1},
+               {0: "3"}]
+        for coeffs in bad:
+            with pytest.raises(ValueError, match="not integral"):
+                L(coeffs)
+            with pytest.raises(ValueError, match="not integral"):
+                RatFunc(coeffs)
+        p = L({0: Fraction(4, 2), 1: 2.0, 2: Fraction(0, 3), 3: 0})
+        assert p.c == {0: 2, 1: 2} and all(type(v) is int
+                                           for v in p.c.values())
+        r = RatFunc({0: Fraction(2, 1), 5: 0}, (1, 1))
+        assert r.num == {0: 2} and bool(r) and not RatFunc({1: 0.0})
+
     def test_add_cancel(self):
         assert (q - q).is_zero()
         assert q + qi == L({1: 1, -1: 1})

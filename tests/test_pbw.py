@@ -287,11 +287,13 @@ def test_closed_form_wnorm_matches_product(preset, height, labels):
 
 
 @pytest.mark.parametrize("preset,height,pairs",
-                         [("A2", 4, 103), ("A3", 4, 346), ("D4", 4, 842)])
+                         [("A2", 4, 103), ("A2", 7, 707), ("A3", 4, 346),
+                          ("D4", 4, 842)])
 def test_dual_constants_two_routes(preset, height, pairs):
     """The closed-form E* constants, q-shifts and powers of 1-q^2 with one
     division by dfact(c), equal the division of r_c W(c) by
-    dfact(c) W(a) W(b) on every pair with ht a + ht b <= height."""
+    dfact(c) W(a) W(b) on every pair with ht a + ht b <= height.  A2 at
+    height 7 reaches [7]!, whose coefficients outgrow an 8-bit digit."""
     box = load_preset(preset)
     ctx = PBWContext(box["datum"], box["longest_word"])
     labels = [(c, sum(wt))
@@ -335,6 +337,71 @@ def test_wrong_norm_fails_dual_constant(monkeypatch):
                        match=r"not Laurent: E\*\(0, 0, 1\) E\*\(1, 0, 0\) "
                              r"at E\*\(1, 0, 1\)"):
         ctx.dual_constants((0, 0, 1), (1, 0, 0))
+
+
+def _rand_poly(rng, top):
+    return LaurentPoly({e: rng.randrange(-top, top + 1)
+                        for e in range(rng.randrange(-4, 3),
+                                       rng.randrange(3, 9))})
+
+
+def test_packed_kernel_matches_laurent_arithmetic():
+    """Pack, product, aligned sum and exact division on Kronecker ints
+    agree with LaurentPoly, for coefficients near 2^20 and their
+    products near 2^45; an inexact quotient is refused."""
+    rng = random.Random(25)
+    one = pbwalg._pack(LaurentPoly.one())
+    for _ in range(200):
+        a, b = _rand_poly(rng, 1 << 20), _rand_poly(rng, 1 << 20)
+        if not a or not b:
+            continue
+        pa, pb = pbwalg._pack(a), pbwalg._pack(b)
+
+        def back(x):
+            return pbwalg._decode({0: x}, "test").get(0, LaurentPoly.zero())
+
+        assert back(pa) == a and pa[2] == sum(map(abs, a.c.values()))
+        assert back(pbwalg._kmul(pa, pb)) == a * b
+        total = pbwalg._kaccumulate({0: pa}, {0: pb}, one)
+        assert total.get(0) is None if a + b == 0 else back(total[0]) == a + b
+        assert back(pbwalg._kdiv(pbwalg._kmul(pa, pb), pb)) == a
+        if len(b.c) > 1:
+            off = pbwalg._pack(a * b + LaurentPoly.q_power(a.min_exp()))
+            assert pbwalg._kdiv(off, pb) is None
+
+
+def test_packed_bounds_are_loud():
+    """A bound at 2^63 stops decoding, naming where; a quotient whose
+    bounds do not certify it is refused; and too large a coefficient
+    is refused at packing."""
+    big = LaurentPoly({0: 1 << 32, 1: 1 << 32})
+    sq = pbwalg._kmul(pbwalg._pack(big), pbwalg._pack(big))
+    assert sq[2] == 1 << 66
+    with pytest.raises(AssertionError, match=r"reaches 2\^63: E_seq at 7"):
+        pbwalg._decode({7: sq}, "E_seq")
+    d = pbwalg._pack(LaurentPoly({0: 1, 1: 1}))
+    a = pbwalg._kmul(pbwalg._pack(LaurentPoly({0: 1, 1: 1})), d)
+    assert pbwalg._kdiv(a, d) == (0, 1 + (1 << 64), 2)
+    assert pbwalg._kdiv(a[:2] + (1 << 63,), d) is None
+    assert pbwalg._kdiv(a, d[:2] + (1 << 62,)) is None
+    with pytest.raises(AssertionError, match="reaches 2"):
+        pbwalg._pack(LaurentPoly({0: 1 << 62, 3: -(1 << 62)}))
+
+
+def test_narrow_digits_trip_the_bound(monkeypatch):
+    """At an 8-bit digit width the A2 constants E*(0,0,1) E*(5,0,0) and
+    E*(0,0,0) E*(0,0,6) outgrow the digits: the bound checks must stop
+    both products, never answer them."""
+    for name, value in (("_BITS", 8), ("_DIGIT", "B"), ("_HALF", 128),
+                        ("_OFFSETS", {})):
+        monkeypatch.setattr(pbwalg, name, value)
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    one = LaurentPoly.one()
+    with pytest.raises(AssertionError,
+                       match=r"not Laurent: E\*\(0, 0, 1\) E\*\(5, 0, 0\)"):
+        ctx.dual_mul({(0, 0, 1): one}, {(5, 0, 0): one})
+    with pytest.raises(AssertionError, match=r"reaches 2\^7"):
+        ctx.dual_mul({(0, 0, 0): one}, {(0, 0, 6): one})
 
 
 def test_non_laurent_seed_is_loud(monkeypatch):
@@ -388,6 +455,32 @@ def test_straighten_frozen_a2_descent():
     ctx = ctx_a2()
     assert ctx.straighten((2, 0)) == {(0, 1, 0): RatFunc(1),
                                       (1, 0, 1): q(1)}
+
+
+@pytest.mark.parametrize("seq", [(2, 0), (1, 2, 0), (2, 0, 2)])
+def test_straighten_divides_by_dfact_of_a_relation_term(monkeypatch, seq):
+    """No preset relation has a term L(d) with some d_p > 1, so the
+    division by dfact(d) is reached with one added: E_2 E_0 gains
+    r L(2, 0, 0), whose child E_0 E_0 = [2] L(2, 0, 0) divides by [2].
+    Both coefficient routes must give E_seq plus r times the E_seq with
+    E_2 E_0 read as E_0 E_0 / [2]."""
+    plain = PBWContext(A2["datum"], A2["longest_word"])
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    r = LaurentPoly({0: 2, 1: -1})
+    extra = ((0, 0), ctx._dfact((2, 0, 0)), r)
+    assert extra[1] == LaurentPoly({-1: 1, 1: 1})
+    right = ctx._prepared_relation
+    monkeypatch.setattr(ctx, "_prepared_relation", lambda x, y: right(
+        x, y) + ((extra,) if (x, y) == (2, 0) else ()))
+    k = seq.index(2)
+    tail = plain.straighten(seq[:k] + (0, 0) + seq[k + 2:])
+    want = accumulate(dict(plain.straighten(seq)), {
+        c: v.exact_div(extra[1]) for c, v in tail.items()}, r)
+    if seq == (2, 0):
+        assert want == {(0, 1, 0): LaurentPoly.one(),
+                        (1, 0, 1): LaurentPoly.q_power(1), (2, 0, 0): r}
+    assert ctx.straighten(seq) == want
+    assert pbwalg._decode(ctx._straighten_packed(seq), seq) == want
 
 
 def test_straighten_sorted_sequence_collects_factorials():
