@@ -444,19 +444,15 @@ class PBWContext:
         hit = self._prepared_pk.get(key)
         if hit is None:
             hit = self._prepared_pk[key] = tuple(
-                (raw, None if den is None else self._pk(den), self._pk(r))
+                (raw, None if den is None else _pack(den), _pack(r))
                 for raw, den, r in self._prepared_relation(x, y))
         return hit
 
-    def _pk(self, p):
-        """The packed form of a constant LaurentPoly, memoized by value."""
-        hit = self._packed.get(p)
-        if hit is None:
-            hit = self._packed[p] = _pack(p)
-        return hit
-
     def _packed_dfact(self, c):
-        return self._pk(self._dfact(c))
+        hit = self._packed.get(c)
+        if hit is None:
+            hit = self._packed[c] = _pack(self._dfact(c))
+        return hit
 
     # -- word-level bridge (small heights only)
 
