@@ -32,10 +32,14 @@ shift and one add, and an exact division by dfact(c) or (1-q^2)^m one
 ``divmod``; packing and unpacking go through ``int.from_bytes`` and
 ``to_bytes`` on an ``array`` of offset digits, in linear time.  Products
 multiply the bounds and sums add them, so while a bound stays under
-2^63 every digit is a coefficient; decoding raises when one reaches it.
-A Kronecker quotient Q of A by D is kept only when bound(A) and
-||Q||_1 bound(D) are under 2^63, which makes Q D = A as polynomials;
-otherwise the division raises as not Laurent.  The straightening loop
+2^63 every digit is a coefficient.  A Kronecker quotient Q of A by D is
+kept only when bound(A) and ||Q||_1 bound(D) are under 2^63, which makes
+Q D = A as polynomials; a remainder means not Laurent at any width, and
+raises as such.  The packed int is the exact value of its polynomial at
+q = 2^64 whatever the bounds, so a bound that reaches 2^63 (as does
+that of [21]!, whose L1 norm is 21!) loses nothing: the context doubles
+its digit width, drops its packed memos and runs the call again, and
+the wider digits stay for its later calls.  The straightening loop
 is one loop, run over either representation (``_rewrite``), with its
 own memo for each.  The bar (``mul``) keeps LaurentPoly coefficients:
 its products are short, and packing them costs more than it saves.
@@ -58,130 +62,154 @@ _ONE_MINUS_Q2 = LaurentPoly({0: 1, 2: -1})
 
 # -- the packed kernel: (valuation, Kronecker int, L1 bound) per coefficient
 
-_BITS = 64  # digit width: q -> 2^_BITS
-_DIGIT = "Q"  # array typecode of one unsigned digit
-_HALF = 1 << (_BITS - 1)  # digit offset; every bound must stay under it
-_SWAP = array("H", [1]).tobytes()[0] == 0  # big-endian digits
-_OFFSETS = {}
+_BITS = 64  # first digit width of every context: q -> 2^_BITS
+_SWAP = array("H", [1]).tobytes()[0] == 0  # big-endian words
 _UNIT = (0, 1, 1)
 
 
-def _offset(n):
-    """The int whose n digits all equal _HALF."""
-    off = _OFFSETS.get(n)
-    if off is None:
-        off = _OFFSETS[n] = (_HALF * ((1 << _BITS * n) - 1)
-                             // ((1 << _BITS) - 1))
-    return off
-
-
-def _pack(p):
-    """The packed form of a LaurentPoly, bounded by its L1 norm."""
-    c = p.c
-    if len(c) == 1:
-        ((e, x),) = c.items()
-        return e, x, abs(x)
-    if not c:
-        return 0, 0, 0
-    norm = sum(map(abs, c.values()))
-    if norm >= _HALF:
-        raise AssertionError(
-            f"packed coefficient bound {norm} reaches 2^{_BITS - 1}: {p}")
-    lo = min(c)
-    digits = array(_DIGIT, [_HALF]) * (max(c) - lo + 1)
-    for e, x in c.items():
-        digits[e - lo] = x + _HALF
-    if _SWAP:
-        digits.byteswap()
-    return lo, int.from_bytes(digits, "little") - _offset(len(digits)), norm
-
-
-def _digits(x):
-    """The digits of x, lowest first, each offset by _HALF (so _HALF is
-    a zero digit), with at least one zero digit on top."""
-    n = x.bit_length() // _BITS + 2
-    digits = array(_DIGIT)
-    digits.frombytes((x + _offset(n)).to_bytes(n * _BITS // 8, "little"))
-    if _SWAP:
-        digits.byteswap()
-    return digits
-
-
-def _unpack(v, x):
-    """The LaurentPoly q^v sum_k d_k q^k for the signed digits d_k of x."""
-    if -_HALF <= x < _HALF:
-        return _wrap({v: x} if x else {})
-    return _wrap({v + k: u - _HALF for k, u in enumerate(_digits(x))
-                  if u != _HALF})
-
-
-def _decode(packed, where):
-    """The LaurentPoly dict of a packed one, zeros dropped; raises
-    AssertionError naming where and the key when a bound reaches _HALF,
-    since a digit may then have overflowed."""
-    out = {}
-    for c, (v, x, bound) in packed.items():
-        if bound >= _HALF:
-            raise AssertionError(
-                f"packed coefficient bound {bound} reaches 2^{_BITS - 1}: "
-                f"{where} at {c}")
-        if x:
-            out[c] = _unpack(v, x)
-    return out
+class _Overflow(AssertionError):
+    """A packed bound reached half the digit range: the digits may have
+    overflowed, so the context widens them and runs again."""
 
 
 def _kmul(a, b):
     return a[0] + b[0], a[1] * b[1], a[2] * b[2]
 
 
-def _kdiv(a, d):
-    """The packed quotient a / d, or None unless the Kronecker quotient Q
-    of the ints is exact and certified: bound(a) < _HALF and
-    ||Q||_1 bound(d) < _HALF, so every digit of Q d is a coefficient and
-    Q d = a holds as polynomials (d has a nonzero lowest digit)."""
-    quo, rem = divmod(a[1], d[1])
-    if rem or a[2] >= _HALF:
-        return None
-    norm = sum(abs(u - _HALF) for u in _digits(quo))
-    if norm * d[2] >= _HALF:
-        return None
-    return a[0] - d[0], quo, norm
+class _Kernel:
+    """Packed coefficients at one digit width: x = sum_k d_k 2^(bits k)
+    with signed digits, each value bounded by an L1 bound that must stay
+    under half = 2^(bits-1); raises _Overflow where one reaches it."""
 
+    def __init__(self, bits):
+        self.bits = bits
+        self.half = 1 << (bits - 1)
+        self.size = bits // 8
+        self._offsets = {}
 
-def _kdivide(f, den, what, key):
-    """_divide on packed coefficients, den packed and not 1."""
-    out = {}
-    for c, x in f.items():
-        out[c] = quo = _kdiv(x, den)
-        if quo is None:
-            raise AssertionError(f"PBW coefficient not Laurent: {what} {key} "
-                                 f"over {_unpack(den[0], den[1])}")
-    return out
+    def _offset(self, n):
+        """The int whose n digits all equal half."""
+        off = self._offsets.get(n)
+        if off is None:
+            off = self._offsets[n] = (self.half * ((1 << self.bits * n) - 1)
+                                      // ((1 << self.bits) - 1))
+        return off
 
+    def _overflow(self, bound, where):
+        return _Overflow(f"packed coefficient bound {bound} reaches "
+                         f"2^{self.bits - 1}: {where}")
 
-def _kaccumulate(target, source, scale):
-    """accumulate on packed coefficients, scale given: a sum is pruned
-    only when it is zero with a bound under _HALF."""
-    vs, xs, bs = scale
-    for c, (v, x, b) in source.items():
-        v += vs
-        x *= xs
-        b *= bs
-        cur = target.get(c)
-        if cur is not None:
-            w, y, bw = cur
-            if w < v:
-                x <<= _BITS * (v - w)
-                v = w
-            elif w > v:
-                y <<= _BITS * (w - v)
-            x += y
-            b += bw
-            if not x and b < _HALF:
-                del target[c]
-                continue
-        target[c] = v, x, b
-    return target
+    def pack(self, p):
+        """The packed form of a LaurentPoly, bounded by its L1 norm."""
+        c = p.c
+        if len(c) == 1:
+            ((e, x),) = c.items()
+            return e, x, abs(x)
+        if not c:
+            return 0, 0, 0
+        norm = sum(map(abs, c.values()))
+        half = self.half
+        if norm >= half:
+            raise self._overflow(norm, p)
+        lo = min(c)
+        digits = [half] * (max(c) - lo + 1)
+        for e, x in c.items():
+            digits[e - lo] = x + half
+        if self.size == 8:
+            raw = array("Q", digits)
+            if _SWAP:
+                raw.byteswap()
+        else:
+            raw = b"".join(u.to_bytes(self.size, "little") for u in digits)
+        return (lo, int.from_bytes(raw, "little") - self._offset(len(digits)),
+                norm)
+
+    def _digits(self, x):
+        """The digits of x, lowest first, each offset by half (so half is
+        a zero digit), with at least one zero digit on top."""
+        size = self.size
+        n = x.bit_length() // self.bits + 2
+        raw = (x + self._offset(n)).to_bytes(n * size, "little")
+        if size != 8:
+            return [int.from_bytes(raw[k:k + size], "little")
+                    for k in range(0, len(raw), size)]
+        digits = array("Q", raw)
+        if _SWAP:
+            digits.byteswap()
+        return digits
+
+    def unpack(self, v, x):
+        """The LaurentPoly q^v sum_k d_k q^k for the signed digits d_k of x."""
+        half = self.half
+        if -half <= x < half:
+            return _wrap({v: x} if x else {})
+        return _wrap({v + k: u - half for k, u in enumerate(self._digits(x))
+                      if u != half})
+
+    def decode(self, packed, where):
+        """The LaurentPoly dict of a packed one, zeros dropped; raises
+        _Overflow naming where and the key when a bound reaches half."""
+        out = {}
+        for c, (v, x, bound) in packed.items():
+            if bound >= self.half:
+                raise self._overflow(bound, f"{where} at {c}")
+            if x:
+                out[c] = self.unpack(v, x)
+        return out
+
+    def div(self, a, d):
+        """The packed quotient a / d (d with a nonzero lowest digit), or
+        None when the Kronecker quotient Q leaves a remainder: a / d is
+        then not Laurent at any width.  Q is kept only when bound(a) and
+        ||Q||_1 bound(d) are under half, so that every digit of Q d is a
+        coefficient and Q d = a holds as polynomials; otherwise raises
+        _Overflow."""
+        quo, rem = divmod(a[1], d[1])
+        if rem:
+            return None
+        half = self.half
+        if a[2] >= half:
+            raise self._overflow(a[2], "dividend")
+        norm = sum(abs(u - half) for u in self._digits(quo))
+        if norm * d[2] >= half:
+            raise self._overflow(norm * d[2], "quotient times divisor")
+        return a[0] - d[0], quo, norm
+
+    def divide(self, f, den, what, key):
+        """_divide on packed coefficients, den packed and not 1."""
+        out = {}
+        for c, x in f.items():
+            out[c] = quo = self.div(x, den)
+            if quo is None:
+                raise AssertionError(
+                    f"PBW coefficient not Laurent: {what} {key} "
+                    f"over {self.unpack(den[0], den[1])}")
+        return out
+
+    def accumulate(self, target, source, scale):
+        """accumulate on packed coefficients, scale given: a sum is pruned
+        only when it is zero with a bound under half."""
+        vs, xs, bs = scale
+        bits, half = self.bits, self.half
+        for c, (v, x, b) in source.items():
+            v += vs
+            x *= xs
+            b *= bs
+            cur = target.get(c)
+            if cur is not None:
+                w, y, bw = cur
+                if w < v:
+                    x <<= bits * (v - w)
+                    v = w
+                elif w > v:
+                    y <<= bits * (w - v)
+                x += y
+                b += bw
+                if not x and b < half:
+                    del target[c]
+                    continue
+            target[c] = v, x, b
+        return target
 
 
 def scaled(source, scale):
@@ -280,6 +308,7 @@ class PBWContext:
         self._weights = {}
         self._straight = {}
         self._prepared = {}
+        self._k = _Kernel(_BITS)
         self._straight_pk = {}
         self._prepared_pk = {}
         self._packed = {}
@@ -372,8 +401,9 @@ class PBWContext:
     def _straighten_packed(self, seq):
         """straighten on packed coefficients, memoized in
         ``_straight_pk``: what the E* side reads."""
+        k = self._k
         return self._rewrite(seq, self._straight_pk, self._packed_relation,
-                             self._packed_dfact, _kdivide, _kaccumulate)
+                             self._packed_dfact, k.divide, k.accumulate)
 
     def _rewrite(self, seq, memo, relation, leaf, divide, add):
         """The straightening loop, on the coefficients that relation,
@@ -444,14 +474,15 @@ class PBWContext:
         hit = self._prepared_pk.get(key)
         if hit is None:
             hit = self._prepared_pk[key] = tuple(
-                (raw, None if den is None else _pack(den), _pack(r))
+                (raw, None if den is None else self._k.pack(den),
+                 self._k.pack(r))
                 for raw, den, r in self._prepared_relation(x, y))
         return hit
 
     def _packed_dfact(self, c):
         hit = self._packed.get(c)
         if hit is None:
-            hit = self._packed[c] = _pack(self._dfact(c))
+            hit = self._packed[c] = self._k.pack(self._dfact(c))
         return hit
 
     # -- word-level bridge (small heights only)
@@ -547,13 +578,15 @@ class PBWContext:
         LaurentPoly coefficients over E*(c) = L(c) / (L(c), L(c)), which
         span the integral dual form, so the product stays in Z[q, q^-1].
         Runs packed, on the constants of ``_dual_packed``."""
-        out = {}
-        packed = [(b, _pack(gb)) for b, gb in g.items()]
-        for a, fa in f.items():
-            pa = _pack(fa)
-            for b, pb in packed:
-                _kaccumulate(out, self._dual_packed(a, b), _kmul(pa, pb))
-        return _decode(out, "E* product")
+        def run(k):
+            out = {}
+            packed = [(b, k.pack(gb)) for b, gb in g.items()]
+            for a, fa in f.items():
+                pa = k.pack(fa)
+                for b, pb in packed:
+                    k.accumulate(out, self._dual_packed(a, b), _kmul(pa, pb))
+            return k.decode(out, "E* product")
+        return self._packed_run(run)
 
     def dual_constants(self, a, b):
         """{c: s^c_ab} with E*(a) E*(b) = sum_c s^c_ab E*(c) (memoized).
@@ -569,7 +602,21 @@ class PBWContext:
         of L(c), integral by Kimura (2012); raises AssertionError naming
         a, b and c if one is not Laurent.  Decoded from ``_dual_packed``.
         """
-        return _decode(self._dual_packed(a, b), f"E*{a} E*{b}")
+        return self._packed_run(
+            lambda k: k.decode(self._dual_packed(a, b), f"E*{a} E*{b}"))
+
+    def _packed_run(self, run):
+        """run(kernel) on the E* side; while a bound reaches the digit
+        width, double the width, drop every packed memo and run again.
+        Each width is exact or raises, so the answer never depends on it."""
+        while True:
+            try:
+                return run(self._k)
+            except _Overflow:
+                self._k = _Kernel(2 * self._k.bits)
+                for memo in (self._straight_pk, self._prepared_pk,
+                             self._packed, self._dual_sc, self._omq2_powers):
+                    memo.clear()
 
     def _dual_packed(self, a, b):
         """The constants of ``dual_constants`` packed, memoized in
@@ -579,6 +626,7 @@ class PBWContext:
         hit = self._dual_sc.get(key)
         if hit is None:
             hit = {}
+            k = self._k
             ka, ma = self._wnorm(a)
             kb, mb = self._wnorm(b)
             for c, (v, x, bound) in self._straighten_packed(
@@ -592,7 +640,7 @@ class PBWContext:
                 elif m < 0:
                     den = _kmul(den, self._one_minus_q2_power(-m))
                 if den != _UNIT:
-                    num = _kdiv(num, den)
+                    num = k.div(num, den)
                     if num is None:
                         raise AssertionError(
                             f"dual PBW structure constant not Laurent: "
@@ -617,7 +665,7 @@ class PBWContext:
         """(1-q^2)^m packed, memoized per context."""
         hit = self._omq2_powers.get(m)
         if hit is None:
-            hit = self._omq2_powers[m] = _pack(_ONE_MINUS_Q2 ** m)
+            hit = self._omq2_powers[m] = self._k.pack(_ONE_MINUS_Q2 ** m)
         return hit
 
     def divided_power(self, f, m):

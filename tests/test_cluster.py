@@ -259,6 +259,22 @@ def test_divide_right_examples(a2):
         ref_divide_right(ctx, _unit_coords((1, 0, 1)), (0, 0, 1))
 
 
+@pytest.mark.parametrize("exponents,label,q_power", [
+    ((21, 0, 0), (21, 0, 0), 210), ((24, 0, 0), (24, 0, 0), 276),
+    ((8, 4, 4), (12, 4, 4), 88)])
+def test_cluster_monomials_up_to_the_cap(monkeypatch, exponents, label,
+                                         q_power):
+    """x_1^21 ends in E*(20,0,0) E*(1,0,0), whose leaf (21,0,0) passes
+    the first digit width of the packed kernel; every monomial up to
+    the height cap still normalizes, with its label and q-power."""
+    monkeypatch.setattr(pbwalg, "_CONTEXTS", {})
+    monkeypatch.setattr(canonical, "_CANONICAL", {})
+    report = cluster_monomial(initial_seed("A2"), exponents)
+    assert report.to_json() == {"exponents": list(exponents),
+                                "label": list(label), "q_power": q_power,
+                                "status": "pass"}
+
+
 @pytest.mark.parametrize("break_lead", [
     lambda out, top: out.update({top: out[top] * LaurentPoly({0: 1, 1: 1})}),
     lambda out, top: out.pop(top),
@@ -273,9 +289,9 @@ def test_division_lead_check_is_loud(a2, monkeypatch, break_lead):
 
     # dual_mul reads the packed constants: break them decoded, then repack
     def broken(self, a, b):
-        out = pbwalg._decode(original(self, a, b), (a, b))
+        out = self._k.decode(original(self, a, b), (a, b))
         break_lead(out, max(out))
-        return {c: pbwalg._pack(v) for c, v in out.items()}
+        return {c: self._k.pack(v) for c, v in out.items()}
 
     monkeypatch.setattr(ctx, "_products", {})
     monkeypatch.setattr(pbwalg.PBWContext, "_dual_packed", broken)

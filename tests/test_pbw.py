@@ -348,60 +348,83 @@ def _rand_poly(rng, top):
 def test_packed_kernel_matches_laurent_arithmetic():
     """Pack, product, aligned sum and exact division on Kronecker ints
     agree with LaurentPoly, for coefficients near 2^20 and their
-    products near 2^45; an inexact quotient is refused."""
-    rng = random.Random(25)
-    one = pbwalg._pack(LaurentPoly.one())
+    products near 2^45, at the first width and at a widened one; an
+    inexact quotient is refused as such."""
+    for bits in (64, 128):
+        k = pbwalg._Kernel(bits)
+        rng = random.Random(25)
+        one = k.pack(LaurentPoly.one())
 
-    def back(x):
-        return pbwalg._decode({0: x}, "test").get(0, LaurentPoly.zero())
+        def back(x):
+            return k.decode({0: x}, "test").get(0, LaurentPoly.zero())
 
-    for _ in range(200):
-        a, b = _rand_poly(rng, 1 << 20), _rand_poly(rng, 1 << 20)
-        if not a or not b:
-            continue
-        pa, pb = pbwalg._pack(a), pbwalg._pack(b)
-        assert back(pa) == a and pa[2] == sum(map(abs, a.c.values()))
-        assert back(pbwalg._kmul(pa, pb)) == a * b
-        total = pbwalg._kaccumulate({0: pa}, {0: pb}, one)
-        assert pbwalg._decode(total, "sum") == ({0: a + b} if a + b else {})
-        assert back(pbwalg._kdiv(pbwalg._kmul(pa, pb), pb)) == a
-        if len(b.c) > 1:
-            off = pbwalg._pack(a * b + LaurentPoly.q_power(a.min_exp()))
-            assert pbwalg._kdiv(off, pb) is None
+        for _ in range(200):
+            a, b = _rand_poly(rng, 1 << 20), _rand_poly(rng, 1 << 20)
+            if not a or not b:
+                continue
+            pa, pb = k.pack(a), k.pack(b)
+            assert back(pa) == a and pa[2] == sum(map(abs, a.c.values()))
+            assert back(pbwalg._kmul(pa, pb)) == a * b
+            total = k.accumulate({0: pa}, {0: pb}, one)
+            assert k.decode(total, "sum") == ({0: a + b} if a + b else {})
+            assert back(k.div(pbwalg._kmul(pa, pb), pb)) == a
+            if len(b.c) > 1:
+                off = k.pack(a * b + LaurentPoly.q_power(a.min_exp()))
+                assert k.div(off, pb) is None
 
 
 def test_packed_bounds_are_loud():
     """A bound at 2^63 stops decoding, naming where; a quotient whose
-    bounds do not certify it is refused; and too large a coefficient
-    is refused at packing."""
+    bounds do not certify it raises the bound, not "not Laurent", while a
+    remainder is refused at any bound; and too large a coefficient is
+    refused at packing."""
+    k = pbwalg._Kernel(64)
     big = LaurentPoly({0: 1 << 32, 1: 1 << 32})
-    sq = pbwalg._kmul(pbwalg._pack(big), pbwalg._pack(big))
+    sq = pbwalg._kmul(k.pack(big), k.pack(big))
     assert sq[2] == 1 << 66
     with pytest.raises(AssertionError, match=r"reaches 2\^63: E_seq at 7"):
-        pbwalg._decode({7: sq}, "E_seq")
-    d = pbwalg._pack(LaurentPoly({0: 1, 1: 1}))
-    a = pbwalg._kmul(pbwalg._pack(LaurentPoly({0: 1, 1: 1})), d)
-    assert pbwalg._kdiv(a, d) == (0, 1 + (1 << 64), 2)
-    assert pbwalg._kdiv(a[:2] + (1 << 63,), d) is None
-    assert pbwalg._kdiv(a, d[:2] + (1 << 62,)) is None
+        k.decode({7: sq}, "E_seq")
+    d = k.pack(LaurentPoly({0: 1, 1: 1}))
+    a = pbwalg._kmul(k.pack(LaurentPoly({0: 1, 1: 1})), d)
+    assert k.div(a, d) == (0, 1 + (1 << 64), 2)
+    with pytest.raises(AssertionError, match=r"reaches 2\^63: dividend"):
+        k.div(a[:2] + (1 << 63,), d)
+    with pytest.raises(AssertionError, match=r"reaches 2\^63: quotient"):
+        k.div(a, d[:2] + (1 << 62,))
+    assert k.div((0, a[1] + 1, 1 << 70), d) is None
     with pytest.raises(AssertionError, match="reaches 2"):
-        pbwalg._pack(LaurentPoly({0: 1 << 62, 3: -(1 << 62)}))
+        k.pack(LaurentPoly({0: 1 << 62, 3: -(1 << 62)}))
+
+
+@pytest.mark.parametrize("a,b,bits", [
+    ((20, 0, 0), (1, 0, 0), 128), ((10, 0, 0), (11, 0, 0), 128),
+    ((12, 0, 0), (12, 0, 0), 128), ((0, 0, 12), (12, 0, 0), 128),
+    ((6, 0, 6), (6, 0, 6), 64)])
+def test_dual_constants_past_the_first_width(a, b, bits):
+    """A leaf such as (21, 0, 0) carries dfact = [21]!, whose L1 norm 21!
+    passes 2^63: the context widens its digits, and the constants equal
+    the LaurentPoly route up to height 24, the cluster height cap."""
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    assert ctx.dual_constants(a, b) == ref_dual_constants(ctx, a, b)
+    assert ctx._k.bits == bits
 
 
 def test_narrow_digits_trip_the_bound(monkeypatch):
-    """At an 8-bit digit width the A2 constants E*(0,0,1) E*(5,0,0) and
-    E*(0,0,0) E*(0,0,6) outgrow the digits: the bound checks must stop
-    both products, never answer them."""
-    for name, value in (("_BITS", 8), ("_DIGIT", "B"), ("_HALF", 128),
-                        ("_OFFSETS", {})):
-        monkeypatch.setattr(pbwalg, name, value)
-    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    """At an 8-bit first width the A2 constants E*(0,0,1) E*(5,0,0) and
+    E*(0,0,0) E*(0,0,6) outgrow the digits: the bound checks stop both
+    at that width, naming the bound (never "not Laurent"), and the
+    context widens its digits and answers both as at 64 bits."""
+    wide = PBWContext(A2["datum"], A2["longest_word"])
+    monkeypatch.setattr(pbwalg, "_BITS", 8)
     one = LaurentPoly.one()
-    with pytest.raises(AssertionError,
-                       match=r"not Laurent: E\*\(0, 0, 1\) E\*\(5, 0, 0\)"):
-        ctx.dual_mul({(0, 0, 1): one}, {(5, 0, 0): one})
-    with pytest.raises(AssertionError, match=r"reaches 2\^7"):
-        ctx.dual_mul({(0, 0, 0): one}, {(0, 0, 6): one})
+    for a, b in (((0, 0, 1), (5, 0, 0)), ((0, 0, 0), (0, 0, 6))):
+        ctx = PBWContext(A2["datum"], A2["longest_word"])
+        with pytest.raises(AssertionError, match=r"reaches 2\^7"):
+            ctx._k.decode(ctx._dual_packed(a, b), (a, b))
+        assert ctx._k.bits == 8
+        assert (ctx.dual_mul({a: one}, {b: one})
+                == wide.dual_mul({a: one}, {b: one}))
+        assert ctx._k.bits > 8
 
 
 def test_non_laurent_seed_is_loud(monkeypatch):
@@ -480,7 +503,7 @@ def test_straighten_divides_by_dfact_of_a_relation_term(monkeypatch, seq):
         assert want == {(0, 1, 0): LaurentPoly.one(),
                         (1, 0, 1): LaurentPoly.q_power(1), (2, 0, 0): r}
     assert ctx.straighten(seq) == want
-    assert pbwalg._decode(ctx._straighten_packed(seq), seq) == want
+    assert ctx._k.decode(ctx._straighten_packed(seq), seq) == want
 
 
 def test_straighten_sorted_sequence_collects_factorials():
