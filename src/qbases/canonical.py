@@ -215,6 +215,9 @@ class CanonicalContext:
         # E*-coordinates of ordered products of dual canonical elements,
         # keyed by their (label, exponent) factors (cluster._ordered_product)
         self._products = {}
+        # quasi_commutation's verdict per ordered label pair: lam, or the
+        # ValueError that refused the pair (cluster.quasi_commutation)
+        self._commutes = {}
         # words bw_contains has found reduced
         self._reduced = set()
         # star of each label, filled by _star

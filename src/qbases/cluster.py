@@ -90,8 +90,24 @@ def quasi_commutation(ctx, y1, y2):
     """The integer lam with Y1 Y2 = q^lam Y2 Y1 for the dual canonical
     elements of two labels, read off both products over the basis E*
     (``_ordered_product``): every coordinate of Y1 Y2 must be q^lam
-    times that of Y2 Y1."""
-    y1, y2 = tuple(y1), tuple(y2)
+    times that of Y2 Y1.  The verdict, lam or the ValueError, is
+    memoized per ordered pair in the context, so seeds that share a pair
+    validate it once."""
+    key = (tuple(y1), tuple(y2))
+    hit = ctx._commutes.get(key)
+    if hit is None:
+        try:
+            hit = _quasi_commutation(ctx, *key)
+        except ValueError as e:
+            hit = e
+        ctx._commutes[key] = hit
+    if isinstance(hit, ValueError):
+        # a fresh traceback on every refusal, not one that keeps growing
+        raise hit.with_traceback(None)
+    return hit
+
+
+def _quasi_commutation(ctx, y1, y2):
     if y1 == y2:
         p12 = p21 = _ordered_product(ctx, ((y1, 2),))
     else:

@@ -377,14 +377,17 @@ class PBWContext:
         return tuple(seq)
 
     def _dfact(self, c):
-        cached = self._dfact_cache.get(c)
-        if cached is None:
-            acc = LaurentPoly.one()
-            for m in c:
-                if m > 1:
-                    acc = acc * quantum_factorial(m)
-            cached = self._dfact_cache[c] = acc
-        return cached
+        """prod_p [c_p]!, memoized by the sorted parts c_p > 1 (as norm
+        keys its memo), so labels with the same parts share one value;
+        a new key costs one product, onto its key without the last
+        part."""
+        key = tuple(sorted(m for m in c if m > 1))
+        hit = self._dfact_cache.get(key)
+        if hit is None:
+            hit = self._dfact_cache[key] = (
+                self._dfact(key[:-1]) * quantum_factorial(key[-1])
+                if key else LaurentPoly.one())
+        return hit
 
     # -- straightening
 
@@ -480,9 +483,11 @@ class PBWContext:
         return hit
 
     def _packed_dfact(self, c):
-        hit = self._packed.get(c)
+        """_dfact(c) packed, memoized by the same parts."""
+        key = tuple(sorted(m for m in c if m > 1))
+        hit = self._packed.get(key)
         if hit is None:
-            hit = self._packed[c] = self._k.pack(self._dfact(c))
+            hit = self._packed[key] = self._k.pack(self._dfact(c))
         return hit
 
     # -- word-level bridge (small heights only)

@@ -12,7 +12,8 @@ approximations with both exchange sequences validated.
 
 The enumeration runs over 0/1 matrix entries and checks the moment map
 on a candidate's bits, compiled into (bit, bit, sign) terms per entry,
-before it builds a module; moment_residual is the general check.
+before it builds a module; moment_residual is the general check.  It
+skips candidates that only relabel the basis of an earlier survivor.
 """
 
 import itertools
@@ -77,7 +78,8 @@ class PreprojModule:
     (is_module), so that near-misses can be inspected.
     """
 
-    __slots__ = ("datum", "orientation", "dim", "arrows", "_signature")
+    __slots__ = ("datum", "orientation", "dim", "arrows", "_signature",
+                 "_end")
 
     def __init__(self, datum, orientation, dim, arrows=None):
         self.datum = datum
@@ -111,8 +113,9 @@ class PreprojModule:
         if arrows:
             raise ValueError(f"unknown arrows {sorted(arrows)}")
         self.arrows = full
-        # the arrow ranks, filled by _rank_signature on first use
-        self._signature = None
+        # the arrow ranks, filled by _rank_signature on first use, and
+        # dim End, filled by hom_dim
+        self._signature = self._end = None
 
     def total_dim(self):
         return sum(self.dim)
@@ -263,10 +266,14 @@ def _hom_system(src, dst):
 
 
 def hom_dim(src, dst):
+    """dim Hom(src, dst); dim End M is solved once per module."""
+    if src is dst and src._end is not None:
+        return src._end
     rows, _, total = _hom_system(src, dst)
-    if total == 0:
-        return 0
-    return total - rank(rows)
+    dim = total - rank(rows) if total else 0
+    if src is dst:
+        src._end = dim
+    return dim
 
 
 def hom_basis(src, dst):
@@ -293,9 +300,8 @@ def hom_basis(src, dst):
 def ext1_dim(src, dst):
     """dim Ext^1 via the homological formula; symmetric in its
     arguments."""
-    there = hom_dim(src, dst)
-    back = there if src is dst else hom_dim(dst, src)
-    val = there + back - src.datum.bilinear(src.dim, dst.dim)
+    val = (hom_dim(src, dst) + hom_dim(dst, src)
+           - src.datum.bilinear(src.dim, dst.dim))
     if val < 0:
         raise AssertionError(
             f"negative Ext^1 = {val}: input is not a preprojective module")
@@ -320,11 +326,11 @@ def is_open_orbit(module):
     """Is the orbit dimension dim E_V, the dimension of every component
     of the nilpotent variety?
 
-    Both this and is_rigid read dim End M: ext1(M, M) =
-    2 (dim E_V - orbit_dim(M)) by the homological formula, so "rigid iff
-    open orbit" holds identically and checks no mathematics.  What a
-    check of it still catches is a negative Ext^1 (ext1_dim raises),
-    that is, an orbit larger than dim E_V."""
+    Both this and is_rigid read dim End M, solved once per module:
+    ext1(M, M) = 2 (dim E_V - orbit_dim(M)) by the homological formula,
+    so "rigid iff open orbit" holds identically and checks no
+    mathematics.  What a check of it still catches is a negative Ext^1
+    (ext1_dim raises), that is, an orbit larger than dim E_V."""
     return orbit_dim(module) == ambient_dim(module.datum,
                                             module.orientation, module.dim)
 
@@ -465,6 +471,29 @@ def _moment_forms(orientation, dim):
     return tuple(forms)
 
 
+def _relabellings(orientation, dim):
+    """The relabellings of the basis at every vertex, bar the identity,
+    as maps of a candidate's bit positions: relabelled, bits becomes
+    tuple(bits[p] for p in image).  Permuting the basis at vertex i by
+    sigma_i moves entry (r, s) of the block of a -> b to
+    (sigma_b(r), sigma_a(s)); this is conjugation by permutation
+    matrices, an isomorphism that keeps the moment map at zero.  Empty
+    when every d_i <= 1."""
+    if all(d <= 1 for d in dim):
+        return ()
+    blocks, pos = [], 0
+    for a, b in double_arrows(orientation):
+        blocks.append((pos, b - 1, a - 1))
+        pos += dim[b - 1] * dim[a - 1]
+    # the first product of permutations is the identity
+    return tuple(
+        tuple(off + sigma[b][r] * dim[a] + sigma[a][s]
+              for off, b, a in blocks
+              for r in range(dim[b]) for s in range(dim[a]))
+        for sigma in itertools.product(
+            *(itertools.permutations(range(d)) for d in dim)))[1:]
+
+
 _ENUM_CACHE = {}
 
 
@@ -479,7 +508,11 @@ def enumerate_modules(datum, orientation, dim):
     entry up to the first nonzero one; only the survivors are built as
     modules and go on to the isomorphism tests.  They are not tested for
     nilpotency: the preprojective algebra of a Dynkin quiver is
-    finite-dimensional, so every module of it is nilpotent.
+    finite-dimensional, so every module of it is nilpotent.  A candidate
+    that relabels the basis of an earlier survivor (_relabellings) is
+    skipped before the moment map: it is isomorphic to that survivor,
+    whose class is already represented, so every class keeps its first
+    candidate in product order.
     """
     dim = tuple(int(d) for d in dim)
     if len(dim) != datum.rank or any(d < 0 for d in dim):
@@ -500,6 +533,7 @@ def enumerate_modules(datum, orientation, dim):
     shapes = [(dim[b - 1], dim[a - 1]) for a, b in arrows]
     entries = sum(r * c for r, c in shapes)
     forms = _moment_forms(orientation, dim)
+    images = _relabellings(orientation, dim)
 
     def build(bits):
         mats = {}
@@ -514,10 +548,14 @@ def enumerate_modules(datum, orientation, dim):
     classes = []
     # ranks are isomorphism invariants: compare only within a signature
     by_signature = {}
+    marked = set()
     for bits in itertools.product((0, 1), repeat=entries):
+        if bits in marked:
+            continue
         if any(sum(sign for p, q, sign in triples if bits[p] and bits[q])
                for _, triples in forms):
             continue
+        marked.update(tuple(bits[p] for p in image) for image in images)
         m = build(bits)
         same = by_signature.setdefault(_rank_signature(m), [])
         if not any(is_isomorphic(m, seen) for seen in same):

@@ -102,14 +102,58 @@ def test_quasi_commutation(a2, monkeypatch):
         for l in range(3):
             assert a2.lam[k][l] == -a2.lam[l][k]
     # Y1 Y2 = (1 + q) Y2 Y1 over E*: same support and lowest exponents,
-    # but the ratio is not a q-power; the products memo starts empty, so
-    # the patched dual_mul is the one that runs
+    # but the ratio is not a q-power; the products and verdict memos start
+    # empty, so the patched dual_mul is the one that runs
     monkeypatch.setattr(ctx, "_products", {})
+    monkeypatch.setattr(ctx, "_commutes", {})
     monkeypatch.setattr(pbwalg.PBWContext, "dual_mul", lambda self, f, g: {
         (1, 0, 1): LaurentPoly({0: 1, 1: 1}) if (1, 0, 0) in f
         else LaurentPoly.one()})
     with pytest.raises(ValueError, match="not quasi-commuting"):
         quasi_commutation(ctx, (1, 0, 0), (0, 0, 1))
+
+
+def test_pair_verdicts_are_memoized(a2, monkeypatch):
+    """quasi_commutation decides each ordered label pair once per
+    context: a second seed with the same pairs builds no product, a
+    refused pair is refused again, and seed validation still names the
+    variables of the seed it checks."""
+    ctx, word = a2.context, a2.word
+    monkeypatch.setattr(ctx, "_commutes", {})
+    calls = []
+    ordered = cluster._ordered_product
+
+    def counted(c, factors):
+        calls.append(factors)
+        return ordered(c, factors)
+
+    monkeypatch.setattr(cluster, "_ordered_product", counted)
+    first = QuantumSeed(ctx, word, a2.labels, a2.mutable, a2.bmat)
+    assert first.lam == a2.lam and calls
+    calls.clear()
+    # the last two variables, now variables 1 and 2
+    pair = QuantumSeed(ctx, word, a2.labels[1:], (), [(), ()])
+    assert pair.lam == ((0, a2.lam[1][2]), (a2.lam[2][1], 0))
+    assert calls == []
+    with pytest.raises(ValueError, match="variables 1 and 2 do not") as e:
+        QuantumSeed(ctx, word, [(1, 0, 0), (0, 0, 1)], (), [(), ()])
+    assert calls and "not quasi-commuting" in str(e.value.__cause__)
+    calls.clear()
+    # the same refused pair, now variables 1 and 3
+    with pytest.raises(ValueError, match="variables 1 and 3 do not"):
+        QuantumSeed(ctx, word, [(1, 0, 0), (1, 0, 1), (0, 0, 1)], (),
+                    [(), (), ()])
+    with pytest.raises(ValueError, match="not quasi-commuting"):
+        quasi_commutation(ctx, (1, 0, 0), (0, 0, 1))
+    assert calls == []
+
+
+def test_reachable_seeds_checks_involutivity(monkeypatch):
+    # memoized pair verdicts do not stand in for the check that mutating
+    # back returns the seed
+    monkeypatch.setattr(cluster, "mutate", lambda seed, k: seed)
+    with pytest.raises(AssertionError, match="not involutive"):
+        reachable_seeds("A2", 1)
 
 
 def _lam_via_constants(ctx, y1, y2):
@@ -151,6 +195,7 @@ def test_dual_side_constructs_no_ratfunc(a3, monkeypatch):
             for k, l in pairs}
     monkeypatch.setattr(ctx, "_sc", {})
     monkeypatch.setattr(ctx, "_products", {})
+    monkeypatch.setattr(ctx, "_commutes", {})
     monkeypatch.setattr(ctx.ctx, "_dual_sc", {})
 
     def refuse(*args, **kwargs):

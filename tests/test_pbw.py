@@ -514,6 +514,24 @@ def test_straighten_sorted_sequence_collects_factorials():
                                      + LaurentPoly.q_power(-1))
 
 
+def test_dfact_shared_by_labels_with_the_same_parts():
+    # prod_p [c_p]! depends on the parts c_p > 1 only, so labels that are
+    # rearrangements, or differ in parts 0 and 1, get one object back
+    ctx = PBWContext(A3["datum"], A3["longest_word"])
+    same = [(2, 0, 3, 0, 0, 1), (0, 3, 1, 0, 2, 0), (1, 1, 0, 2, 3, 1)]
+    want = quantum_factorial(2) * quantum_factorial(3)
+    first = ctx._dfact(same[0])
+    assert first == want
+    assert all(ctx._dfact(c) is first for c in same)
+    packed = ctx._packed_dfact(same[1])
+    assert all(ctx._packed_dfact(c) is packed for c in same)
+    assert ctx._k.decode({(): packed}, same[1]) == {(): want}
+    assert ctx._dfact((3, 2, 0, 0, 0, 0)) is first
+    assert ctx._dfact((0, 1, 1, 0, 1, 0)).is_one()
+    assert ctx._dfact((2, 2, 0, 0, 0, 0)) == quantum_factorial(2) ** 2
+    assert ctx._dfact((2, 2, 0, 0, 0, 0)) is not first
+
+
 def test_straighten_matches_word_level():
     datum = A2["datum"]
     ctx = ctx_a2()

@@ -188,6 +188,68 @@ def test_enumeration_matches_build_every_candidate(wide_bounds):
     assert _enumeration_mismatches() == []
 
 
+def _orbit(module):
+    """The module's arrow matrices under every relabelling of the basis
+    at its vertices: entry (r, s) of the arrow a -> b read at
+    (sigma_b(r), sigma_a(s))."""
+    dim = module.dim
+    return frozenset(
+        tuple(((a, b), tuple(tuple(mat[sigma[b - 1][r]][sigma[a - 1][s]]
+                                   for s in range(dim[a - 1]))
+                             for r in range(dim[b - 1])))
+              for (a, b), mat in sorted(module.arrows.items()))
+        for sigma in itertools.product(
+            *(itertools.permutations(range(d)) for d in dim)))
+
+
+def test_one_build_per_relabelling_orbit(monkeypatch):
+    # A2 (2, 2): 35 candidates pass the moment map, in 14 orbits under
+    # the relabellings; the enumeration builds the first of each
+    p = load_preset("A2")
+    d, om = p["datum"], p["orientation"]
+    survivors = [m for m in (ref_candidate(d, om, (2, 2), bits)
+                             for bits in itertools.product((0, 1), repeat=8))
+                 if is_module(m)]
+    orbits = {_orbit(m) for m in survivors}
+    assert len(survivors) == 35 and len(orbits) == 14
+    built = []
+
+    class Counted(PreprojModule):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(preproj, "_ENUM_CACHE", {})
+    monkeypatch.setattr(preproj, "PreprojModule", Counted)
+    enumerate_modules(d, om, (2, 2))
+    assert len(built) == 14
+    assert {_orbit(m) for m in built} == orbits
+    firsts = {}
+    for m in survivors:
+        firsts.setdefault(_orbit(m), m.to_json())
+    assert [m.to_json() for m in built] == list(firsts.values())
+
+
+def test_relabelling_rows_only_is_caught(wide_bounds, monkeypatch):
+    def rows_only(orientation, dim):
+        # a wrong image map: each block's rows follow the relabelling of
+        # their vertex, but its columns stay where they are
+        blocks, pos = [], 0
+        for a, b in preproj.double_arrows(orientation):
+            blocks.append((pos, b - 1, a - 1))
+            pos += dim[b - 1] * dim[a - 1]
+        return tuple(
+            tuple(off + sigma[b][r] * dim[a] + s for off, b, a in blocks
+                  for r in range(dim[b]) for s in range(dim[a]))
+            for sigma in itertools.product(
+                *(itertools.permutations(range(d)) for d in dim)))[1:]
+
+    monkeypatch.setattr(preproj, "_relabellings", rows_only)
+    assert _enumeration_mismatches() == [("A3", (1, 2, 1))]
+
+
 def test_moment_forms_match_residual():
     for name, dim in ENUM_CASES:
         assert _form_mismatches(name, dim) == [], (name, dim)
@@ -244,16 +306,22 @@ def test_ext1_solves_hom_once_on_the_diagonal(monkeypatch):
     p = load_preset("A3")
     d, om = p["datum"], p["orientation"]
     calls = []
-    solve = preproj.hom_dim
+    system = preproj._hom_system
 
     def counting(src, dst):
         calls.append((src, dst))
-        return solve(src, dst)
+        return system(src, dst)
 
-    monkeypatch.setattr(preproj, "hom_dim", counting)
+    monkeypatch.setattr(preproj, "_hom_system", counting)
     for m in enumerate_modules(d, om, (1, 1, 1)):
+        # two equal copies that have not solved End yet: the memo is per
+        # object, so m solves again after ref
+        ref, m = (PreprojModule(d, om, m.dim, m.arrows) for _ in range(2))
+        end = hom_dim(ref, ref)
         calls.clear()
-        assert ext1_dim(m, m) == 2 * solve(m, m) - d.bilinear(m.dim, m.dim)
+        assert is_rigid(m) == is_open_orbit(m)
+        assert ext1_dim(m, m) == 2 * end - d.bilinear(m.dim, m.dim)
+        assert orbit_dim(m) == sum(x * x for x in m.dim) - end
         assert calls == [(m, m)]
         other = simple_module(d, om, 2)
         calls.clear()
