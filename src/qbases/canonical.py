@@ -16,7 +16,7 @@ and the transition reads the result back in the dual canonical basis.
 """
 
 from .laurent import LaurentPoly, RatFunc, accumulate
-from .wordalg import PAIRING_HEIGHT_CAP, TensorElement, WordElement
+from .wordalg import PAIRING_HEIGHT_CAP, WordElement
 from .braid import pbw_monomial, root_vectors
 from .pbwalg import get_context, pbw_indices
 
@@ -145,8 +145,8 @@ class CanonicalTable:
         """Canonical elements as word elements, in index order."""
         if self._canonical is None:
             self._canonical = tuple(
-                self.context._word_combination(self.canonical_coords(c))
-                for c in self.indices)
+                WordElement(self.context.datum, terms) for terms
+                in self.context.ctx.word_expansions(self.weight, self.columns))
         return self._canonical
 
     def dual_transition_dict(self, label):
@@ -218,6 +218,8 @@ class CanonicalContext:
         # quasi_commutation's verdict per ordered label pair: lam, or the
         # ValueError that refused the pair (cluster.quasi_commutation)
         self._commutes = {}
+        # the form (w_k, w_l) per ordered weight pair (QuantumSeed.forms)
+        self._forms = {}
         # words bw_contains has found reduced
         self._reduced = set()
         # star of each label, filled by _star
@@ -286,9 +288,11 @@ class CanonicalContext:
             for m in range(k + 1, len(inds)):
                 kappa = _solve_bar_fixed(g.get(inds[m], LaurentPoly.zero()))
                 if kappa:
-                    if min(kappa.c) < 1:
+                    # positivity (Kato, Duke 2014): qN[q], not just qZ[q]
+                    if min(kappa.c) < 1 or min(kappa.c.values()) < 0:
                         raise AssertionError(
-                            f"canonical correction not in qZ[q]: {kappa}")
+                            f"canonical correction not in qN[q] at weight "
+                            f"{weight}, row {inds[m]}, column {c}: {kappa}")
                     col[inds[m]] = kappa
                     accumulate(g, bars[m], kappa.bar())
             if g != col:
@@ -612,42 +616,6 @@ class CanonicalContext:
                                      self.dual_estar_coords(label2))
             hit = self._sc[key] = self.expand_dual(prod).coords
         return dict(hit)
-
-    def structure_constants_via_coproduct(self, label1, label2):
-        """The same constants read from the twisted coproduct of each
-        b3: the coefficient of b1 (x) b2 in r(b3).  Independent route;
-        word-level, so product heights must stay small."""
-        w1 = self.label_weight(label1)
-        w2 = self.label_weight(label2)
-        weight = tuple(a + b for a, b in zip(w1, w2))
-        # b^up over L(d), since E*(d) = L(d) / (L(d), L(d))
-        dual1, dual2 = (self._word_combination(
-            {d: RatFunc(v) / self.ctx.norm(d)
-             for d, v in self.dual_estar_coords(label).items()})
-            for label in (label1, label2))
-        probe = TensorElement(
-            self.datum,
-            {(u, v): cu * cv
-             for u, cu in dual1.terms.items()
-             for v, cv in dual2.terms.items()})
-        out = {}
-        for c3 in self._table(weight).indices:
-            b3 = self.canonical_word_element(c3)
-            val = b3.coproduct().pairing(probe)
-            if val:
-                if not val.is_laurent():
-                    raise AssertionError(
-                        f"structure constant not Laurent at {c3}: {val}")
-                out[c3] = val.to_laurent()
-        return out
-
-    def _word_combination(self, coords):
-        """sum_d coords[d] L(d) as a word element, accumulated into one
-        dict (small heights only)."""
-        terms = {}
-        for d, v in coords.items():
-            accumulate(terms, self.ctx.monomial_word_element(d).terms, v)
-        return WordElement(self.datum, terms)
 
 
 _CANONICAL = {}

@@ -225,12 +225,16 @@ class QuantumSeed:
                 raise ValueError(f"seed validation failed: bad label {label}")
         weights = [context.ctx.weight_of(label) for label in self.labels]
         self.heights = tuple(map(sum, weights))
-        form = context.datum.bilinear
+        memo, form = context._forms, context.datum.bilinear
         n = len(weights)
         forms = [[0] * n for _ in range(n)]
         for k in range(n):
             for l in range(k, n):
-                forms[k][l] = forms[l][k] = form(weights[k], weights[l])
+                pair = (weights[k], weights[l])
+                v = memo.get(pair)
+                if v is None:
+                    v = memo[pair] = form(*pair)
+                forms[k][l] = forms[l][k] = v
         self.forms = tuple(map(tuple, forms))
         self.lam = self._validate()
 

@@ -440,6 +440,10 @@ class RatFunc:
         other = _as_rat(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == _L_ONE == other.den and other.num:
+            # Laurent over Laurent: one normalization, no inverse
+            m, dense = _wrap(other.num)._poly_parts()
+            return RatFunc._raw({e - m: v for e, v in self.num.items()}, dense)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -636,10 +640,13 @@ def _rat_normalize(num, den):
     npoly = [0] * (max(num) - m + 1)
     for e, v in num.items():
         npoly[e - m] = v
-    g = _pol_gcd(tuple(npoly), den)
-    if len(g) > 1 or g[0] != 1:
-        npoly = _pol_divexact(tuple(npoly), g)
-        den = _pol_divexact(den, g)
+    try:  # an exact quotient is in lowest terms: no gcd
+        npoly, den = _pol_divexact(tuple(npoly), den), _L_ONE
+    except ValueError:
+        g = _pol_gcd(tuple(npoly), den)
+        if len(g) > 1 or g[0] != 1:
+            npoly = _pol_divexact(tuple(npoly), g)
+            den = _pol_divexact(den, g)
     if den[-1] < 0:
         den = tuple(-x for x in den)
         npoly = tuple(-x for x in npoly)
@@ -666,6 +673,37 @@ def quantum_factorial(n):
     out = LaurentPoly.one()
     for k in range(2, n + 1):
         out = out * quantum_int(k)
+    return out
+
+
+@cache
+def cyclotomic(m):
+    """Phi_m as a dense tuple: q^m - 1 over every Phi_k, k | m, k < m."""
+    p = (-1,) + (0,) * (m - 1) + (1,)
+    for k in range(1, m):
+        if m % k == 0:
+            p = _pol_divexact(p, cyclotomic(k))
+    return p
+
+
+@cache
+def factorial_cyclotomic(parts):
+    """(s, {m: e}) with prod_{n in parts} [n]! = q^s prod_m Phi_m^e, from
+    [n] = q^(1-n) prod_{m | 2n, m >= 3} Phi_m: Phi_m divides [j] for the
+    multiples j of m, or of m/2 when m is even (callers do not mutate)."""
+    exps = {m: sum((n if m % 2 else 2 * n) // m for n in parts)
+            for m in range(3, 2 * max(parts, default=0) + 1)}
+    return (-sum(n * (n - 1) // 2 for n in parts),
+            {m: e for m, e in exps.items() if e})
+
+
+@cache
+def cyclotomic_product(exps):
+    """prod_m Phi_m^e over the pairs (m, e) of exps, as a dense tuple."""
+    out = _L_ONE
+    for m, e in exps:
+        for _ in range(e):
+            out = _pol_mul(out, cyclotomic(m))
     return out
 
 

@@ -12,8 +12,9 @@ recursion, bar(L(c)) = bar(L(c')) bar(E_p)^(c_p) for the last p with
 c_p > 0, on memoized divided powers, and the word-level e' behind each
 seed shifts by q-powers exactly (RatFunc.shift, no gcd).  That keeps
 weight spaces of height 20 tractable even though their word expansions
-are astronomically large.  RatFunc stays in the bridge and the bilinear
-form; a caller's rational coefficients promote products to RatFunc.
+are astronomically large.  The word bridge leaves Z[q, q^-1] only for
+each word coefficient (``word_expansions``); RatFunc stays in the
+bilinear form, and rational coefficients promote products to RatFunc.
 
 PBW indices come from one suffix table per context, keyed by (position,
 remaining weight), so weights share the enumeration of their common
@@ -49,11 +50,13 @@ LaurentPoly dicts, and ``dual_constants`` decodes.
 
 from array import array
 
-from .laurent import (LaurentPoly, RatFunc, _wrap, accumulate,
+from .laurent import (LaurentPoly, RatFunc, _rat, _wrap, accumulate,
+                      cyclotomic, cyclotomic_product, factorial_cyclotomic,
                       quantum_factorial, quantum_int)
 from .wordalg import PAIRING_HEIGHT_CAP, WordElement, kostant_dimension
-from .braid import root_vectors, pbw_monomial
+from .braid import root_vectors
 # unused here; kept bound because perfbench/tracing.py patches these aliases
+from .braid import pbw_monomial  # noqa: F401
 from .linalg import solve  # noqa: F401
 from .wordalg import weight_basis  # noqa: F401
 
@@ -313,7 +316,9 @@ class PBWContext:
         self._prepared_pk = {}
         self._packed = {}
         self._seeds = {}
-        self._monomials_cache = {}
+        self._word_products = {self.zero_index(): {(): LaurentPoly.one()}}
+        self._word_products_pk = {}
+        self._phis = {}
         self._dfact_cache = {}
         self._bar_mono = {}
         self._star_mono = {}
@@ -492,50 +497,109 @@ class PBWContext:
 
     # -- word-level bridge (small heights only)
 
-    def _monomials(self, weight):
-        """{d: L(d) as a word element} for every PBW index of the weight;
-        the word expansions are built once per weight and kept."""
-        cached = self._monomials_cache.get(weight)
-        if cached is None:
-            if sum(weight) > PAIRING_HEIGHT_CAP:
-                raise ValueError(f"word expansion at height {sum(weight)} "
-                                 f"exceeds cap {PAIRING_HEIGHT_CAP}")
-            inds = self.indices(weight)
-            dim = kostant_dimension(self.datum, weight)
-            if len(inds) != dim:
-                raise AssertionError(
-                    f"PBW index count {len(inds)} differs from weight-space "
-                    f"dimension {dim} at {weight}")
-            cached = self._monomials_cache[weight] = {
-                d: pbw_monomial(self.datum, self.word, d, vectors=self.vectors)
-                for d in inds}
-        return cached
+    def _word_indices(self, weight):
+        """indices(weight), under the cap and as many as its dimension."""
+        if sum(weight) > PAIRING_HEIGHT_CAP:
+            raise ValueError(f"word expansion at height {sum(weight)} "
+                             f"exceeds cap {PAIRING_HEIGHT_CAP}")
+        inds = self.indices(weight)
+        dim = kostant_dimension(self.datum, weight)
+        if len(inds) != dim:
+            raise AssertionError(
+                f"PBW index count {len(inds)} differs from weight-space "
+                f"dimension {dim} at {weight}")
+        return inds
+
+    def _word_product(self, c):
+        """U(c) = prod_p E_p^(c_p) = dfact(c) L(c) as {word: LaurentPoly},
+        memoized as U(c') E_p, c' = c lowered at the last p with c_p > 0."""
+        hit = self._word_products.get(c)
+        if hit is None:
+            p = max(k for k, m in enumerate(c) if m)
+            ep = [(w, v.to_laurent())
+                  for w, v in self.vectors[p].terms.items()]
+            hit = self._word_products[c] = {}
+            for w, u in self._word_product(
+                    c[:p] + (c[p] - 1,) + c[p + 1:]).items():
+                accumulate(hit, {w + w2: u2 for w2, u2 in ep}, u)
+        return hit
+
+    def word_expansions(self, weight, columns):
+        """The word terms of sum_d col[d] L(d) in RatFunc, for each col
+        ({d: LaurentPoly} over the weight's indices) of columns: the packed
+        U(d) summed per dfact class, the classes brought to the lcm of their
+        dfacts on cyclotomic exponents, each coefficient reduced by
+        ``_lowest_terms``."""
+        self._word_indices(tuple(weight))
+
+        def expand(k, col):
+            classes, num = {}, {}
+            for d, v in col.items():
+                ud = self._word_products_pk.get(d)
+                if ud is None:
+                    ud = self._word_products_pk[d] = {
+                        w: k.pack(u) for w, u in self._word_product(d).items()}
+                key = tuple(sorted(m for m in d if m > 1))
+                k.accumulate(classes.setdefault(key, {}), ud, k.pack(v))
+            facts = [factorial_cyclotomic(key) for key in classes]
+            top = tuple((m, max(e.get(m, 0) for _, e in facts))
+                        for m in sorted({m for _, e in facts for m in e}))
+            for (s, exps), terms in zip(facts, classes.values()):
+                cof = cyclotomic_product(tuple((m, e - exps.get(m, 0))
+                                               for m, e in top))
+                k.accumulate(num, terms, k.pack(_wrap(
+                    {i - s: v for i, v in enumerate(cof) if v})))
+            return {w: self._lowest_terms(k, x, top) for w, x in num.items()}
+        return self._packed_run(lambda k: [expand(k, c) for c in columns])
+
+    def _lowest_terms(self, k, x, exps):
+        """The packed x over prod Phi_m^e, (m, e) in exps, as a RatFunc:
+        each Phi_m divided out while that is exact.  The Phi_m are monic,
+        irreducible and distinct with constant term 1, so what is left is
+        in lowest terms, as RatFunc keeps it, with no gcd."""
+        if x[2] >= k.half:
+            raise k._overflow(x[2], "word coefficient")
+        left = []
+        for m, e in exps:
+            phi = self._phis.get(m)
+            if phi is None:
+                phi = self._phis[m] = k.pack(_wrap(
+                    {i: v for i, v in enumerate(cyclotomic(m)) if v}))
+            while e and (quo := k.div(x, phi)) is not None:
+                x, e = quo, e - 1
+            if e:
+                left.append((m, e))
+        return _rat(k.unpack(x[0], x[1]).c, cyclotomic_product(tuple(left)))
 
     def coords_of_word_element(self, x):
         """PBW coordinates of a word element (small heights only).
 
         The PBW basis is orthogonal (Lusztig 1993, ch. 38), so
-        x_d = (x, L(d)) / (L(d), L(d)): the numerator dots the pairing
-        vector of x with the word terms of L(d), the denominator is the
-        closed-form norm.  Raises AssertionError naming the weight unless
-        x - sum_d x_d L(d) is zero in the algebra, so a broken convention
-        fails loudly.
+        x_d = (x, L(d)) / (L(d), L(d)) = (x, U(d)) / (dfact(d) norm(d)),
+        a Laurent denominator for the true norm.  Raises AssertionError
+        naming the weight unless x - sum_d x_d L(d) is zero in the algebra,
+        so a broken convention fails loudly; the residual is scaled by
+        prod_i [wt_i]!, which each dfact(d) divides (the d_p on roots
+        through vertex i sum to at most wt_i).
         """
         if x.weight is None:
             return {}
         weight = tuple(x.weight)
         vec = x.pairing_vector()
+        scale = self._dfact(weight)
         out = {}
-        residual = dict(x.terms)
-        for d, ld in self._monomials(weight).items():
+        residual = {w: cw * scale for w, cw in x.terms.items()}
+        for d in self._word_indices(weight):
+            ud = self._word_product(d)
             num = RatFunc(0)
-            for w, cw in ld.terms.items():
+            for w, u in ud.items():
                 v = vec.get(w)
                 if v is not None:
-                    num = num + cw * v
+                    num = num + v * u
             if num:
-                out[d] = xd = num / self.norm(d)
-                accumulate(residual, ld.terms, -xd)
+                dfact = self._dfact(d)
+                out[d] = xd = num / (self.norm(d) * dfact)
+                accumulate(residual, ud, -xd * scale.exact_div(dfact))
         if not WordElement(self.datum, residual).is_algebra_zero():
             raise AssertionError(
                 f"PBW coordinates do not reconstruct the element at weight "
@@ -561,7 +625,9 @@ class PBWContext:
 
     def monomial_word_element(self, c):
         """L(c) as a word element (small heights only)."""
-        return self._monomials(self.weight_of(c))[tuple(c)]
+        c = tuple(c)
+        return WordElement(self.datum, self.word_expansions(
+            self.weight_of(c), [{c: LaurentPoly.one()}])[0])
 
     # -- products
 
@@ -620,7 +686,8 @@ class PBWContext:
             except _Overflow:
                 self._k = _Kernel(2 * self._k.bits)
                 for memo in (self._straight_pk, self._prepared_pk,
-                             self._packed, self._dual_sc, self._omq2_powers):
+                             self._packed, self._dual_sc, self._omq2_powers,
+                             self._word_products_pk, self._phis):
                     memo.clear()
 
     def _dual_packed(self, a, b):

@@ -2,8 +2,10 @@
 
 import itertools
 
+from qbases.braid import pbw_monomial
 from qbases.canonical import _solve_bar_fixed
-from qbases.laurent import LaurentPoly, RatFunc
+from qbases.laurent import LaurentPoly, RatFunc, accumulate
+from qbases.wordalg import TensorElement
 from qbases.preproj import (PreprojModule, _rank_signature, double_arrows,
                             is_isomorphic, is_module)
 
@@ -18,6 +20,56 @@ def pairing(ctx, f, g):
         if gc is not None:
             val = val + fc * gc * ctx.norm(c)
     return val
+
+
+_MONOMIALS = {}
+
+
+def ref_word_combination(ctx, coords, monomials=None):
+    """The word terms of sum_d coords[d] L(d) for the PBWContext ctx, in
+    RatFunc, with L(d) from braid.pbw_monomial, kept in the dict
+    monomials (by default one per context): every coefficient
+    normalized by a gcd, as the canonical basis was expanded before its
+    word bridge ran on Z[q, q^-1]."""
+    if monomials is None:
+        monomials = _MONOMIALS.setdefault(ctx, {})
+    terms = {}
+    for d, v in coords.items():
+        mono = monomials.get(d)
+        if mono is None:
+            mono = monomials[d] = pbw_monomial(ctx.datum, ctx.word, d,
+                                               vectors=ctx.vectors)
+        accumulate(terms, mono.terms, v)
+    return terms
+
+
+def ref_structure_constants(cctx, label1, label2):
+    """cctx.structure_constants(label1, label2) read from the twisted
+    coproduct of each b3: the coefficient of b1 (x) b2 in r(b3).
+    Independent route; word-level, so product heights must stay small."""
+    w1 = cctx.label_weight(label1)
+    w2 = cctx.label_weight(label2)
+    weight = tuple(a + b for a, b in zip(w1, w2))
+    # b^up over L(d), since E*(d) = L(d) / (L(d), L(d))
+    dual1, dual2 = (ref_word_combination(
+        cctx.ctx, {d: RatFunc(v) / cctx.ctx.norm(d)
+                   for d, v in cctx.dual_estar_coords(label).items()})
+        for label in (label1, label2))
+    probe = TensorElement(
+        cctx.datum,
+        {(u, v): cu * cv
+         for u, cu in dual1.items()
+         for v, cv in dual2.items()})
+    out = {}
+    for c3 in cctx._table(weight).indices:
+        b3 = cctx.canonical_word_element(c3)
+        val = b3.coproduct().pairing(probe)
+        if val:
+            if not val.is_laurent():
+                raise AssertionError(
+                    f"structure constant not Laurent at {c3}: {val}")
+            out[c3] = val.to_laurent()
+    return out
 
 
 def ref_pbw_indices(roots, weight):

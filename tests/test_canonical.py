@@ -13,7 +13,8 @@ from qbases import canonical
 from qbases.canonical import (CanonicalContext, braid_moves, get_canonical,
                               move_label, pbw_indices, weights_up_to_height)
 from oracles import (pairing, ref_bw_contains, ref_label_weight,
-                     ref_saito_reflection, ref_table)
+                     ref_saito_reflection, ref_structure_constants,
+                     ref_table)
 
 Q = LaurentPoly({1: 1})
 RQ = RatFunc({1: 1})
@@ -190,7 +191,7 @@ def test_structure_constants_both_routes(a2):
              ((2, 0, 0), (0, 0, 1))]
     for l1, l2 in pairs:
         assert (a2.structure_constants(l1, l2)
-                == a2.structure_constants_via_coproduct(l1, l2))
+                == ref_structure_constants(a2, l1, l2))
 
 
 def test_structure_constants_both_routes_a3(a3):
@@ -202,7 +203,7 @@ def test_structure_constants_both_routes_a3(a3):
     for l1 in labels:
         for l2 in labels:
             assert (a3.structure_constants(l1, l2)
-                    == a3.structure_constants_via_coproduct(l1, l2))
+                    == ref_structure_constants(a3, l1, l2))
 
 
 @pytest.mark.parametrize("name, height, count", [
@@ -645,7 +646,7 @@ class _SelfBar(LaurentPoly):
 def test_column_check_catches_solve_mutants(monkeypatch, mutant):
     """A wrong correction or a push without bar leaves g = M bar(P)
     apart from the column, which the closing comparison reports; the
-    doubled correction still lies in qZ[q], so only that check sees it."""
+    doubled correction still lies in qN[q], so only that check sees it."""
     solve = canonical._solve_bar_fixed
     monkeypatch.setattr(canonical, "_solve_bar_fixed",
                         lambda g: mutant(solve(g)))
@@ -653,6 +654,19 @@ def test_column_check_catches_solve_mutants(monkeypatch, mutant):
     fresh = CanonicalContext(p["datum"], p["longest_word"])
     with pytest.raises(AssertionError, match=re.escape(
             "not bar invariant at (1, 1), column (0, 1, 0)")):
+        fresh._table((1, 1))
+
+
+def test_negative_correction_names_its_entry(monkeypatch):
+    """The corrections lie in qN[q] for every reduced word (Kato, Duke
+    2014): a correction -q is refused, naming the weight, the row and the
+    column of the entry."""
+    monkeypatch.setattr(canonical, "_solve_bar_fixed", lambda g: -Q)
+    p = load_preset("A2")
+    fresh = CanonicalContext(p["datum"], p["longest_word"])
+    with pytest.raises(AssertionError, match=re.escape(
+            "not in qN[q] at weight (1, 1), row (1, 0, 1), column "
+            "(0, 1, 0): -q")):
         fresh._table((1, 1))
 
 

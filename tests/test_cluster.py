@@ -156,6 +156,37 @@ def test_reachable_seeds_checks_involutivity(monkeypatch):
         reachable_seeds("A2", 1)
 
 
+def test_a4_closure():
+    """The exchange graph of C[N] for A4 (cluster type D6, BFZ 2005)
+    closes at 672 seeds over 40 labels; each of its 4,032 exchanges
+    passes, and reachable_seeds has checked that each is involutive."""
+    seeds, log = reachable_seeds("A4", 30)
+    assert len(seeds) == 672
+    assert len({label for s in seeds for label in s.labels}) == 40
+    assert len(log) == 4032
+    assert all(entry["status"] == "pass" for entry in log)
+
+
+def test_seed_forms_are_memoized(a3, monkeypatch):
+    """The forms (w_k, w_l) are read per weight pair from the context: a
+    second seed over the same labels calls no bilinear form, and the
+    forms equal the form of the label weights."""
+    ctx = a3.context
+    monkeypatch.setattr(ctx, "_forms", {})
+    calls = []
+    form = ctx.datum.bilinear
+    monkeypatch.setattr(ctx.datum, "bilinear",
+                        lambda v, w: calls.append((v, w)) or form(v, w))
+    first = QuantumSeed(ctx, a3.word, a3.labels, a3.mutable, a3.bmat)
+    assert calls
+    calls.clear()
+    again = QuantumSeed(ctx, a3.word, a3.labels, a3.mutable, a3.bmat)
+    assert calls == []
+    weights = [ctx.label_weight(label) for label in a3.labels]
+    assert first.forms == again.forms == a3.forms == tuple(
+        tuple(form(v, w) for w in weights) for v in weights)
+
+
 def _lam_via_constants(ctx, y1, y2):
     """The reference route of quasi_commutation: both products expanded
     in the dual canonical basis through the structure constants."""

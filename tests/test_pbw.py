@@ -7,15 +7,19 @@ import pytest
 
 from qbases import pbwalg
 from qbases.braid import pbw_monomial
-from qbases.laurent import LaurentPoly, RatFunc, quantum_factorial
+from qbases.laurent import (LaurentPoly, RatFunc, _pol_mul, _rat,
+                            cyclotomic, cyclotomic_product,
+                            factorial_cyclotomic, quantum_factorial)
 from qbases.linalg import solve
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, kostant_dimension, weight_basis
 from qbases.pbwalg import (PBWContext, get_context, accumulate, pbw_norm,
                            scaled)
-from qbases.canonical import weights_up_to_height
+from qbases.canonical import (CanonicalContext, get_canonical,
+                              weights_up_to_height)
 
-from oracles import pairing, ref_dual_constants, ref_pbw_indices
+from oracles import (pairing, ref_dual_constants, ref_pbw_indices,
+                     ref_word_combination)
 
 A2 = load_preset("A2")
 A3 = load_preset("A3")
@@ -307,6 +311,121 @@ def test_dual_constants_two_routes(preset, height, pairs):
                         == ref_dual_constants(ctx, a, b)), (a, b)
                 seen += 1
     assert seen == pairs
+
+
+# -- the word bridge over Z[q, q^-1] against pbw_monomial in RatFunc
+
+BRIDGE = [("A2", 6), ("A3", 5), ("D4", 4)]
+
+
+def test_cyclotomic_factors_of_quantum_integers():
+    """[n] = q^(1-n) prod_{m | 2n, m >= 3} Phi_m, so factorial_cyclotomic
+    gives every product of quantum factorials that dfact takes."""
+    assert cyclotomic(1) == (-1, 1) and cyclotomic(4) == (1, 0, 1)
+    assert cyclotomic(6) == (1, -1, 1) and cyclotomic(12) == (1, 0, -1, 0, 1)
+    for parts in [(), (2,), (3,), (2, 2), (4, 3), (6,), (7, 2, 2)]:
+        shift, exps = factorial_cyclotomic(parts)
+        want = LaurentPoly.one()
+        for n in parts:
+            want = want * quantum_factorial(n)
+        got = LaurentPoly(dict(enumerate(
+            cyclotomic_product(tuple(sorted(exps.items())))))).shift(shift)
+        assert got == want, parts
+
+
+@pytest.mark.parametrize("preset,height", BRIDGE)
+def test_word_products_match_pbw_monomial(preset, height):
+    """U(d) / dfact(d), and L(d) through the cyclotomic reduction, equal
+    braid.pbw_monomial at every index within the height."""
+    box = load_preset(preset)
+    ctx = PBWContext(box["datum"], box["longest_word"])
+    for wt in weights_up_to_height(ctx.datum.rank, height):
+        for d in ctx.indices(wt):
+            want = pbw_monomial(ctx.datum, ctx.word, d, vectors=ctx.vectors)
+            dfact = ctx._dfact(d)
+            assert {w: RatFunc(u, dfact) for w, u
+                    in ctx._word_product(d).items()} == want.terms, d
+            assert ctx.monomial_word_element(d) == want, d
+
+
+def _expansion_mismatches(preset, height):
+    """(weight, label) of every canonical element, up to the height in a
+    fresh canonical context, whose word expansion differs from
+    ref_word_combination on its column."""
+    box = load_preset(preset)
+    cctx = CanonicalContext(box["datum"], box["longest_word"])
+    monomials, bad = {}, []
+    for wt in weights_up_to_height(cctx.datum.rank, height):
+        table = cctx._table(wt)
+        for c, col, got in zip(table.indices, table.columns,
+                               table.canonical):
+            if got.terms != ref_word_combination(cctx.ctx, col, monomials):
+                bad.append((wt, c))
+    return bad
+
+
+@pytest.mark.parametrize("preset,height", BRIDGE)
+def test_canonical_expansions_two_routes(preset, height, monkeypatch):
+    """Every canonical word expansion equals the RatFunc route, and the
+    cyclotomic reduction equals RatFunc(num, den) on every coefficient
+    it produces."""
+    reduce, seen = PBWContext._lowest_terms, []
+
+    def checked(self, k, x, exps):
+        got = reduce(self, k, x, exps)
+        want = RatFunc(k.unpack(x[0], x[1]), cyclotomic_product(tuple(exps)))
+        seen.append(got == want)
+        return got
+
+    monkeypatch.setattr(PBWContext, "_lowest_terms", checked)
+    assert _expansion_mismatches(preset, height) == []
+    assert seen and all(seen)
+
+
+def _skip_first_phi(reduce):
+    """A reduction that keeps the first Phi_m in the denominator without
+    dividing it out: the right value, not in lowest terms."""
+    def mutant(self, k, x, exps):
+        if not exps:
+            return reduce(self, k, x, exps)
+        got = reduce(self, k, x, exps[1:])
+        return _rat(got.num, _pol_mul(got.den,
+                                      cyclotomic_product(tuple(exps[:1]))))
+    return mutant
+
+
+def _exponent_off_by_one(parts):
+    shift, exps = factorial_cyclotomic(parts)
+    if exps:
+        exps = dict(exps)
+        exps[max(exps)] += 1
+    return shift, exps
+
+
+def test_expansion_mutants_are_caught(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(PBWContext, "_lowest_terms",
+                  _skip_first_phi(PBWContext._lowest_terms))
+        assert _expansion_mismatches("A2", 6)
+    with monkeypatch.context() as m:
+        m.setattr(pbwalg, "factorial_cyclotomic", _exponent_off_by_one)
+        assert _expansion_mismatches("A2", 6)
+    assert _expansion_mismatches("A2", 6) == []
+
+
+def test_expansions_past_the_first_width(monkeypatch):
+    """At an 8-bit first width the packed sums of A2 outgrow the digits
+    at weight (3, 4): the context widens them and expands every canonical
+    element up to height 7 as at 64 bits."""
+    table = get_canonical(A2["datum"]).canonical_basis
+    wide = PBWContext(A2["datum"], A2["longest_word"])
+    monkeypatch.setattr(pbwalg, "_BITS", 8)
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    for wt in weights_up_to_height(2, 7):
+        columns = table(wt).columns
+        assert (ctx.word_expansions(wt, columns)
+                == wide.word_expansions(wt, columns)), wt
+    assert ctx._k.bits > 8
 
 
 def test_wrong_norm_fails_reconstruction(monkeypatch):
