@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd as _int_gcd
+from types import MappingProxyType
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +691,11 @@ def cyclotomic(m):
 def factorial_cyclotomic(parts):
     """(s, {m: e}) with prod_{n in parts} [n]! = q^s prod_m Phi_m^e, from
     [n] = q^(1-n) prod_{m | 2n, m >= 3} Phi_m: Phi_m divides [j] for the
-    multiples j of m, or of m/2 when m is even (callers do not mutate)."""
+    multiples j of m, or of m/2 when m is even.  The map is read-only."""
     exps = {m: sum((n if m % 2 else 2 * n) // m for n in parts)
             for m in range(3, 2 * max(parts, default=0) + 1)}
     return (-sum(n * (n - 1) // 2 for n in parts),
-            {m: e for m, e in exps.items() if e})
+            MappingProxyType({m: e for m, e in exps.items() if e}))
 
 
 @cache

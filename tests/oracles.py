@@ -28,9 +28,8 @@ _MONOMIALS = {}
 def ref_word_combination(ctx, coords, monomials=None):
     """The word terms of sum_d coords[d] L(d) for the PBWContext ctx, in
     RatFunc, with L(d) from braid.pbw_monomial, kept in the dict
-    monomials (by default one per context): every coefficient
-    normalized by a gcd, as the canonical basis was expanded before its
-    word bridge ran on Z[q, q^-1]."""
+    monomials (by default one per context), every coefficient
+    normalized by a gcd: the reference for PBWContext.word_expansions."""
     if monomials is None:
         monomials = _MONOMIALS.setdefault(ctx, {})
     terms = {}
