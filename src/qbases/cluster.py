@@ -231,10 +231,9 @@ class QuantumSeed:
         for k in range(n):
             for l in range(k, n):
                 pair = (weights[k], weights[l])
-                v = memo.get(pair)
-                if v is None:
-                    v = memo[pair] = form(*pair)
-                forms[k][l] = forms[l][k] = v
+                if pair not in memo:
+                    memo[pair] = form(*pair)
+                forms[k][l] = forms[l][k] = memo[pair]
         self.forms = tuple(map(tuple, forms))
         self.lam = self._validate()
 

@@ -18,7 +18,7 @@ it, and a sign or a shift of the numerator keeps lowest terms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd as _int_gcd
 from types import MappingProxyType
 
@@ -435,16 +435,14 @@ class RatFunc:
         top = _trim([self.num.get(m + i, 0)
                      for i in range(max(self.num) - m + 1)])
         num = {e - m: v for e, v in enumerate(self.den) if v}
-        return RatFunc._raw(num, top)
+        if top[-1] < 0:  # den/num is in lowest terms already: no gcd
+            top, num = tuple(-x for x in top), {e: -v for e, v in num.items()}
+        return _rat(num, top)
 
     def __truediv__(self, other):
         other = _as_rat(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _L_ONE == other.den and other.num:
-            # Laurent over Laurent: one normalization, no inverse
-            m, dense = _wrap(other.num)._poly_parts()
-            return RatFunc._raw({e - m: v for e, v in self.num.items()}, dense)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -680,11 +678,9 @@ def quantum_factorial(n):
 @cache
 def cyclotomic(m):
     """Phi_m as a dense tuple: q^m - 1 over every Phi_k, k | m, k < m."""
-    p = (-1,) + (0,) * (m - 1) + (1,)
-    for k in range(1, m):
-        if m % k == 0:
-            p = _pol_divexact(p, cyclotomic(k))
-    return p
+    return reduce(_pol_divexact,
+                  (cyclotomic(k) for k in range(1, m) if m % k == 0),
+                  (-1,) + (0,) * (m - 1) + (1,))
 
 
 @cache
@@ -692,20 +688,16 @@ def factorial_cyclotomic(parts):
     """(s, {m: e}) with prod_{n in parts} [n]! = q^s prod_m Phi_m^e, from
     [n] = q^(1-n) prod_{m | 2n, m >= 3} Phi_m: Phi_m divides [j] for the
     multiples j of m, or of m/2 when m is even.  The map is read-only."""
-    exps = {m: sum((n if m % 2 else 2 * n) // m for n in parts)
-            for m in range(3, 2 * max(parts, default=0) + 1)}
-    return (-sum(n * (n - 1) // 2 for n in parts),
-            MappingProxyType({m: e for m, e in exps.items() if e}))
+    exps = {m: e for m in range(3, 2 * max(parts, default=0) + 1)
+            if (e := sum((n if m % 2 else 2 * n) // m for n in parts))}
+    return -sum(n * (n - 1) // 2 for n in parts), MappingProxyType(exps)
 
 
 @cache
 def cyclotomic_product(exps):
     """prod_m Phi_m^e over the pairs (m, e) of exps, as a dense tuple."""
-    out = _L_ONE
-    for m, e in exps:
-        for _ in range(e):
-            out = _pol_mul(out, cyclotomic(m))
-    return out
+    return reduce(_pol_mul, (cyclotomic(m) for m, e in exps
+                             for _ in range(e)), _L_ONE)
 
 
 def quantum_binomial(n, k):

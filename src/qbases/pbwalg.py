@@ -12,9 +12,8 @@ recursion, bar(L(c)) = bar(L(c')) bar(E_p)^(c_p) for the last p with
 c_p > 0, on memoized divided powers, and the word-level e' behind each
 seed shifts by q-powers exactly (RatFunc.shift, no gcd).  That keeps
 weight spaces of height 20 tractable even though their word expansions
-are astronomically large.  The word bridge leaves Z[q, q^-1] only for
-each word coefficient (``word_expansions``); RatFunc stays in the
-bilinear form, and rational coefficients promote products to RatFunc.
+are astronomically large.  RatFunc stays in the bilinear form and in the
+word coefficients that ``word_expansions`` writes, and nowhere else.
 
 PBW indices come from one suffix table per context, keyed by (position,
 remaining weight), so weights share the enumeration of their common
@@ -51,7 +50,7 @@ LaurentPoly dicts, and ``dual_constants`` decodes.
 from array import array
 
 from .laurent import (LaurentPoly, RatFunc, _rat, _wrap, accumulate,
-                      cyclotomic, cyclotomic_product, factorial_cyclotomic,
+                      cyclotomic_product, factorial_cyclotomic,
                       quantum_factorial, quantum_int)
 from .wordalg import PAIRING_HEIGHT_CAP, WordElement, kostant_dimension
 from .braid import root_vectors
@@ -316,7 +315,7 @@ class PBWContext:
         self._prepared_pk = {}
         self._packed = {}
         self._seeds = {}
-        self._word_products = {self.zero_index(): {(): LaurentPoly.one()}}
+        self._word_products = {}
         self._word_products_pk = {}
         self._phis = {}
         self._dfact_cache = {}
@@ -510,77 +509,86 @@ class PBWContext:
                 f"dimension {dim} at {weight}")
         return inds
 
-    def _word_product(self, c):
-        """U(c) = prod_p E_p^(c_p) = dfact(c) L(c) as {word: LaurentPoly},
-        memoized as U(c') E_p, c' = c lowered at the last p with c_p > 0."""
-        hit = self._word_products.get(c)
+    def _word_product(self, c, memo=None, cast=None, add=accumulate):
+        """U(c) = prod_p E_p^(c_p) = dfact(c) L(c) as {word: LaurentPoly}, or
+        cast (packed) and summed by add in memo; memoized as U(c') E_p, c'
+        = c lowered at the last p with c_p > 0."""
+        if memo is None:
+            memo, cast = self._word_products, (lambda u: u)
+        hit = memo.get(c)
         if hit is None:
+            if not any(c):
+                return {(): cast(LaurentPoly.one())}
             p = max(k for k, m in enumerate(c) if m)
-            ep = [(w, v.to_laurent())
+            ep = [(w, cast(v.to_laurent()))
                   for w, v in self.vectors[p].terms.items()]
-            hit = self._word_products[c] = {}
-            for w, u in self._word_product(
-                    c[:p] + (c[p] - 1,) + c[p + 1:]).items():
-                accumulate(hit, {w + w2: u2 for w2, u2 in ep}, u)
+            hit = memo[c] = {}
+            for w, u in self._word_product(c[:p] + (c[p] - 1,) + c[p + 1:],
+                                           memo, cast, add).items():
+                add(hit, {w + w2: u2 for w2, u2 in ep}, u)
         return hit
 
     def word_expansions(self, weight, columns):
-        """The word terms of sum_d col[d] L(d) in RatFunc, for each col
-        ({d: LaurentPoly} over the weight's indices) of columns: the packed
-        U(d) summed per dfact class, the classes brought to the lcm of their
-        dfacts on cyclotomic exponents, each coefficient reduced by
-        ``_lowest_terms``."""
+        """The word terms of sum_d col[d] L(d), for each col of columns
+        ({d: LaurentPoly}): the packed U(d) summed per dfact class, brought
+        to the lcm of the dfacts on cyclotomic exponents and reduced."""
         self._word_indices(tuple(weight))
 
         def expand(k, col):
             classes, num = {}, {}
             for d, v in col.items():
-                ud = self._word_products_pk.get(d)
-                if ud is None:
-                    ud = self._word_products_pk[d] = {
-                        w: k.pack(u) for w, u in self._word_product(d).items()}
                 key = tuple(sorted(m for m in d if m > 1))
+                ud = self._word_product(d, self._word_products_pk, k.pack,
+                                        k.accumulate)
                 k.accumulate(classes.setdefault(key, {}), ud, k.pack(v))
             facts = [factorial_cyclotomic(key) for key in classes]
             top = tuple((m, max(e.get(m, 0) for _, e in facts))
                         for m in sorted({m for _, e in facts for m in e}))
             for (s, exps), terms in zip(facts, classes.values()):
-                cof = cyclotomic_product(tuple((m, e - exps.get(m, 0))
-                                               for m, e in top))
-                k.accumulate(num, terms, k.pack(_wrap(
-                    {i - s: v for i, v in enumerate(cof) if v})))
+                v, x, b = self._phi_product(
+                    tuple((m, e - exps.get(m, 0)) for m, e in top))
+                k.accumulate(num, terms, (v - s, x, b))
             return {w: self._lowest_terms(k, x, top) for w, x in num.items()}
         return self._packed_run(lambda k: [expand(k, c) for c in columns])
 
+    def _phi_product(self, exps):
+        """prod Phi_m^e over the pairs (m, e) of exps, packed, memoized."""
+        hit = self._phis.get(exps)
+        if hit is None:
+            hit = self._phis[exps] = self._k.pack(_wrap(
+                {i: v for i, v in enumerate(cyclotomic_product(exps)) if v}))
+        return hit
+
     def _lowest_terms(self, k, x, exps):
-        """The packed x over prod Phi_m^e, (m, e) in exps, as a RatFunc:
-        each Phi_m divided out while that is exact.  The Phi_m are monic,
-        irreducible and distinct with constant term 1, so what is left is
-        in lowest terms, as RatFunc keeps it, with no gcd."""
-        if x[2] >= k.half:
-            raise k._overflow(x[2], "word coefficient")
-        left = []
+        """The packed x over prod Phi_m^e, (m, e) in exps, as a RatFunc in
+        lowest terms with no gcd: the Phi_m are monic, irreducible, distinct
+        and prime to q, so each is divided out while that is exact.  One
+        check certifies all steps, as ``_Kernel.div`` does each."""
+        v, quo, bound = x
+        if bound >= k.half:
+            raise k._overflow(bound, "word coefficient")
+        left, bound = [], 1
         for m, e in exps:
-            phi = self._phis.get(m)
-            if phi is None:
-                phi = self._phis[m] = k.pack(_wrap(
-                    {i: v for i, v in enumerate(cyclotomic(m)) if v}))
-            while e and (quo := k.div(x, phi)) is not None:
-                x, e = quo, e - 1
+            _, phi, b = self._phi_product(((m, 1),))
+            while e and not (qr := divmod(quo, phi))[1]:
+                quo, e, bound = qr[0], e - 1, bound * b
             if e:
                 left.append((m, e))
-        return _rat(k.unpack(x[0], x[1]).c, cyclotomic_product(tuple(left)))
+        num = k.unpack(v, quo).c
+        bound *= sum(map(abs, num.values()))
+        if bound >= k.half:
+            raise k._overflow(bound, "quotient times divisor")
+        return _rat(num, cyclotomic_product(tuple(left)))
 
     def coords_of_word_element(self, x):
         """PBW coordinates of a word element (small heights only).
 
         The PBW basis is orthogonal (Lusztig 1993, ch. 38), so
-        x_d = (x, L(d)) / (L(d), L(d)) = (x, U(d)) / (dfact(d) norm(d)),
-        a Laurent denominator for the true norm.  Raises AssertionError
-        naming the weight unless x - sum_d x_d L(d) is zero in the algebra,
-        so a broken convention fails loudly; the residual is scaled by
-        prod_i [wt_i]!, which each dfact(d) divides (the d_p on roots
-        through vertex i sum to at most wt_i).
+        x_d = (x, L(d)) / (L(d), L(d)) = (x, U(d)) / (dfact(d) norm(d)).
+        Raises AssertionError naming the weight unless x - sum_d x_d L(d)
+        is zero in the algebra, so a broken convention fails loudly; it is
+        scaled by prod_i [wt_i]!, which each dfact(d) divides (the d_p on
+        roots through vertex i sum to at most wt_i).
         """
         if x.weight is None:
             return {}
@@ -597,9 +605,8 @@ class PBWContext:
                 if v is not None:
                     num = num + v * u
             if num:
-                dfact = self._dfact(d)
-                out[d] = xd = num / (self.norm(d) * dfact)
-                accumulate(residual, ud, -xd * scale.exact_div(dfact))
+                out[d] = xd = num / (self.norm(d) * self._dfact(d))
+                accumulate(residual, ud, -xd * scale.exact_div(self._dfact(d)))
         if not WordElement(self.datum, residual).is_algebra_zero():
             raise AssertionError(
                 f"PBW coordinates do not reconstruct the element at weight "
@@ -625,9 +632,8 @@ class PBWContext:
 
     def monomial_word_element(self, c):
         """L(c) as a word element (small heights only)."""
-        c = tuple(c)
         return WordElement(self.datum, self.word_expansions(
-            self.weight_of(c), [{c: LaurentPoly.one()}])[0])
+            self.weight_of(c), [{tuple(c): LaurentPoly.one()}])[0])
 
     # -- products
 

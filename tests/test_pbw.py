@@ -428,6 +428,23 @@ def test_expansions_past_the_first_width(monkeypatch):
     assert ctx._k.bits > 8
 
 
+def test_trial_division_is_certified(monkeypatch):
+    """1 - q^192 = Phi_3 (1 - q) (1 + q^3 + ... + q^189): the quotient
+    has L1 norm 128, times ||Phi_3||_1 = 3, so at 8-bit digits the one
+    check after the trial division stops it (the context then widens);
+    at 64 bits it is the Laurent quotient."""
+    x = LaurentPoly({0: 1, 192: -1})
+    want = LaurentPoly({0: 1, 1: -1}) * LaurentPoly(
+        {3 * i: 1 for i in range(64)})
+    wide = PBWContext(A2["datum"], A2["longest_word"])
+    assert (wide._lowest_terms(wide._k, wide._k.pack(x), ((3, 1),))
+            == RatFunc(want))
+    monkeypatch.setattr(pbwalg, "_BITS", 8)
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    with pytest.raises(AssertionError, match=r"384 reaches 2\^7"):
+        ctx._lowest_terms(ctx._k, ctx._k.pack(x), ((3, 1),))
+
+
 def test_wrong_norm_fails_reconstruction(monkeypatch):
     right = pbw_norm
     monkeypatch.setattr(pbwalg, "pbw_norm",
