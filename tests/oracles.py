@@ -22,16 +22,13 @@ def pairing(ctx, f, g):
     return val
 
 
-_MONOMIALS = {}
-
-
 def ref_word_combination(ctx, coords, monomials=None):
     """The word terms of sum_d coords[d] L(d) for the PBWContext ctx, in
-    RatFunc, with L(d) from braid.pbw_monomial, kept in the dict
-    monomials (by default one per context), every coefficient
-    normalized by a gcd: the reference for PBWContext.word_expansions."""
+    RatFunc, with L(d) from braid.pbw_monomial (kept in the dict
+    monomials when one is passed), every coefficient normalized by a
+    gcd: the reference for PBWContext.word_expansions."""
     if monomials is None:
-        monomials = _MONOMIALS.setdefault(ctx, {})
+        monomials = {}
     terms = {}
     for d, v in coords.items():
         mono = monomials.get(d)
@@ -42,18 +39,19 @@ def ref_word_combination(ctx, coords, monomials=None):
     return terms
 
 
-def ref_structure_constants(cctx, label1, label2):
+def ref_structure_constants(cctx, label1, label2, monomials=None):
     """cctx.structure_constants(label1, label2) read from the twisted
-    coproduct of each b3: the coefficient of b1 (x) b2 in r(b3).
-    Independent route; word-level, so product heights must stay small."""
+    coproduct of each b3: the coefficient of b1 (x) b2 in r(b3), with
+    the L(d) of ref_word_combination kept in monomials.  Independent
+    route; word-level, so product heights must stay small."""
     w1 = cctx.label_weight(label1)
     w2 = cctx.label_weight(label2)
     weight = tuple(a + b for a, b in zip(w1, w2))
     # b^up over L(d), since E*(d) = L(d) / (L(d), L(d))
     dual1, dual2 = (ref_word_combination(
         cctx.ctx, {d: RatFunc(v) / cctx.ctx.norm(d)
-                   for d, v in cctx.dual_estar_coords(label).items()})
-        for label in (label1, label2))
+                   for d, v in cctx.dual_estar_coords(label).items()},
+        monomials) for label in (label1, label2))
     probe = TensorElement(
         cctx.datum,
         {(u, v): cu * cv

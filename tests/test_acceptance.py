@@ -221,7 +221,7 @@ def _build_duality():
     for p, hmax in ((A2, 5), (A3, 4)):
         d = p["datum"]
         ctx = get_canonical(d)
-        layers = {}
+        monomials, layers = {}, {}
         for wt in weights_up_to_height(d.rank, hmax - 1):
             if sum(wt) >= 1:
                 layers.setdefault(sum(wt), []).append(wt)
@@ -235,7 +235,8 @@ def _build_duality():
                         for l1 in ctx.canonical_basis(wt1).indices:
                             for l2 in ctx.canonical_basis(wt2).indices:
                                 a = ctx.structure_constants(l1, l2)
-                                b = ref_structure_constants(ctx, l1, l2)
+                                b = ref_structure_constants(ctx, l1, l2,
+                                                            monomials)
                                 assert a == b, (l1, l2)
                                 key = f"{list(l1)}*{list(l2)}"
                                 constants[key] = {

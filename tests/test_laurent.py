@@ -507,6 +507,13 @@ class TestKernelTwoRoutes:
             want = RatFunc._raw({e: -v for e, v in x.num.items()}, x.den)
             assert list((-x).num.items()) == list(want.num.items())
             assert (-x).den == want.den
+            if x:  # the inverse of a reduced fraction skips the gcd
+                m = min(x.num)
+                want = RatFunc._raw(
+                    {e - m: v for e, v in enumerate(x.den)},
+                    [x.num.get(m + i, 0) for i in range(max(x.num) - m + 1)])
+                assert list(x.inverse().num.items()) == list(want.num.items())
+                assert x.inverse().den == want.den
 
     def test_ratfunc_normal_form_random(self):
         rng = random.Random(41)
