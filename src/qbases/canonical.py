@@ -511,7 +511,8 @@ class CanonicalContext:
         for wt in weights_up_to_height(self.datum.rank, height):
             for c in pbw_indices(roots, wt, suffixes):
                 x = pbw_monomial(self.datum, word, c, vectors=vectors)
-                label, _ = self.identify(x)
+                label, _ = self.identify_coords(
+                    self.ctx.coords_of_word_element(x))
                 out.add(label)
         return frozenset(out)
 

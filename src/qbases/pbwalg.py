@@ -231,23 +231,6 @@ def _divide(f, den, what, key):
             f"PBW coefficient not Laurent: {what} {key} over {den}") from e
 
 
-def pbw_norm(c, height):
-    """(L(c), L(c)) in closed form (Kimura 2012): (1-q^2)^height times
-    prod_p prod_{s=1..c_p} 1/(1-q^{2s}), where height = ht wt(c).
-
-    Each 1-q^{2s} is (1-q^2) times 1 + q^2 + ... + q^{2s-2}, and height
-    >= sum_p c_p, so this is (1-q^2)^(height - sum c) over the product of
-    those quotients for s >= 2: Laurent unless some c_p > 1, and the
-    fraction is reduced with small polynomials.
-    """
-    num = _ONE_MINUS_Q2 ** (height - sum(c))
-    den = LaurentPoly.one()
-    for m in c:
-        for s in range(2, m + 1):
-            den = den * LaurentPoly({2 * k: 1 for k in range(s)})
-    return RatFunc(num, den)
-
-
 def pbw_indices(roots, weight, table=None):
     """Exponent vectors c >= 0 with sum c_p beta_p = weight for the
     inversion sequence roots of a reduced word, in ascending lex order.
@@ -729,9 +712,10 @@ class PBWContext:
 
     def _wnorm(self, c):
         """(k, m) with W(c) = dfact(c) (L(c), L(c)) = q^k (1-q^2)^m in
-        closed form: k = -sum_p c_p (c_p - 1)/2 and m = ht wt(c) - sum c,
-        since [n]! is q^(-n(n-1)/2) times the denominator of pbw_norm's
-        factor prod_{s<=n} 1/(1 + q^2 + ... + q^{2s-2})."""
+        closed form: k = -sum_p c_p (c_p - 1)/2 and m = ht wt(c) - sum c.
+        (L(c), L(c)) is (1-q^2)^ht prod_p prod_{s=1..c_p} 1/(1-q^{2s})
+        (Kimura 2012), and [n]! is q^(-n(n-1)/2) prod_{s<=n}
+        (1-q^{2s})/(1-q^2)."""
         hit = self._wnorm_cache.get(c)
         if hit is None:
             hit = self._wnorm_cache[c] = (
@@ -933,14 +917,20 @@ class PBWContext:
     # -- bilinear form
 
     def norm(self, c):
-        """(L(c), L(c)) by the closed form, with the height read off c.
-        The form depends on c only through ht - sum c and the parts
+        """(L(c), L(c)) = W(c) / dfact(c): q^(k-s) (1-q^2)^m over
+        prod_j Phi_j^e, from ``_wnorm`` and dfact(c) = q^s prod_j Phi_j^e.
+        That is in lowest terms with no gcd: 1-q^2 = -Phi_1 Phi_2 is prime
+        to every Phi_j, j >= 3, and each is monic with constant term 1.
+        The form depends on c only through m = ht - sum c and the parts
         c_p > 1, so the memo is keyed by that signature."""
-        height = sum(self.weight_of(c))
-        key = (height - sum(c), tuple(sorted(m for m in c if m > 1)))
-        hit = self._norm.get(key)
+        k, m = self._wnorm(c)
+        parts = tuple(sorted(p for p in c if p > 1))
+        hit = self._norm.get((m, parts))
         if hit is None:
-            hit = self._norm[key] = pbw_norm(c, height)
+            s, exps = factorial_cyclotomic(parts)
+            hit = self._norm[m, parts] = _rat(
+                (_ONE_MINUS_Q2 ** m).shift(k - s).c,
+                cyclotomic_product(tuple(exps.items())))
         return hit
 
     def gram(self, weight):

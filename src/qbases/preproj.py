@@ -17,7 +17,6 @@ skips candidates that only relabel the basis of an earlier survivor.
 """
 
 import itertools
-import random
 from fractions import Fraction
 
 from .linalg import inverse, nullspace, rank, rref
@@ -348,11 +347,9 @@ def is_isomorphic(left, right):
     False only on an exact witness: the dimension vectors differ, the
     rank of some arrow matrix differs (ranks are invariant under the
     vertexwise GL action), dim Hom(left, right) != dim Hom(right, left),
-    or every map left -> right is singular at some vertex.  True only on
-    a verified invertible intertwiner.  Raises ValueError when an
-    isomorphism exists but the coefficient schedule finds none, which
-    cannot happen for n <= 4 Hom basis maps and total_dim <= 4 (see
-    _intertwiner_search).
+    or every map left -> right is singular at some vertex.  True when
+    the arrows are equal, or when no vertex determinant of a generic
+    map left -> right vanishes identically (see _intertwiner_search).
     """
     if left.dim != right.dim:
         return False
@@ -364,16 +361,6 @@ def is_isomorphic(left, right):
     if len(basis) != hom_dim(right, left):
         return False
     return _intertwiner_search(left, right, basis)
-
-
-def _coefficient_schedule(n):
-    """Coefficient vectors tried on n Hom basis maps: the grid
-    {-2..2}^n for n <= 4, else 64 seeded random vectors."""
-    if n <= 4:
-        return itertools.product((-2, -1, 0, 1, 2), repeat=n)
-    rng = random.Random(1729)
-    # drawn lazily: the search usually stops at the first vector
-    return ([rng.randint(-5, 5) for _ in range(n)] for _ in range(64))
 
 
 def _det_vanishes(mats, d):
@@ -408,37 +395,14 @@ def _intertwiner_search(left, right, basis):
 
     False when the determinant of sum_k c_k phi_k at some vertex
     vanishes identically in the c_k: then every map is singular there.
-    Otherwise an isomorphism exists, and the fixed schedule looks for
-    one; True on a combination verified invertible at every vertex.
-    The grid cannot miss when n <= 4 and total_dim <= 4: the product of
-    the vertex determinants is a nonzero polynomial of degree at most
-    total_dim < 5 in each c_k, so it is nonzero somewhere on
-    {-2..2}^n (Combinatorial Nullstellensatz).  A miss elsewhere raises
-    ValueError.
+    True otherwise: the product of the vertex determinants is then a
+    nonzero polynomial, so it is nonzero at some rational c, and
+    sum_k c_k phi_k is an isomorphism over Q.
     """
     if not basis:
         return left.total_dim() == 0
-    for i in range(1, left.datum.rank + 1):
-        d = left.dim[i - 1]
-        if d and _det_vanishes([b[i] for b in basis], d):
-            return False
-    for coeffs in _coefficient_schedule(len(basis)):
-        if not any(coeffs):
-            continue
-        good = True
-        for i in range(1, left.datum.rank + 1):
-            d = left.dim[i - 1]
-            mat = [[sum(c * b[i][r][s] for c, b in zip(coeffs, basis))
-                    for s in range(d)] for r in range(d)]
-            if d and rank(mat) != d:
-                good = False
-                break
-        if good:
-            return True
-    raise ValueError(
-        f"isomorphism undecided between dimension vectors {left.dim} and "
-        f"{right.dim}: an isomorphism exists, but the schedule on n = "
-        f"{len(basis)} Hom basis maps found no invertible combination")
+    return not any(_det_vanishes([b[i] for b in basis], d)
+                   for i, d in enumerate(left.dim, start=1) if d)
 
 
 def _moment_forms(orientation, dim):
@@ -744,8 +708,10 @@ def minimal_left_approximation(src, targets):
     """Minimal left add(+targets)-approximation of src.
 
     Builds the universal map into one copy of each Hom-basis element,
-    then greedily drops summands while every map to every target still
-    factors.  Returns (mid module, map, list of (target index, phi)).
+    then drops summands in one pass while every map to every target
+    still factors.  "Onto" only gets harder as the kept set shrinks, so
+    a summand kept once could never be dropped later: one trial each.
+    Returns (mid module, map, list of (target index, phi)).
     """
     bases = [hom_basis(src, t) for t in targets]
     pieces = [(idx, phi) for idx, basis in enumerate(bases)
@@ -753,15 +719,10 @@ def minimal_left_approximation(src, targets):
     images = _factor_images(src, targets, pieces)
     need = [len(basis) for basis in bases]
     kept = list(range(len(pieces)))
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(kept)):
-            trial = kept[:j] + kept[j + 1:]
-            if _onto(images, need, trial):
-                kept = trial
-                changed = True
-                break
+    for p in range(len(pieces)):
+        trial = [x for x in kept if x != p]
+        if _onto(images, need, trial):
+            kept = trial
     kept = [pieces[p] for p in kept]
     mid = sum_of([targets[idx] for idx, _ in kept], src.datum,
                  src.orientation)

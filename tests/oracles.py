@@ -6,8 +6,9 @@ from qbases.braid import pbw_monomial
 from qbases.canonical import _solve_bar_fixed
 from qbases.laurent import LaurentPoly, RatFunc, accumulate
 from qbases.wordalg import TensorElement
+from qbases.linalg import rank
 from qbases.preproj import (PreprojModule, _rank_signature, double_arrows,
-                            is_isomorphic, is_module)
+                            hom_basis, is_isomorphic, is_module)
 
 
 def pairing(ctx, f, g):
@@ -20,6 +21,23 @@ def pairing(ctx, f, g):
         if gc is not None:
             val = val + fc * gc * ctx.norm(c)
     return val
+
+
+def pbw_norm(c, height):
+    """(L(c), L(c)) in Kimura's product form (2012): (1-q^2)^height times
+    prod_p prod_{s=1..c_p} 1/(1-q^{2s}), where height = ht wt(c), reduced
+    by a gcd: the reference for PBWContext.norm, which builds the same
+    quantity from W(c) = dfact(c) (L(c), L(c)) with no gcd.
+
+    Each 1-q^{2s} is (1-q^2) times 1 + q^2 + ... + q^{2s-2}, and height
+    >= sum_p c_p, so this is (1-q^2)^(height - sum c) over the product of
+    those quotients for s >= 2."""
+    num = LaurentPoly({0: 1, 2: -1}) ** (height - sum(c))
+    den = LaurentPoly.one()
+    for m in c:
+        for s in range(2, m + 1):
+            den = den * LaurentPoly({2 * k: 1 for k in range(s)})
+    return RatFunc(num, den)
 
 
 def ref_word_combination(ctx, coords, monomials=None):
@@ -124,6 +142,28 @@ def ref_enumerate_modules(datum, orientation, dim):
             same.append(m)
             classes.append(m)
     return tuple(classes)
+
+
+def ref_intertwiner(left, right):
+    """An isomorphism left -> right as {vertex: matrix}, or None when
+    there is none: the first combination sum_k c_k phi_k of
+    hom_basis(left, right) that is invertible at every vertex, with c
+    running over {0, ..., t}^n (t the total dimension) from (1, ..., 1).
+    The grid cannot miss: the product of the vertex determinants has
+    degree at most t in each c_k, and a nonzero polynomial of degree at
+    most t in each variable does not vanish on all of {0, ..., t}^n."""
+    if left.dim != right.dim:
+        return None
+    basis = hom_basis(left, right)
+    dims = list(enumerate(left.dim, start=1))
+    t = left.total_dim()
+    for coeffs in itertools.product([*range(1, t + 1), 0],
+                                    repeat=len(basis)):
+        phi = {i: [[sum(c * b[i][r][s] for c, b in zip(coeffs, basis))
+                    for s in range(d)] for r in range(d)] for i, d in dims}
+        if all(rank(phi[i]) == d for i, d in dims):
+            return phi
+    return None
 
 
 def ref_table(cctx, weight):

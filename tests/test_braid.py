@@ -5,7 +5,7 @@ import pytest
 from qbases import braid
 from qbases.canonical import reduced_word_paths, weights_up_to_height
 from qbases.laurent import LaurentPoly, RatFunc, accumulate, quantum_factorial
-from qbases.pbwalg import pbw_indices, pbw_norm
+from qbases.pbwalg import pbw_indices
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, words_of_content
 from qbases.braid import (
@@ -16,6 +16,8 @@ from qbases.braid import (
     root_vector,
     root_vectors,
 )
+
+from oracles import pbw_norm
 
 A2 = load_preset("A2")["datum"]
 A3 = load_preset("A3")["datum"]

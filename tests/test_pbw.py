@@ -13,12 +13,11 @@ from qbases.laurent import (LaurentPoly, RatFunc, _pol_mul, _rat,
 from qbases.linalg import solve
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, kostant_dimension, weight_basis
-from qbases.pbwalg import (PBWContext, get_context, accumulate, pbw_norm,
-                           scaled)
+from qbases.pbwalg import PBWContext, get_context, accumulate, scaled
 from qbases.canonical import (CanonicalContext, get_canonical,
                               weights_up_to_height)
 
-from oracles import (pairing, ref_dual_constants, ref_pbw_indices,
+from oracles import (pairing, pbw_norm, ref_dual_constants, ref_pbw_indices,
                      ref_word_combination)
 
 A2 = load_preset("A2")
@@ -276,8 +275,8 @@ def test_closed_form_norm_matches_gram(preset, height, labels):
                          [("A2", 8, 95), ("A3", 6, 217), ("D4", 4, 137)])
 def test_closed_form_wnorm_matches_product(preset, height, labels):
     # the exponent pair (k, m) of W(c) = q^k (1-q^2)^m, with
-    # k = -sum c_p (c_p - 1)/2 and m = ht - sum c, against the product
-    # dfact(c) N(c) in Q(q) it replaces
+    # k = -sum c_p (c_p - 1)/2 and m = ht - sum c, against dfact(c) times
+    # Kimura's product form of the norm
     box = load_preset(preset)
     ctx = PBWContext(box["datum"], box["longest_word"])
     seen = 0
@@ -285,7 +284,7 @@ def test_closed_form_wnorm_matches_product(preset, height, labels):
         for c in ctx.indices(wt):
             k, m = ctx._wnorm(c)
             assert (LaurentPoly.q_power(k) * LaurentPoly({0: 1, 2: -1}) ** m
-                    == (ctx._dfact(c) * ctx.norm(c)).to_laurent())
+                    == (ctx._dfact(c) * pbw_norm(c, sum(wt))).to_laurent())
             seen += 1
     assert seen == labels
 
@@ -446,9 +445,15 @@ def test_trial_division_is_certified(monkeypatch):
 
 
 def test_wrong_norm_fails_reconstruction(monkeypatch):
-    right = pbw_norm
-    monkeypatch.setattr(pbwalg, "pbw_norm",
-                        lambda c, height: right(c, height) * (1 - q(2)))
+    # the norm is W(c) / dfact(c); one more 1-q^2 in every W scales every
+    # coordinate by 1 / (1-q^2)
+    right = PBWContext._wnorm
+
+    def wrong(self, c):
+        k, m = right(self, c)
+        return k, m + 1
+
+    monkeypatch.setattr(PBWContext, "_wnorm", wrong)
     ctx = PBWContext(A2["datum"], A2["longest_word"])
     prod = ctx.vectors[2] * ctx.vectors[0]
     with pytest.raises(AssertionError, match=r"weight \(1, 1\)"):

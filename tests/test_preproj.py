@@ -3,7 +3,6 @@ enumeration, isomorphism certificates, mutation, the component-containment
 lemma check, and components against crystal labels."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from qbases.preproj import (ENUM_BOUNDS, PreprojModule, RigidCollection,
                             preproj_preset, simple_module, zero_module)
 from qbases.wordalg import kostant_dimension
 
-from oracles import ref_candidate, ref_enumerate_modules
+from oracles import ref_candidate, ref_enumerate_modules, ref_intertwiner
 
 ONE = [[Fraction(1)]]
 
@@ -341,10 +340,25 @@ def _conjugate(module):
                          arrows)
 
 
+def _assert_witnessed(left, right):
+    """An isomorphism left -> right from ref_intertwiner that is checked
+    here: it intertwines every arrow and is invertible at every vertex."""
+    phi = ref_intertwiner(left, right)
+    assert phi is not None, (left, right)
+    for (a, b), mat in left.arrows.items():
+        if left.dim[a - 1] and left.dim[b - 1]:
+            assert (mat_mul(phi[b], [list(r) for r in mat])
+                    == mat_mul([list(r) for r in right.arrow(a, b)],
+                               phi[a])), (a, b)
+    for i, d in enumerate(left.dim, start=1):
+        assert rank(phi[i]) == d, i
+
+
 @pytest.mark.parametrize("name", sorted(ENUM_BOUNDS))
 def test_is_isomorphic_two_routes(name):
-    # the invariant-first test and the raw intertwiner search agree on
-    # every enumerated class against every other and against a conjugate
+    # the invariant-first test and the determinant test alone agree on
+    # every enumerated class against every other and against a conjugate;
+    # each "yes" is backed by an explicit intertwiner
     p = load_preset(name)
     d, om = p["datum"], p["orientation"]
     for dim in all_dims_up_to(ENUM_BOUNDS[name]):
@@ -359,23 +373,38 @@ def test_is_isomorphic_two_routes(name):
             assert is_isomorphic(m, c), (name, dim)
             assert preproj._intertwiner_search(
                 m, c, hom_basis(m, c)), (name, dim)
+            _assert_witnessed(m, c)
 
 
-def test_is_isomorphic_raises_when_schedule_misses(a2, monkeypatch):
+def test_is_isomorphic_on_wide_hom_spaces_and_base_change(a2):
+    # pairs with more than 4 Hom basis maps are told apart by a vanishing
+    # vertex determinant, and a rescaled arrow is a base change
     d, om = a2["datum"], a2["orientation"]
     classes = enumerate_modules(d, om, (2, 2))
     wide = [(m, n) for j, m in enumerate(classes) for n in classes[j + 1:]
             if len(hom_basis(m, n)) > 4]
     assert wide
-    monkeypatch.setattr(preproj, "_coefficient_schedule", lambda n: [])
-    # non-isomorphism is certified without the schedule, even where the
-    # grid {-2..2}^n is not used
     for m, n in wide:
         assert not preproj._intertwiner_search(m, n, hom_basis(m, n))
+        assert not is_isomorphic(m, n)
     scaled = PreprojModule(d, om, (1, 1), {(1, 2): [[2]]})
-    with pytest.raises(ValueError,
-                       match=r"\(1, 1\) and \(1, 1\).* n = 1 Hom"):
-        is_isomorphic(a2["p1"], scaled)
+    assert is_isomorphic(a2["p1"], scaled)
+    _assert_witnessed(a2["p1"], scaled)
+
+
+def test_d4_imaginary_root_classes_are_certified(monkeypatch):
+    # at (1, 2, 1, 1), total dimension 5, every "yes" is a determinant
+    # certificate; each class against its conjugate gets a witness
+    monkeypatch.setitem(ENUM_BOUNDS, "D4", (1, 2, 1, 1))
+    monkeypatch.setattr(preproj, "_ENUM_CACHE", {})
+    p = load_preset("D4")
+    classes = enumerate_modules(p["datum"], p["orientation"], (1, 2, 1, 1))
+    assert len(classes) == 71
+    assert sum(map(is_rigid, classes)) == 8
+    for m in classes:
+        c = _conjugate(m)
+        assert is_isomorphic(m, c)
+        _assert_witnessed(m, c)
 
 
 def test_det_vanishes_examples():
@@ -498,8 +527,18 @@ def ref_factors_through(src, mid, fmap, target, phi0):
     return rank(rows) == rank(aug)
 
 
+def _factors_through_pieces(src, targets, pieces):
+    """Does every map src -> t, t in targets, factor through the sum of
+    the pieces' targets along the stacked pieces (ref_factors_through)?"""
+    mid = preproj.sum_of([targets[idx] for idx, _ in pieces], src.datum,
+                         src.orientation)
+    fmap = preproj._stack_map([(targets[idx], phi) for idx, phi in pieces])
+    return all(ref_factors_through(src, mid, fmap, t, phi)
+               for t in targets for phi in hom_basis(src, t))
+
+
 def test_approximation_test_matches_factoring_route(monkeypatch):
-    """Every trial the greedy loop visits gets the same verdict from one
+    """Every trial the one-pass scan visits gets the same verdict from one
     rank per target as from one solve per Hom basis map: in the A2
     exchange and its way back, and approximating each A3 indecomposable
     by the others (where summands do get dropped)."""
@@ -529,14 +568,29 @@ def test_approximation_test_matches_factoring_route(monkeypatch):
     for (src, targets), kept, verdict in trials:
         pieces = [(idx, phi) for idx, t in enumerate(targets)
                   for phi in hom_basis(src, t)]
-        trial = [pieces[p] for p in kept]
-        mid = preproj.sum_of([targets[idx] for idx, _ in trial],
-                             src.datum, src.orientation)
-        fmap = preproj._stack_map([(targets[idx], phi)
-                                   for idx, phi in trial])
-        assert verdict == all(ref_factors_through(src, mid, fmap, t, phi)
-                              for t in targets
-                              for phi in hom_basis(src, t)), kept
+        assert verdict == _factors_through_pieces(
+            src, targets, [pieces[p] for p in kept]), kept
+
+
+def test_minimal_left_approximation_keeps_no_droppable_piece():
+    """The one-pass scan returns an approximation with no redundant
+    piece: every map to every target factors through the kept pieces,
+    and through no set with one kept piece dropped.  Each A2 and A3
+    indecomposable is approximated by the others."""
+    dropped = 0
+    for name in ("A2", "A3"):
+        box = load_preset(name)
+        indec = indecomposables(box["datum"], box["orientation"])
+        for k, src in enumerate(indec):
+            targets = indec[:k] + indec[k + 1:]
+            _, _, kept = preproj.minimal_left_approximation(src, targets)
+            assert _factors_through_pieces(src, targets, kept)
+            for j in range(len(kept)):
+                assert not _factors_through_pieces(
+                    src, targets, kept[:j] + kept[j + 1:]), (name, k, j)
+            dropped += sum(len(hom_basis(src, t)) for t in targets)
+            dropped -= len(kept)
+    assert dropped
 
 
 def test_cokernel_projection_is_onto_and_kills_the_image():
@@ -680,14 +734,3 @@ def test_enumerated_entries_are_ints(a2):
                     for x in (x for row in mat for x in row):
                         assert type(x) is int or (
                             type(x) is Fraction and x.denominator != 1), x
-
-
-def test_coefficient_schedule_is_lazy_and_unchanged():
-    # the eager list of 64 seeded vectors, drawn one at a time instead
-    rng = random.Random(1729)
-    eager = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(64)]
-    sched = preproj._coefficient_schedule(6)
-    assert iter(sched) is sched
-    assert next(sched) == eager[0]
-    assert [eager[0]] + list(sched) == eager
-    assert len(list(preproj._coefficient_schedule(2))) == 25
