@@ -12,8 +12,10 @@ recursion, bar(L(c)) = bar(L(c')) bar(E_p)^(c_p) for the last p with
 c_p > 0, on memoized divided powers, and the word-level e' behind each
 seed shifts by q-powers exactly (RatFunc.shift, no gcd).  That keeps
 weight spaces of height 20 tractable even though their word expansions
-are astronomically large.  RatFunc stays in the bilinear form and in the
-word coefficients that ``word_expansions`` writes, and nowhere else.
+are astronomically large.  RatFunc stays in the bilinear form, in the
+word-level coordinates that ``coords_of_word_element`` solves for (the
+seeds, before their Laurent check) and in the word coefficients that
+``word_expansions`` writes, and nowhere else.
 
 PBW indices come from one suffix table per context, keyed by (position,
 remaining weight), so weights share the enumeration of their common
@@ -21,10 +23,12 @@ suffixes.  The closed-form norm depends on c only through the signature
 (ht wt(c) - sum c, the sorted parts c_p > 1), and is memoized by it.
 Weights wt(c) are memoized per context too, since the weight of a label
 depends on the word.  Straightening reads each relation E_x E_y as
-prepared triples (raw d, dfact(d) or None when it is 1, r_d), kept per
+packed triples (raw d, dfact(d) or None when it is 1, r_d), kept per
 (x, y), so each child sequence is built once.
 
-The E* side (``dual_mul``, ``dual_constants``) runs on a packed kernel:
+Straightening, the products (``mul`` for the bar, ``dual_mul`` and
+``dual_constants`` for the E* side) and the word products run on a
+packed kernel:
 a coefficient q^v sum_k d_k q^k is the pair of v and the Python int
 sum_k d_k 2^(64 k) (Kronecker substitution q -> 2^64, with signed
 digits), plus an L1 bound.  A product is one int multiply, a sum one
@@ -39,12 +43,9 @@ raises as such.  The packed int is the exact value of its polynomial at
 q = 2^64 whatever the bounds, so a bound that reaches 2^63 (as does
 that of [21]!, whose L1 norm is 21!) loses nothing: the context doubles
 its digit width, drops its packed memos and runs the call again, and
-the wider digits stay for its later calls.  The straightening loop
-is one loop, run over either representation (``_rewrite``), with its
-own memo for each.  The bar (``mul``) keeps LaurentPoly coefficients:
-its products are short, and packing them costs more than it saves.
-``LaurentPoly`` stays at the boundary: ``dual_mul`` takes and returns
-LaurentPoly dicts, and ``dual_constants`` decodes.
+the wider digits stay for its later calls.  ``LaurentPoly`` stays at the
+boundary: ``mul``, ``bar`` and ``dual_mul`` take and return LaurentPoly
+dicts, and ``straighten`` and ``dual_constants`` decode.
 """
 
 from array import array
@@ -291,15 +292,12 @@ class PBWContext:
                 self.simple_pos[support[0] + 1] = p
         self._suffixes = {}
         self._weights = {}
+        self._k = _Kernel(_BITS)
         self._straight = {}
         self._prepared = {}
-        self._k = _Kernel(_BITS)
-        self._straight_pk = {}
-        self._prepared_pk = {}
         self._packed = {}
         self._seeds = {}
         self._word_products = {}
-        self._word_products_pk = {}
         self._phis = {}
         self._dfact_cache = {}
         self._bar_mono = {}
@@ -383,25 +381,18 @@ class PBWContext:
 
         seq is a tuple of root-vector positions; the result maps
         exponent vectors c to LaurentPoly coefficients r_c with
-        E_seq = sum r_c L(c), memoized in ``_straight``.
+        E_seq = sum r_c L(c), decoded from ``_straighten_packed``.
         """
-        return self._rewrite(seq, self._straight, self._prepared_relation,
-                             self._dfact, _divide, accumulate)
+        seq = tuple(seq)
+        return self._packed_run(
+            lambda k: k.decode(self._straighten_packed(seq), "E_seq"))
 
     def _straighten_packed(self, seq):
-        """straighten on packed coefficients, memoized in
-        ``_straight_pk``: what the E* side reads."""
-        k = self._k
-        return self._rewrite(seq, self._straight_pk, self._packed_relation,
-                             self._packed_dfact, k.divide, k.accumulate)
-
-    def _rewrite(self, seq, memo, relation, leaf, divide, add):
-        """The straightening loop, on the coefficients that relation,
-        leaf (dfact), divide and add (accumulate) work in.  Runs a work
-        stack instead of recursion so long products do not hit the
-        interpreter's depth limit; every intermediate sequence is
+        """straighten on packed coefficients, memoized in ``_straight``.
+        Runs a work stack instead of recursion so long products do not
+        hit the interpreter's depth limit; every intermediate sequence is
         memoized."""
-        seq = tuple(seq)
+        memo, k = self._straight, self._k
         hit = memo.get(seq)
         if hit is not None:
             return hit
@@ -413,18 +404,18 @@ class PBWContext:
                 stack.pop()
                 continue
             if children is None:
-                k = _first_descent(s)
-                if k is None:
+                pos = _first_descent(s)
+                if pos is None:
                     c = [0] * self.n
                     for p in s:
                         c[p] += 1
                     c = tuple(c)
-                    memo[s] = {c: leaf(c)}
+                    memo[s] = {c: self._packed_dfact(c)}
                     stack.pop()
                     continue
-                head, tail = s[:k], s[k + 2:]
+                head, tail = s[:pos], s[pos + 2:]
                 children = [(head + raw + tail, den, r) for raw, den, r
-                            in relation(s[k], s[k + 1])]
+                            in self._packed_relation(s[pos], s[pos + 1])]
                 stack[-1] = (s, children)
                 todo = [(t, None) for t, _, _ in children if t not in memo]
                 if todo:
@@ -435,8 +426,8 @@ class PBWContext:
             for child, den, r in children:
                 expn = memo[child]
                 if den is not None:
-                    expn = divide(expn, den, "E_seq", child)
-                add(total, expn, r)
+                    expn = k.divide(expn, den, "E_seq", child)
+                k.accumulate(total, expn, r)
             memo[s] = total
             stack.pop()
         return memo[seq]
@@ -446,27 +437,16 @@ class PBWContext:
         return self._seed(("E_{} E_{}", x, y),
                           lambda: self.vectors[x] * self.vectors[y])
 
-    def _prepared_relation(self, x, y):
-        """The relation E_x E_y = sum_d r_d L(d) as triples
+    def _packed_relation(self, x, y):
+        """The relation E_x E_y = sum_d r_d L(d) as packed triples
         (raw d, dfact(d) or None when it is 1, r_d), memoized per (x, y)."""
         key = (x, y)
         hit = self._prepared.get(key)
         if hit is None:
             hit = self._prepared[key] = tuple(
                 (self._raw(d), None if self._dfact(d).is_one()
-                 else self._dfact(d), r)
+                 else self._packed_dfact(d), self._k.pack(r))
                 for d, r in self._relation(x, y).items())
-        return hit
-
-    def _packed_relation(self, x, y):
-        """_prepared_relation with den and r packed, memoized per (x, y)."""
-        key = (x, y)
-        hit = self._prepared_pk.get(key)
-        if hit is None:
-            hit = self._prepared_pk[key] = tuple(
-                (raw, None if den is None else self._k.pack(den),
-                 self._k.pack(r))
-                for raw, den, r in self._prepared_relation(x, y))
         return hit
 
     def _packed_dfact(self, c):
@@ -492,23 +472,21 @@ class PBWContext:
                 f"dimension {dim} at {weight}")
         return inds
 
-    def _word_product(self, c, memo=None, cast=None, add=accumulate):
-        """U(c) = prod_p E_p^(c_p) = dfact(c) L(c) as {word: LaurentPoly}, or
-        cast (packed) and summed by add in memo; memoized as U(c') E_p, c'
-        = c lowered at the last p with c_p > 0."""
-        if memo is None:
-            memo, cast = self._word_products, (lambda u: u)
-        hit = memo.get(c)
+    def _word_product(self, c):
+        """U(c) = prod_p E_p^(c_p) = dfact(c) L(c) as {word: packed},
+        memoized as U(c') E_p, c' = c lowered at the last p with c_p > 0."""
+        hit = self._word_products.get(c)
         if hit is None:
             if not any(c):
-                return {(): cast(LaurentPoly.one())}
-            p = max(k for k, m in enumerate(c) if m)
-            ep = [(w, cast(v.to_laurent()))
+                return {(): _UNIT}
+            k = self._k
+            p = max(i for i, m in enumerate(c) if m)
+            ep = [(w, k.pack(v.to_laurent()))
                   for w, v in self.vectors[p].terms.items()]
-            hit = memo[c] = {}
-            for w, u in self._word_product(c[:p] + (c[p] - 1,) + c[p + 1:],
-                                           memo, cast, add).items():
-                add(hit, {w + w2: u2 for w2, u2 in ep}, u)
+            hit = self._word_products[c] = {}
+            for w, u in self._word_product(
+                    c[:p] + (c[p] - 1,) + c[p + 1:]).items():
+                k.accumulate(hit, {w + w2: u2 for w2, u2 in ep}, u)
         return hit
 
     def word_expansions(self, weight, columns):
@@ -521,9 +499,8 @@ class PBWContext:
             classes, num = {}, {}
             for d, v in col.items():
                 key = tuple(sorted(m for m in d if m > 1))
-                ud = self._word_product(d, self._word_products_pk, k.pack,
-                                        k.accumulate)
-                k.accumulate(classes.setdefault(key, {}), ud, k.pack(v))
+                k.accumulate(classes.setdefault(key, {}),
+                             self._word_product(d), k.pack(v))
             facts = [factorial_cyclotomic(key) for key in classes]
             top = tuple((m, max(e.get(m, 0) for _, e in facts))
                         for m in sorted({m for _, e in facts for m in e}))
@@ -571,7 +548,8 @@ class PBWContext:
         Raises AssertionError naming the weight unless x - sum_d x_d L(d)
         is zero in the algebra, so a broken convention fails loudly; it is
         scaled by prod_i [wt_i]!, which each dfact(d) divides (the d_p on
-        roots through vertex i sum to at most wt_i).
+        roots through vertex i sum to at most wt_i).  U(d) is decoded from
+        ``_word_product`` at the current width, which a packed run widens.
         """
         if x.weight is None:
             return {}
@@ -581,7 +559,7 @@ class PBWContext:
         out = {}
         residual = {w: cw * scale for w, cw in x.terms.items()}
         for d in self._word_indices(weight):
-            ud = self._word_product(d)
+            ud = self._k.decode(self._word_product(d), f"U{d}")
             num = RatFunc(0)
             for w, u in ud.items():
                 v = vec.get(w)
@@ -621,31 +599,35 @@ class PBWContext:
     # -- products
 
     def mul(self, f, g):
-        """Product of two elements in PBW coordinates; L(a) L(b) is the
-        straightened E_{raw a + raw b} over dfact(a) dfact(b), exactly."""
-        out = {}
-        for a, fa in f.items():
-            raw_a = self._raw(a)
-            dfact_a = self._dfact(a)
-            for b, gb in g.items():
-                expn = self.straighten(raw_a + self._raw(b))
-                accumulate(out, _divide(expn, dfact_a * self._dfact(b),
-                                        "L(a) L(b)", (a, b)), fa * gb)
-        return out
+        """Product of two elements in PBW coordinates, dicts of LaurentPoly
+        coefficients.  Runs packed, on the constants of ``_mul_packed``."""
+        return self._packed_product(f, g, self._mul_packed, "PBW product")
+
+    def _mul_packed(self, a, b):
+        """L(a) L(b) packed: the straightened E_{raw a + raw b} over
+        dfact(a) dfact(b), exactly."""
+        expn = self._straighten_packed(self._raw(a) + self._raw(b))
+        den = _kmul(self._packed_dfact(a), self._packed_dfact(b))
+        return expn if den == _UNIT else self._k.divide(
+            expn, den, "L(a) L(b)", (a, b))
 
     def dual_mul(self, f, g):
         """Product of two elements in dual PBW coordinates: dicts of
         LaurentPoly coefficients over E*(c) = L(c) / (L(c), L(c)), which
         span the integral dual form, so the product stays in Z[q, q^-1].
         Runs packed, on the constants of ``_dual_packed``."""
+        return self._packed_product(f, g, self._dual_packed, "E* product")
+
+    def _packed_product(self, f, g, constants, what):
+        """sum_{a, b} f_a g_b constants(a, b), on the packed kernel."""
         def run(k):
             out = {}
             packed = [(b, k.pack(gb)) for b, gb in g.items()]
             for a, fa in f.items():
                 pa = k.pack(fa)
                 for b, pb in packed:
-                    k.accumulate(out, self._dual_packed(a, b), _kmul(pa, pb))
-            return k.decode(out, "E* product")
+                    k.accumulate(out, constants(a, b), _kmul(pa, pb))
+            return k.decode(out, what)
         return self._packed_run(run)
 
     def dual_constants(self, a, b):
@@ -666,17 +648,17 @@ class PBWContext:
             lambda k: k.decode(self._dual_packed(a, b), f"E*{a} E*{b}"))
 
     def _packed_run(self, run):
-        """run(kernel) on the E* side; while a bound reaches the digit
-        width, double the width, drop every packed memo and run again.
-        Each width is exact or raises, so the answer never depends on it."""
+        """run(kernel); while a bound reaches the digit width, double the
+        width, drop every packed memo and run again.  Each width is exact
+        or raises, so the answer never depends on it."""
         while True:
             try:
                 return run(self._k)
             except _Overflow:
                 self._k = _Kernel(2 * self._k.bits)
-                for memo in (self._straight_pk, self._prepared_pk,
-                             self._packed, self._dual_sc, self._omq2_powers,
-                             self._word_products_pk, self._phis):
+                for memo in (self._straight, self._prepared, self._packed,
+                             self._dual_sc, self._omq2_powers,
+                             self._word_products, self._phis):
                     memo.clear()
 
     def _dual_packed(self, a, b):

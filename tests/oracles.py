@@ -1,6 +1,7 @@
 """Reference routes shared by several test modules."""
 
 import itertools
+import weakref
 
 from qbases.braid import pbw_monomial
 from qbases.canonical import _solve_bar_fixed
@@ -223,17 +224,80 @@ def ref_certificate(seed, exponents):
     return label, p, x
 
 
+_STRAIGHT = weakref.WeakKeyDictionary()
+
+
+def _ref_over(f, den, what):
+    """f / den on LaurentPoly coefficients, f itself when den is 1."""
+    if den.is_one():
+        return f
+    try:
+        return {c: v.exact_div(den) for c, v in f.items()}
+    except ValueError as e:
+        raise AssertionError(f"not Laurent: {what} over {den}") from e
+
+
+def ref_straighten(pbw, seq):
+    """{c: r_c} with E_seq = sum r_c L(c) for the PBWContext pbw, by
+    straightening on LaurentPoly coefficients: each first descent E_x E_y
+    is replaced by its relation sum_d r_d L(d), read as r_d / dfact(d)
+    times E_{raw d}, until every sequence is sorted, E_sorted = dfact(c)
+    L(c).  Memoized per context, on a work stack; shares the relations
+    (the word-level seeds), _raw and _dfact with PBWContext.straighten,
+    and none of its packed kernel or memos."""
+    memo = _STRAIGHT.setdefault(pbw, {})
+    seq = tuple(seq)
+    stack = [seq]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        k = next((k for k in range(len(s) - 1) if s[k] > s[k + 1]), None)
+        if k is None:
+            c = tuple(s.count(p) for p in range(pbw.n))
+            memo[s] = {c: pbw._dfact(c)}
+            stack.pop()
+            continue
+        children = [(s[:k] + pbw._raw(d) + s[k + 2:], pbw._dfact(d), r)
+                    for d, r in pbw._relation(s[k], s[k + 1]).items()]
+        todo = [t for t, _, _ in children if t not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        total = {}
+        for child, den, r in children:
+            accumulate(total, _ref_over(memo[child], den, child), r)
+        memo[s] = total
+        stack.pop()
+    return memo[seq]
+
+
+def ref_mul(pbw, f, g):
+    """The product of two PBW coordinate dicts over any coefficient ring
+    that LaurentPoly multiplies into: L(a) L(b) is ref_straighten of
+    E_{raw a + raw b} over dfact(a) dfact(b)."""
+    out = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            expn = ref_straighten(pbw, pbw._raw(a) + pbw._raw(b))
+            accumulate(out, _ref_over(expn, pbw._dfact(a) * pbw._dfact(b),
+                                      (a, b)), fa * gb)
+    return out
+
+
 def ref_dual_constants(pbw, a, b):
     """{c: s^c_ab} with E*(a) E*(b) = sum_c s^c_ab E*(c) by dividing
     Laurent polynomials: r_c W(c) over dfact(c) W(a) W(b), each
     W = dfact N multiplied out from the Q(q) norm, r_c the coefficient of
-    L(c) in the straightened E_{raw a + raw b}."""
+    L(c) in E_{raw a + raw b}, straightened by ref_straighten."""
     def w(c):
         return (pbw._dfact(c) * pbw.norm(c)).to_laurent()
 
     den_ab = w(a) * w(b)
     return {c: (r * w(c)).exact_div(pbw._dfact(c) * den_ab)
-            for c, r in pbw.straighten(pbw._raw(a) + pbw._raw(b)).items()}
+            for c, r in ref_straighten(
+                pbw, pbw._raw(a) + pbw._raw(b)).items()}
 
 
 def ref_saito_reflection(ctx, i, label, direction):

@@ -156,15 +156,51 @@ def test_reachable_seeds_checks_involutivity(monkeypatch):
         reachable_seeds("A2", 1)
 
 
+def _assert_bz_compatible(seeds):
+    """Berenstein-Zelevinsky compatibility (Adv. Math. 2005) of every
+    seed, B~^T Lambda = 2 (I | 0) up to the order of the columns:
+    sum_p b_pj lam_pl is 2 when l is the j-th mutable index, 0 otherwise."""
+    for seed in seeds:
+        n = seed.size()
+        for j, k in enumerate(seed.mutable):
+            row = [sum(seed.bmat[p][j] * seed.lam[p][l] for p in range(n))
+                   for l in range(n)]
+            assert row == [2 if l + 1 == k else 0 for l in range(n)], (
+                seed.history, k)
+
+
+@pytest.mark.parametrize("preset, depth, count", [("A2", 2, 2),
+                                                  ("A3", 8, 14)])
+def test_closure_is_bz_compatible(preset, depth, count):
+    seeds, _ = reachable_seeds(preset, depth)
+    assert len(seeds) == count
+    _assert_bz_compatible(seeds)
+
+
 def test_a4_closure():
     """The exchange graph of C[N] for A4 (cluster type D6, BFZ 2005)
     closes at 672 seeds over 40 labels; each of its 4,032 exchanges
-    passes, and reachable_seeds has checked that each is involutive."""
+    passes, and reachable_seeds has checked that each is involutive.
+    Every seed is BZ compatible, and of the 780 pairs of variables
+    exactly the 480 that share a cluster q-commute."""
     seeds, log = reachable_seeds("A4", 30)
     assert len(seeds) == 672
-    assert len({label for s in seeds for label in s.labels}) == 40
+    labels = sorted({label for s in seeds for label in s.labels})
+    assert len(labels) == 40
     assert len(log) == 4032
     assert all(entry["status"] == "pass" for entry in log)
+    _assert_bz_compatible(seeds)
+    together = {frozenset(pair) for s in seeds
+                for pair in itertools.combinations(s.labels, 2)}
+    commuting = set()
+    for pair in itertools.combinations(labels, 2):
+        try:
+            quasi_commutation(seeds[0].context, *pair)
+        except ValueError:
+            continue
+        commuting.add(frozenset(pair))
+    assert len(together) == 480
+    assert commuting == together
 
 
 def test_seed_forms_are_memoized(a3, monkeypatch):

@@ -9,7 +9,8 @@ from qbases import pbwalg
 from qbases.braid import pbw_monomial
 from qbases.laurent import (LaurentPoly, RatFunc, _pol_mul, _rat,
                             cyclotomic, cyclotomic_product,
-                            factorial_cyclotomic, quantum_factorial)
+                            factorial_cyclotomic, quantum_factorial,
+                            quantum_int)
 from qbases.linalg import solve
 from qbases.quiver import load_preset
 from qbases.wordalg import WordElement, kostant_dimension, weight_basis
@@ -17,8 +18,8 @@ from qbases.pbwalg import PBWContext, get_context, accumulate, scaled
 from qbases.canonical import (CanonicalContext, get_canonical,
                               weights_up_to_height)
 
-from oracles import (pairing, pbw_norm, ref_dual_constants, ref_pbw_indices,
-                     ref_word_combination)
+from oracles import (pairing, pbw_norm, ref_dual_constants, ref_mul,
+                     ref_pbw_indices, ref_straighten, ref_word_combination)
 
 A2 = load_preset("A2")
 A3 = load_preset("A3")
@@ -38,7 +39,7 @@ def q(k=1, c=1):
 
 
 def unit(c):
-    return {tuple(c): RatFunc(1)}
+    return {tuple(c): LaurentPoly.one()}
 
 
 # -- bookkeeping
@@ -342,8 +343,9 @@ def test_word_products_match_pbw_monomial(preset, height):
         for d in ctx.indices(wt):
             want = pbw_monomial(ctx.datum, ctx.word, d, vectors=ctx.vectors)
             dfact = ctx._dfact(d)
+            ud = ctx._k.decode(ctx._word_product(d), d)
             assert {w: RatFunc(u, dfact) for w, u
-                    in ctx._word_product(d).items()} == want.terms, d
+                    in ud.items()} == want.terms, d
             assert ctx.monomial_word_element(d) == want, d
 
 
@@ -550,6 +552,63 @@ def test_dual_constants_past_the_first_width(a, b, bits):
     assert ctx._k.bits == bits
 
 
+def test_mul_and_bar_past_the_first_width():
+    """L(20,0,0) L(1,0,0) = [21] L(21,0,0) straightens to the leaf
+    dfact = [21]!, whose L1 norm 21! passes 2^63: mul and the bar, which
+    reaches that product through its prefix recursion, widen the digits
+    and equal the LaurentPoly oracle."""
+    one = LaurentPoly.one()
+    a, b, c = (20, 0, 0), (1, 0, 0), (21, 0, 0)
+    ctx = PBWContext(A2["datum"], A2["longest_word"])
+    want = ref_mul(ctx, {a: one}, {b: one})
+    assert want == {c: quantum_int(21)}
+    assert ctx.mul({a: one}, {b: one}) == want
+    assert ctx._k.bits == 128
+    # bar(L(c)) = bar(E_0)^21 / [21]!, multiplied on the oracle
+    prod = ctx.one()
+    for _ in range(21):
+        prod = ref_mul(ctx, prod, ctx.bar_letter(0))
+    fact = quantum_factorial(21)
+    want = {d: v.exact_div(fact) for d, v in prod.items()}
+    assert want == {c: one}
+    fresh = PBWContext(A2["datum"], A2["longest_word"])
+    assert fresh.bar({c: one}) == want
+    assert fresh._k.bits == 128
+
+
+@pytest.mark.parametrize("preset,height,relations,sequences,pairs", [
+    ("A2", 6, 3, 268, 399), ("A3", 5, 15, 606, 932),
+    ("D4", 3, 18, 111, 225)])
+def test_straighten_and_mul_two_routes(preset, height, relations, sequences,
+                                       pairs):
+    """The packed straightening, decoded, equals the LaurentPoly oracle
+    on every relation E_x E_y, x > y, within the height, and mul equals
+    the oracle's product on every pair of units within it; afterwards
+    every sequence in the straightening memo equals the oracle too."""
+    box = load_preset(preset)
+    ctx = PBWContext(box["datum"], box["longest_word"])
+    ht = [sum(beta) for beta in ctx.roots]
+    rels = [(x, y) for x in range(ctx.n) for y in range(x)
+            if ht[x] + ht[y] <= height]
+    for seq in rels:
+        assert ctx.straighten(seq) == ref_straighten(ctx, seq), seq
+    one = LaurentPoly.one()
+    units = [(c, sum(wt)) for wt in weights_up_to_height(ctx.datum.rank,
+                                                         height)
+             for c in ctx.indices(wt)]
+    count = 0
+    for a, ha in units:
+        for b, hb in units:
+            if ha + hb <= height:
+                f, g = {a: one}, {b: one}
+                assert ctx.mul(f, g) == ref_mul(ctx, f, g), (a, b)
+                count += 1
+    for seq, expn in ctx._straight.items():
+        assert ctx._k.decode(expn, seq) == ref_straighten(ctx, seq), seq
+    assert (len(rels), len(ctx._straight), count) == (relations, sequences,
+                                                      pairs)
+
+
 def test_narrow_digits_trip_the_bound(monkeypatch):
     """At an 8-bit first width the A2 constants E*(0,0,1) E*(5,0,0) and
     E*(0,0,0) E*(0,0,6) outgrow the digits: the bound checks stop both
@@ -605,9 +664,10 @@ def test_bar_and_mul_stay_laurent(preset, height, labels):
                 assert all(type(v) is LaurentPoly
                            for v in ctx.mul({a: one}, {b: one}).values()), \
                     (a, b)
-    # and so does every memoized straightening
+    # and so does every memoized straightening, decoded
     assert all(type(v) is LaurentPoly
-               for expn in ctx._straight.values() for v in expn.values())
+               for s, expn in ctx._straight.items()
+               for v in ctx._k.decode(expn, s).values())
 
 
 # -- straightening
@@ -626,20 +686,22 @@ def test_straighten_divides_by_dfact_of_a_relation_term(monkeypatch, seq):
     """No preset relation has a term L(d) with some d_p > 1, so the
     division by dfact(d) is reached with one added: E_2 E_0 gains
     r L(2, 0, 0), whose child E_0 E_0 = [2] L(2, 0, 0) divides by [2].
-    Both coefficient routes must give E_seq plus r times the E_seq with
-    E_2 E_0 read as E_0 E_0 / [2]."""
+    straighten and its packed memo must give E_seq plus r times the E_seq
+    with E_2 E_0 read as E_0 E_0 / [2], both from the LaurentPoly
+    oracle."""
     plain = PBWContext(A2["datum"], A2["longest_word"])
     ctx = PBWContext(A2["datum"], A2["longest_word"])
     r = LaurentPoly({0: 2, 1: -1})
-    extra = ((0, 0), ctx._dfact((2, 0, 0)), r)
-    assert extra[1] == LaurentPoly({-1: 1, 1: 1})
-    right = ctx._prepared_relation
-    monkeypatch.setattr(ctx, "_prepared_relation", lambda x, y: right(
+    den = ctx._dfact((2, 0, 0))
+    assert den == LaurentPoly({-1: 1, 1: 1})
+    extra = ((0, 0), ctx._packed_dfact((2, 0, 0)), ctx._k.pack(r))
+    right = ctx._packed_relation
+    monkeypatch.setattr(ctx, "_packed_relation", lambda x, y: right(
         x, y) + ((extra,) if (x, y) == (2, 0) else ()))
     k = seq.index(2)
-    tail = plain.straighten(seq[:k] + (0, 0) + seq[k + 2:])
-    want = accumulate(dict(plain.straighten(seq)), {
-        c: v.exact_div(extra[1]) for c, v in tail.items()}, r)
+    tail = ref_straighten(plain, seq[:k] + (0, 0) + seq[k + 2:])
+    want = accumulate(dict(ref_straighten(plain, seq)), {
+        c: v.exact_div(den) for c, v in tail.items()}, r)
     if seq == (2, 0):
         assert want == {(0, 1, 0): LaurentPoly.one(),
                         (1, 0, 1): LaurentPoly.q_power(1), (2, 0, 0): r}
