@@ -24,7 +24,7 @@ suffixes.  The closed-form norm depends on c only through the signature
 Weights wt(c) are memoized per context too, since the weight of a label
 depends on the word.  Straightening reads each relation E_x E_y as
 packed triples (raw d, dfact(d) or None when it is 1, r_d), kept per
-(x, y), so each child sequence is built once.
+(x, y) on the kernel, so each child sequence is built once.
 
 Straightening, the products (``mul`` for the bar, ``dual_mul`` and
 ``dual_constants`` for the E* side) and the word products run on a
@@ -41,14 +41,15 @@ kept only when bound(A) and ||Q||_1 bound(D) are under 2^63, which makes
 Q D = A as polynomials; a remainder means not Laurent at any width, and
 raises as such.  The packed int is the exact value of its polynomial at
 q = 2^64 whatever the bounds, so a bound that reaches 2^63 (as does
-that of [21]!, whose L1 norm is 21!) loses nothing: the context doubles
-its digit width, drops its packed memos and runs the call again, and
-the wider digits stay for its later calls.  ``LaurentPoly`` stays at the
-boundary: ``mul``, ``bar`` and ``dual_mul`` take and return LaurentPoly
-dicts, and ``straighten`` and ``dual_constants`` decode.
+that of [21]!, whose L1 norm is 21!) loses nothing: the context
+replaces its kernel, which holds every packed memo, by one of twice the
+width and runs the call again.  ``LaurentPoly`` stays at the boundary:
+``mul``, ``bar`` and ``dual_mul`` take and return LaurentPoly dicts,
+and ``straighten`` and ``dual_constants`` decode.
 """
 
 from array import array
+from math import prod
 
 from .laurent import (LaurentPoly, RatFunc, _rat, _wrap, accumulate,
                       cyclotomic_product, factorial_cyclotomic,
@@ -82,13 +83,20 @@ def _kmul(a, b):
 class _Kernel:
     """Packed coefficients at one digit width: x = sum_k d_k 2^(bits k)
     with signed digits, each value bounded by an L1 bound that must stay
-    under half = 2^(bits-1); raises _Overflow where one reaches it."""
+    under half = 2^(bits-1); raises _Overflow where one reaches it.  It
+    holds every value packed at its width, so none outlives the width."""
 
     def __init__(self, bits):
         self.bits = bits
         self.half = 1 << (bits - 1)
         self.size = bits // 8
         self._offsets = {}
+        self.straight, self.relations, self.word_products = {}, {}, {}
+        self.dual_sc, self.dfacts, self.phis, self.omq2_powers = {}, {}, {}, {}
+
+    def wider(self):
+        """A kernel of twice the digit width, its memos empty."""
+        return _Kernel(2 * self.bits)
 
     def _offset(self, n):
         """The int whose n digits all equal half."""
@@ -214,6 +222,51 @@ class _Kernel:
             target[c] = v, x, b
         return target
 
+    def dfact(self, c):
+        """prod_p [c_p]! packed, memoized by the sorted parts c_p > 1."""
+        key = tuple(sorted(m for m in c if m > 1))
+        hit = self.dfacts.get(key)
+        if hit is None:
+            hit = self.dfacts[key] = self.pack(prod(
+                map(quantum_factorial, key), start=LaurentPoly.one()))
+        return hit
+
+    def phi_product(self, exps):
+        """prod Phi_m^e over the pairs (m, e) of exps, packed, memoized."""
+        hit = self.phis.get(exps)
+        if hit is None:
+            hit = self.phis[exps] = self.pack(_wrap(
+                {i: v for i, v in enumerate(cyclotomic_product(exps)) if v}))
+        return hit
+
+    def one_minus_q2_power(self, m):
+        """(1-q^2)^m packed, memoized."""
+        hit = self.omq2_powers.get(m)
+        if hit is None:
+            hit = self.omq2_powers[m] = self.pack(_ONE_MINUS_Q2 ** m)
+        return hit
+
+    def lowest_terms(self, x, exps):
+        """The packed x over prod Phi_m^e, (m, e) in exps, as a RatFunc in
+        lowest terms with no gcd: the Phi_m are monic, irreducible, distinct
+        and prime to q, so each is divided out while that is exact.  One
+        check certifies all steps, as ``div`` does each."""
+        v, quo, bound = x
+        if bound >= self.half:
+            raise self._overflow(bound, "word coefficient")
+        left, bound = [], 1
+        for m, e in exps:
+            _, phi, b = self.phi_product(((m, 1),))
+            while e and not (qr := divmod(quo, phi))[1]:
+                quo, e, bound = qr[0], e - 1, bound * b
+            if e:
+                left.append((m, e))
+        num = self.unpack(v, quo).c
+        bound *= sum(map(abs, num.values()))
+        if bound >= self.half:
+            raise self._overflow(bound, "quotient times divisor")
+        return _rat(num, cyclotomic_product(tuple(left)))
+
 
 def scaled(source, scale):
     return accumulate({}, source, scale)
@@ -293,12 +346,7 @@ class PBWContext:
         self._suffixes = {}
         self._weights = {}
         self._k = _Kernel(_BITS)
-        self._straight = {}
-        self._prepared = {}
-        self._packed = {}
         self._seeds = {}
-        self._word_products = {}
-        self._phis = {}
         self._dfact_cache = {}
         self._bar_mono = {}
         self._star_mono = {}
@@ -306,9 +354,7 @@ class PBWContext:
         self._fmult_mono = {}
         self._norm = {}
         self._gram = {}
-        self._dual_sc = {}
         self._wnorm_cache = {}
-        self._omq2_powers = {}
 
     # -- bookkeeping
 
@@ -385,14 +431,14 @@ class PBWContext:
         """
         seq = tuple(seq)
         return self._packed_run(
-            lambda k: k.decode(self._straighten_packed(seq), "E_seq"))
+            lambda k: k.decode(self._straighten_packed(k, seq), "E_seq"))
 
-    def _straighten_packed(self, seq):
-        """straighten on packed coefficients, memoized in ``_straight``.
-        Runs a work stack instead of recursion so long products do not
-        hit the interpreter's depth limit; every intermediate sequence is
+    def _straighten_packed(self, k, seq):
+        """straighten on the packed kernel k, memoized on it.  Runs a
+        work stack instead of recursion so long products do not hit the
+        interpreter's depth limit; every intermediate sequence is
         memoized."""
-        memo, k = self._straight, self._k
+        memo = k.straight
         hit = memo.get(seq)
         if hit is not None:
             return hit
@@ -410,12 +456,12 @@ class PBWContext:
                     for p in s:
                         c[p] += 1
                     c = tuple(c)
-                    memo[s] = {c: self._packed_dfact(c)}
+                    memo[s] = {c: k.dfact(c)}
                     stack.pop()
                     continue
                 head, tail = s[:pos], s[pos + 2:]
                 children = [(head + raw + tail, den, r) for raw, den, r
-                            in self._packed_relation(s[pos], s[pos + 1])]
+                            in self._packed_relation(k, s[pos], s[pos + 1])]
                 stack[-1] = (s, children)
                 todo = [(t, None) for t, _, _ in children if t not in memo]
                 if todo:
@@ -437,55 +483,39 @@ class PBWContext:
         return self._seed(("E_{} E_{}", x, y),
                           lambda: self.vectors[x] * self.vectors[y])
 
-    def _packed_relation(self, x, y):
-        """The relation E_x E_y = sum_d r_d L(d) as packed triples
-        (raw d, dfact(d) or None when it is 1, r_d), memoized per (x, y)."""
-        key = (x, y)
-        hit = self._prepared.get(key)
+    def _packed_relation(self, k, x, y):
+        """The relation E_x E_y = sum_d r_d L(d) as triples (raw d,
+        dfact(d) or None when it is 1, r_d) packed on k, memoized per
+        (x, y)."""
+        hit = k.relations.get((x, y))
         if hit is None:
-            hit = self._prepared[key] = tuple(
-                (self._raw(d), None if self._dfact(d).is_one()
-                 else self._packed_dfact(d), self._k.pack(r))
+            hit = k.relations[x, y] = tuple(
+                (self._raw(d), None if max(d) < 2 else k.dfact(d), k.pack(r))
                 for d, r in self._relation(x, y).items())
-        return hit
-
-    def _packed_dfact(self, c):
-        """_dfact(c) packed, memoized by the same parts."""
-        key = tuple(sorted(m for m in c if m > 1))
-        hit = self._packed.get(key)
-        if hit is None:
-            hit = self._packed[key] = self._k.pack(self._dfact(c))
         return hit
 
     # -- word-level bridge (small heights only)
 
     def _word_indices(self, weight):
-        """indices(weight), under the cap and as many as its dimension."""
+        """indices(weight); ValueError above the word-level height cap."""
         if sum(weight) > PAIRING_HEIGHT_CAP:
             raise ValueError(f"word expansion at height {sum(weight)} "
                              f"exceeds cap {PAIRING_HEIGHT_CAP}")
-        inds = self.indices(weight)
-        dim = kostant_dimension(self.datum, weight)
-        if len(inds) != dim:
-            raise AssertionError(
-                f"PBW index count {len(inds)} differs from weight-space "
-                f"dimension {dim} at {weight}")
-        return inds
+        return self.indices(weight)
 
-    def _word_product(self, c):
-        """U(c) = prod_p E_p^(c_p) = dfact(c) L(c) as {word: packed},
+    def _word_product(self, k, c):
+        """U(c) = prod_p E_p^(c_p) = dfact(c) L(c) as {word: packed on k},
         memoized as U(c') E_p, c' = c lowered at the last p with c_p > 0."""
-        hit = self._word_products.get(c)
+        hit = k.word_products.get(c)
         if hit is None:
             if not any(c):
                 return {(): _UNIT}
-            k = self._k
             p = max(i for i, m in enumerate(c) if m)
             ep = [(w, k.pack(v.to_laurent()))
                   for w, v in self.vectors[p].terms.items()]
-            hit = self._word_products[c] = {}
+            hit = k.word_products[c] = {}
             for w, u in self._word_product(
-                    c[:p] + (c[p] - 1,) + c[p + 1:]).items():
+                    k, c[:p] + (c[p] - 1,) + c[p + 1:]).items():
                 k.accumulate(hit, {w + w2: u2 for w2, u2 in ep}, u)
         return hit
 
@@ -500,45 +530,16 @@ class PBWContext:
             for d, v in col.items():
                 key = tuple(sorted(m for m in d if m > 1))
                 k.accumulate(classes.setdefault(key, {}),
-                             self._word_product(d), k.pack(v))
+                             self._word_product(k, d), k.pack(v))
             facts = [factorial_cyclotomic(key) for key in classes]
             top = tuple((m, max(e.get(m, 0) for _, e in facts))
                         for m in sorted({m for _, e in facts for m in e}))
             for (s, exps), terms in zip(facts, classes.values()):
-                v, x, b = self._phi_product(
+                v, x, b = k.phi_product(
                     tuple((m, e - exps.get(m, 0)) for m, e in top))
                 k.accumulate(num, terms, (v - s, x, b))
-            return {w: self._lowest_terms(k, x, top) for w, x in num.items()}
+            return {w: k.lowest_terms(x, top) for w, x in num.items()}
         return self._packed_run(lambda k: [expand(k, c) for c in columns])
-
-    def _phi_product(self, exps):
-        """prod Phi_m^e over the pairs (m, e) of exps, packed, memoized."""
-        hit = self._phis.get(exps)
-        if hit is None:
-            hit = self._phis[exps] = self._k.pack(_wrap(
-                {i: v for i, v in enumerate(cyclotomic_product(exps)) if v}))
-        return hit
-
-    def _lowest_terms(self, k, x, exps):
-        """The packed x over prod Phi_m^e, (m, e) in exps, as a RatFunc in
-        lowest terms with no gcd: the Phi_m are monic, irreducible, distinct
-        and prime to q, so each is divided out while that is exact.  One
-        check certifies all steps, as ``_Kernel.div`` does each."""
-        v, quo, bound = x
-        if bound >= k.half:
-            raise k._overflow(bound, "word coefficient")
-        left, bound = [], 1
-        for m, e in exps:
-            _, phi, b = self._phi_product(((m, 1),))
-            while e and not (qr := divmod(quo, phi))[1]:
-                quo, e, bound = qr[0], e - 1, bound * b
-            if e:
-                left.append((m, e))
-        num = k.unpack(v, quo).c
-        bound *= sum(map(abs, num.values()))
-        if bound >= k.half:
-            raise k._overflow(bound, "quotient times divisor")
-        return _rat(num, cyclotomic_product(tuple(left)))
 
     def coords_of_word_element(self, x):
         """PBW coordinates of a word element (small heights only).
@@ -549,7 +550,7 @@ class PBWContext:
         is zero in the algebra, so a broken convention fails loudly; it is
         scaled by prod_i [wt_i]!, which each dfact(d) divides (the d_p on
         roots through vertex i sum to at most wt_i).  U(d) is decoded from
-        ``_word_product`` at the current width, which a packed run widens.
+        ``_word_product`` under ``_packed_run``, like every packed entry.
         """
         if x.weight is None:
             return {}
@@ -558,8 +559,15 @@ class PBWContext:
         scale = self._dfact(weight)
         out = {}
         residual = {w: cw * scale for w, cw in x.terms.items()}
-        for d in self._word_indices(weight):
-            ud = self._k.decode(self._word_product(d), f"U{d}")
+        inds = self._word_indices(weight)
+        dim = kostant_dimension(self.datum, weight)
+        if len(inds) != dim:
+            raise AssertionError(
+                f"PBW index count {len(inds)} differs from weight-space "
+                f"dimension {dim} at {weight}")
+        for d in inds:
+            ud = self._packed_run(
+                lambda k: k.decode(self._word_product(k, d), f"U{d}"))
             num = RatFunc(0)
             for w, u in ud.items():
                 v = vec.get(w)
@@ -603,12 +611,12 @@ class PBWContext:
         coefficients.  Runs packed, on the constants of ``_mul_packed``."""
         return self._packed_product(f, g, self._mul_packed, "PBW product")
 
-    def _mul_packed(self, a, b):
-        """L(a) L(b) packed: the straightened E_{raw a + raw b} over
+    def _mul_packed(self, k, a, b):
+        """L(a) L(b) packed on k: the straightened E_{raw a + raw b} over
         dfact(a) dfact(b), exactly."""
-        expn = self._straighten_packed(self._raw(a) + self._raw(b))
-        den = _kmul(self._packed_dfact(a), self._packed_dfact(b))
-        return expn if den == _UNIT else self._k.divide(
+        expn = self._straighten_packed(k, self._raw(a) + self._raw(b))
+        den = _kmul(k.dfact(a), k.dfact(b))
+        return expn if den == _UNIT else k.divide(
             expn, den, "L(a) L(b)", (a, b))
 
     def dual_mul(self, f, g):
@@ -619,14 +627,14 @@ class PBWContext:
         return self._packed_product(f, g, self._dual_packed, "E* product")
 
     def _packed_product(self, f, g, constants, what):
-        """sum_{a, b} f_a g_b constants(a, b), on the packed kernel."""
+        """sum_{a, b} f_a g_b constants(k, a, b), on the packed kernel k."""
         def run(k):
             out = {}
             packed = [(b, k.pack(gb)) for b, gb in g.items()]
             for a, fa in f.items():
                 pa = k.pack(fa)
                 for b, pb in packed:
-                    k.accumulate(out, constants(a, b), _kmul(pa, pb))
+                    k.accumulate(out, constants(k, a, b), _kmul(pa, pb))
             return k.decode(out, what)
         return self._packed_run(run)
 
@@ -645,43 +653,40 @@ class PBWContext:
         a, b and c if one is not Laurent.  Decoded from ``_dual_packed``.
         """
         return self._packed_run(
-            lambda k: k.decode(self._dual_packed(a, b), f"E*{a} E*{b}"))
+            lambda k: k.decode(self._dual_packed(k, a, b),
+                               f"E*{a} E*{b}"))
 
     def _packed_run(self, run):
-        """run(kernel); while a bound reaches the digit width, double the
-        width, drop every packed memo and run again.  Each width is exact
-        or raises, so the answer never depends on it."""
+        """run(kernel); while a bound reaches the digit width, replace the
+        kernel and its packed memos by a wider one and run again.  Each
+        width is exact or raises, so the answer never depends on it.  The
+        packed methods take the run's kernel, never self._k, so a nested
+        run that widens cannot mix widths in the run around it."""
         while True:
             try:
                 return run(self._k)
             except _Overflow:
-                self._k = _Kernel(2 * self._k.bits)
-                for memo in (self._straight, self._prepared, self._packed,
-                             self._dual_sc, self._omq2_powers,
-                             self._word_products, self._phis):
-                    memo.clear()
+                self._k = self._k.wider()
 
-    def _dual_packed(self, a, b):
-        """The constants of ``dual_constants`` packed, memoized in
-        ``_dual_sc``: the table ``dual_mul`` reads.  q^k is a shift of
-        the valuation, and the division one Kronecker quotient."""
-        key = (a, b)
-        hit = self._dual_sc.get(key)
+    def _dual_packed(self, k, a, b):
+        """The constants of ``dual_constants`` packed on k, memoized on
+        it: the table ``dual_mul`` reads.  q^k is a shift of the
+        valuation, and the division one Kronecker quotient."""
+        hit = k.dual_sc.get((a, b))
         if hit is None:
             hit = {}
-            k = self._k
             ka, ma = self._wnorm(a)
             kb, mb = self._wnorm(b)
             for c, (v, x, bound) in self._straighten_packed(
-                    self._raw(a) + self._raw(b)).items():
+                    k, self._raw(a) + self._raw(b)).items():
                 kc, mc = self._wnorm(c)
                 m = mc - ma - mb
                 num = (v + kc - ka - kb, x, bound)
-                den = self._packed_dfact(c)
+                den = k.dfact(c)
                 if m > 0:
-                    num = _kmul(num, self._one_minus_q2_power(m))
+                    num = _kmul(num, k.one_minus_q2_power(m))
                 elif m < 0:
-                    den = _kmul(den, self._one_minus_q2_power(-m))
+                    den = _kmul(den, k.one_minus_q2_power(-m))
                 if den != _UNIT:
                     num = k.div(num, den)
                     if num is None:
@@ -689,7 +694,7 @@ class PBWContext:
                             f"dual PBW structure constant not Laurent: "
                             f"E*{a} E*{b} at E*{c}")
                 hit[c] = num
-            self._dual_sc[key] = hit
+            k.dual_sc[a, b] = hit
         return hit
 
     def _wnorm(self, c):
@@ -703,13 +708,6 @@ class PBWContext:
             hit = self._wnorm_cache[c] = (
                 -sum(m * (m - 1) // 2 for m in c),
                 sum(self.weight_of(c)) - sum(c))
-        return hit
-
-    def _one_minus_q2_power(self, m):
-        """(1-q^2)^m packed, memoized per context."""
-        hit = self._omq2_powers.get(m)
-        if hit is None:
-            hit = self._omq2_powers[m] = self._k.pack(_ONE_MINUS_Q2 ** m)
         return hit
 
     def divided_power(self, f, m):

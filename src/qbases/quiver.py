@@ -8,7 +8,6 @@ matrix.  Only finite (positive definite) symmetric types are accepted.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from importlib import resources
 
 
@@ -161,31 +160,19 @@ class CartanDatum:
 
 
 def _positive_definite(a) -> bool:
-    """Exact leading-principal-minor test."""
-    n = len(a)
-    for k in range(1, n + 1):
-        m = [[Fraction(a[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        for c in range(k):
-            piv = None
-            for r in range(c, k):
-                if m[r][c]:
-                    piv = r
-                    break
-            if piv is None:
-                return False
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, k):
-                f = m[r][c] * inv
-                if f:
-                    for j in range(c, k):
-                        m[r][j] -= f * m[c][j]
-        if det <= 0:
+    """Sylvester's criterion by fraction-free elimination without row
+    swaps: pivot k is the k-th leading principal minor, and each division
+    by the previous pivot is exact."""
+    m = [list(row) for row in a]
+    n, prev = len(m), 1
+    for k in range(n):
+        piv = m[k][k]
+        if piv <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (piv * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = piv
     return True
 
 

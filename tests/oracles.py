@@ -2,6 +2,7 @@
 
 import itertools
 import weakref
+from fractions import Fraction
 
 from qbases.braid import pbw_monomial
 from qbases.canonical import _solve_bar_fixed
@@ -364,3 +365,34 @@ def ref_sigma_exponent(seed, exponents):
                 total += ek * exponents[l] * (
                     seed.lam[k][l] - form(weights[k], weights[l]))
     return total
+
+
+def ref_positive_definite(a):
+    """Sylvester's criterion on each leading principal minor, computed
+    over Fraction with row swaps: the reference for
+    quiver._positive_definite."""
+    n = len(a)
+    for k in range(1, n + 1):
+        m = [[Fraction(a[i][j]) for j in range(k)] for i in range(k)]
+        det = Fraction(1)
+        for c in range(k):
+            piv = None
+            for r in range(c, k):
+                if m[r][c]:
+                    piv = r
+                    break
+            if piv is None:
+                return False
+            if piv != c:
+                m[c], m[piv] = m[piv], m[c]
+                det = -det
+            det *= m[c][c]
+            inv = 1 / m[c][c]
+            for r in range(c + 1, k):
+                f = m[r][c] * inv
+                if f:
+                    for j in range(c, k):
+                        m[r][j] -= f * m[c][j]
+        if det <= 0:
+            return False
+    return True

@@ -263,7 +263,7 @@ def test_dual_side_constructs_no_ratfunc(a3, monkeypatch):
     monkeypatch.setattr(ctx, "_sc", {})
     monkeypatch.setattr(ctx, "_products", {})
     monkeypatch.setattr(ctx, "_commutes", {})
-    monkeypatch.setattr(ctx.ctx, "_dual_sc", {})
+    monkeypatch.setattr(ctx.ctx._k, "dual_sc", {})
 
     def refuse(*args, **kwargs):
         raise AssertionError("RatFunc constructed on the dual side")
@@ -400,10 +400,10 @@ def test_division_lead_check_is_loud(a2, monkeypatch, break_lead):
     original = pbwalg.PBWContext._dual_packed
 
     # dual_mul reads the packed constants: break them decoded, then repack
-    def broken(self, a, b):
-        out = self._k.decode(original(self, a, b), (a, b))
+    def broken(self, k, a, b):
+        out = k.decode(original(self, k, a, b), (a, b))
         break_lead(out, max(out))
-        return {c: self._k.pack(v) for c, v in out.items()}
+        return {c: k.pack(v) for c, v in out.items()}
 
     monkeypatch.setattr(ctx, "_products", {})
     monkeypatch.setattr(pbwalg.PBWContext, "_dual_packed", broken)

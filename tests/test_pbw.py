@@ -343,7 +343,7 @@ def test_word_products_match_pbw_monomial(preset, height):
         for d in ctx.indices(wt):
             want = pbw_monomial(ctx.datum, ctx.word, d, vectors=ctx.vectors)
             dfact = ctx._dfact(d)
-            ud = ctx._k.decode(ctx._word_product(d), d)
+            ud = ctx._k.decode(ctx._word_product(ctx._k, d), d)
             assert {w: RatFunc(u, dfact) for w, u
                     in ud.items()} == want.terms, d
             assert ctx.monomial_word_element(d) == want, d
@@ -370,15 +370,16 @@ def test_canonical_expansions_two_routes(preset, height, monkeypatch):
     """Every canonical word expansion equals the RatFunc route, and the
     cyclotomic reduction equals RatFunc(num, den) on every coefficient
     it produces."""
-    reduce, seen = PBWContext._lowest_terms, []
+    reduce, seen = pbwalg._Kernel.lowest_terms, []
 
-    def checked(self, k, x, exps):
-        got = reduce(self, k, x, exps)
-        want = RatFunc(k.unpack(x[0], x[1]), cyclotomic_product(tuple(exps)))
+    def checked(self, x, exps):
+        got = reduce(self, x, exps)
+        want = RatFunc(self.unpack(x[0], x[1]),
+                       cyclotomic_product(tuple(exps)))
         seen.append(got == want)
         return got
 
-    monkeypatch.setattr(PBWContext, "_lowest_terms", checked)
+    monkeypatch.setattr(pbwalg._Kernel, "lowest_terms", checked)
     assert _expansion_mismatches(preset, height) == []
     assert seen and all(seen)
 
@@ -386,10 +387,10 @@ def test_canonical_expansions_two_routes(preset, height, monkeypatch):
 def _skip_first_phi(reduce):
     """A reduction that keeps the first Phi_m in the denominator without
     dividing it out: the right value, not in lowest terms."""
-    def mutant(self, k, x, exps):
+    def mutant(self, x, exps):
         if not exps:
-            return reduce(self, k, x, exps)
-        got = reduce(self, k, x, exps[1:])
+            return reduce(self, x, exps)
+        got = reduce(self, x, exps[1:])
         return _rat(got.num, _pol_mul(got.den,
                                       cyclotomic_product(tuple(exps[:1]))))
     return mutant
@@ -405,8 +406,8 @@ def _exponent_off_by_one(parts):
 
 def test_expansion_mutants_are_caught(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(PBWContext, "_lowest_terms",
-                  _skip_first_phi(PBWContext._lowest_terms))
+        m.setattr(pbwalg._Kernel, "lowest_terms",
+                  _skip_first_phi(pbwalg._Kernel.lowest_terms))
         assert _expansion_mismatches("A2", 6)
     with monkeypatch.context() as m:
         m.setattr(pbwalg, "factorial_cyclotomic", _exponent_off_by_one)
@@ -429,6 +430,35 @@ def test_expansions_past_the_first_width(monkeypatch):
     assert ctx._k.bits > 8
 
 
+def test_widening_drops_every_packed_value(monkeypatch):
+    """An A3 context at an 8-bit first width answers the word expansions
+    to height 3, and the dual constants, products and straightenings of
+    every pair of units up to height 2, as at 64 bits.  One E* product
+    past the width then widens it, and the same calls answer as before:
+    no value packed at 8 bits is read at the wider width."""
+    table = get_canonical(A3["datum"], A3["longest_word"]).canonical_basis
+    wide = PBWContext(A3["datum"], A3["longest_word"])
+    weights = weights_up_to_height(3, 3)
+    columns = {wt: table(wt).columns for wt in weights}
+    monkeypatch.setattr(pbwalg, "_BITS", 8)
+    ctx = PBWContext(A3["datum"], A3["longest_word"])
+    units = [c for wt in weights if sum(wt) <= 2 for c in ctx.indices(wt)]
+    pairs = [(a, b) for a in units for b in units]
+
+    def answers(c):
+        return ([c.word_expansions(wt, columns[wt]) for wt in weights],
+                [(c.dual_constants(a, b), c.mul(unit(a), unit(b)),
+                  c.straighten(c._raw(a) + c._raw(b))) for a, b in pairs])
+
+    want = answers(wide)
+    assert answers(ctx) == want
+    assert ctx._k.bits == 8
+    a, b = unit((0, 0, 0, 0, 0, 1)), unit((6, 0, 0, 0, 0, 0))
+    assert ctx.dual_mul(a, b) == wide.dual_mul(a, b)
+    assert ctx._k.bits > 8
+    assert answers(ctx) == want
+
+
 def test_trial_division_is_certified(monkeypatch):
     """1 - q^192 = Phi_3 (1 - q) (1 + q^3 + ... + q^189): the quotient
     has L1 norm 128, times ||Phi_3||_1 = 3, so at 8-bit digits the one
@@ -438,12 +468,11 @@ def test_trial_division_is_certified(monkeypatch):
     want = LaurentPoly({0: 1, 1: -1}) * LaurentPoly(
         {3 * i: 1 for i in range(64)})
     wide = PBWContext(A2["datum"], A2["longest_word"])
-    assert (wide._lowest_terms(wide._k, wide._k.pack(x), ((3, 1),))
-            == RatFunc(want))
+    assert wide._k.lowest_terms(wide._k.pack(x), ((3, 1),)) == RatFunc(want)
     monkeypatch.setattr(pbwalg, "_BITS", 8)
     ctx = PBWContext(A2["datum"], A2["longest_word"])
     with pytest.raises(AssertionError, match=r"384 reaches 2\^7"):
-        ctx._lowest_terms(ctx._k, ctx._k.pack(x), ((3, 1),))
+        ctx._k.lowest_terms(ctx._k.pack(x), ((3, 1),))
 
 
 def test_wrong_norm_fails_reconstruction(monkeypatch):
@@ -603,10 +632,10 @@ def test_straighten_and_mul_two_routes(preset, height, relations, sequences,
                 f, g = {a: one}, {b: one}
                 assert ctx.mul(f, g) == ref_mul(ctx, f, g), (a, b)
                 count += 1
-    for seq, expn in ctx._straight.items():
+    for seq, expn in ctx._k.straight.items():
         assert ctx._k.decode(expn, seq) == ref_straighten(ctx, seq), seq
-    assert (len(rels), len(ctx._straight), count) == (relations, sequences,
-                                                      pairs)
+    assert (len(rels), len(ctx._k.straight), count) == (
+        relations, sequences, pairs)
 
 
 def test_narrow_digits_trip_the_bound(monkeypatch):
@@ -620,7 +649,7 @@ def test_narrow_digits_trip_the_bound(monkeypatch):
     for a, b in (((0, 0, 1), (5, 0, 0)), ((0, 0, 0), (0, 0, 6))):
         ctx = PBWContext(A2["datum"], A2["longest_word"])
         with pytest.raises(AssertionError, match=r"reaches 2\^7"):
-            ctx._k.decode(ctx._dual_packed(a, b), (a, b))
+            ctx._k.decode(ctx._dual_packed(ctx._k, a, b), (a, b))
         assert ctx._k.bits == 8
         assert (ctx.dual_mul({a: one}, {b: one})
                 == wide.dual_mul({a: one}, {b: one}))
@@ -666,7 +695,7 @@ def test_bar_and_mul_stay_laurent(preset, height, labels):
                     (a, b)
     # and so does every memoized straightening, decoded
     assert all(type(v) is LaurentPoly
-               for s, expn in ctx._straight.items()
+               for s, expn in ctx._k.straight.items()
                for v in ctx._k.decode(expn, s).values())
 
 
@@ -694,10 +723,10 @@ def test_straighten_divides_by_dfact_of_a_relation_term(monkeypatch, seq):
     r = LaurentPoly({0: 2, 1: -1})
     den = ctx._dfact((2, 0, 0))
     assert den == LaurentPoly({-1: 1, 1: 1})
-    extra = ((0, 0), ctx._packed_dfact((2, 0, 0)), ctx._k.pack(r))
+    extra = ((0, 0), ctx._k.dfact((2, 0, 0)), ctx._k.pack(r))
     right = ctx._packed_relation
-    monkeypatch.setattr(ctx, "_packed_relation", lambda x, y: right(
-        x, y) + ((extra,) if (x, y) == (2, 0) else ()))
+    monkeypatch.setattr(ctx, "_packed_relation", lambda k, x, y: right(
+        k, x, y) + ((extra,) if (x, y) == (2, 0) else ()))
     k = seq.index(2)
     tail = ref_straighten(plain, seq[:k] + (0, 0) + seq[k + 2:])
     want = accumulate(dict(ref_straighten(plain, seq)), {
@@ -706,7 +735,7 @@ def test_straighten_divides_by_dfact_of_a_relation_term(monkeypatch, seq):
         assert want == {(0, 1, 0): LaurentPoly.one(),
                         (1, 0, 1): LaurentPoly.q_power(1), (2, 0, 0): r}
     assert ctx.straighten(seq) == want
-    assert ctx._k.decode(ctx._straighten_packed(seq), seq) == want
+    assert ctx._k.decode(ctx._straighten_packed(ctx._k, seq), seq) == want
 
 
 def test_straighten_sorted_sequence_collects_factorials():
@@ -726,8 +755,8 @@ def test_dfact_shared_by_labels_with_the_same_parts():
     first = ctx._dfact(same[0])
     assert first == want
     assert all(ctx._dfact(c) is first for c in same)
-    packed = ctx._packed_dfact(same[1])
-    assert all(ctx._packed_dfact(c) is packed for c in same)
+    packed = ctx._k.dfact(same[1])
+    assert all(ctx._k.dfact(c) is packed for c in same)
     assert ctx._k.decode({(): packed}, same[1]) == {(): want}
     assert ctx._dfact((3, 2, 0, 0, 0, 0)) is first
     assert ctx._dfact((0, 1, 1, 0, 1, 0)).is_one()

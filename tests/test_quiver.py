@@ -1,6 +1,11 @@
+import random
+
 import pytest
 
-from qbases.quiver import PRESET_NAMES, CartanDatum, load_preset
+from qbases.quiver import (PRESET_NAMES, CartanDatum, _positive_definite,
+                           load_preset)
+
+from oracles import ref_positive_definite
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +42,24 @@ class TestCartanDatum:
         # a double edge gives the affine A1~ matrix
         with pytest.raises(ValueError):
             CartanDatum(2, [(1, 2), (1, 2)])
+
+    def test_positive_definite_two_routes(self):
+        """Fraction-free elimination agrees with the Fraction minors on
+        random symmetric integer matrices of size 1-6, both verdicts
+        occurring at every size."""
+        rng = random.Random(30)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(1, 6)
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                a[i][i] = rng.randint(-1, 6)
+                for j in range(i):
+                    a[i][j] = a[j][i] = rng.randint(-3, 3)
+            verdict = _positive_definite(a)
+            assert verdict == ref_positive_definite(a), a
+            seen.add((n, verdict))
+        assert seen == {(n, v) for n in range(1, 7) for v in (False, True)}
 
     def test_bilinear(self, a2):
         a1, a2r = a2.simple_root(1), a2.simple_root(2)
